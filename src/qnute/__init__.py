@@ -22,9 +22,7 @@ from .evolution import (
     evolve,
     measure_b,
     measure_c,
-    measure_S,
     sigma_basis,
-    solve_coefficients,
     terms_for_config,
     trotter_step,
 )

@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -69,7 +68,7 @@ def _write_csv(path: Path, header: str, rows) -> None:
             fh.write("\n")
 
 
-def _qnute_config(cfg: RunConfig, n: int, domain_size: int) -> QnuteConfig:
+def _qnute_config(cfg: RunConfig, domain_size: int) -> QnuteConfig:
     return QnuteConfig(
         delta_t=cfg.maturity / cfg.num_steps,
         num_steps=cfg.num_steps,
@@ -80,7 +79,7 @@ def _qnute_config(cfg: RunConfig, n: int, domain_size: int) -> QnuteConfig:
     )
 
 
-def cmd_price(args, cfg: RunConfig, out_dir: Path) -> int:
+def cmd_price(cfg: RunConfig, out_dir: Path) -> int:
     grid = cfg.grid()
     params = cfg.params()
     domain = cfg.resolved_domain_size()
@@ -97,7 +96,7 @@ def cmd_price(args, cfg: RunConfig, out_dir: Path) -> int:
         rows = []
         delta_t = 0.0
     else:
-        qcfg = _qnute_config(cfg, cfg.n, domain)
+        qcfg = _qnute_config(cfg, domain)
         run = price_run(cfg.contract, grid, params, qcfg)
         qnute_prices = run.prices
         reference = reference_pde_solution(cfg.contract, grid, params, qcfg)
@@ -123,7 +122,7 @@ def cmd_price(args, cfg: RunConfig, out_dir: Path) -> int:
 def _sweep_one(cfg: RunConfig, contract, n: int, domain: int):
     grid = cfg.grid(n)
     params = cfg.params()
-    qcfg = _qnute_config(cfg, n, domain)
+    qcfg = _qnute_config(cfg, domain)
     gen = build_bs_pauli(grid, params, "linear")
     terms = terms_for_config(gen, n, qcfg)
     initial = encode_samples(payoff_samples(contract, grid))
@@ -133,7 +132,7 @@ def _sweep_one(cfg: RunConfig, contract, n: int, domain: int):
     return stats.mean, stats.std
 
 
-def cmd_fidelity_sweep(args, cfg: RunConfig, out_dir: Path) -> int:
+def cmd_fidelity_sweep(cfg: RunConfig, out_dir: Path) -> int:
     if not cfg.sweep_options:
         raise ConfigError("sweep.options: at least one contract is required")
     if not cfg.sweep_n:
@@ -143,36 +142,23 @@ def cmd_fidelity_sweep(args, cfg: RunConfig, out_dir: Path) -> int:
     if cfg.num_steps == 0:
         raise ConfigError("schedule.N_T: a fidelity sweep needs at least one step")
 
-    combos = []
+    rows = []
     for contract in cfg.sweep_options:
+        spec = format_contract_spec(contract)
         for n in cfg.sweep_n:
             for domain in cfg.sweep_D:
                 if domain > n:
-                    print(
-                        f"warning: skipping D={domain} > n={n} for "
-                        f"{format_contract_spec(contract)}",
-                        file=sys.stderr,
-                    )
+                    print(f"warning: skipping D={domain} > n={n} for {spec}", file=sys.stderr)
                     continue
-                combos.append((contract, n, domain))
-
-    def run(combo):
-        contract, n, domain = combo
-        mu, sigma = _sweep_one(cfg, contract, n, domain)
-        return (format_contract_spec(contract), n, domain, mu, sigma)
-
-    if args.threads > 1:
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            rows = list(pool.map(run, combos))
-    else:
-        rows = [run(combo) for combo in combos]
+                mu, sigma = _sweep_one(cfg, contract, n, domain)
+                rows.append((spec, n, domain, mu, sigma))
 
     _write_csv(out_dir / "fidelity.csv", "option,n,D,mu_F,sigma_F", rows)
     print(f"wrote {out_dir / 'fidelity.csv'} ({len(rows)} rows)")
     return 0
 
 
-def cmd_decompose(args, cfg: RunConfig, out_dir: Path) -> int:
+def cmd_decompose(cfg: RunConfig, out_dir: Path) -> int:
     if cfg.n > DECOMPOSE_QUBIT_LIMIT:
         raise CapacityError(
             f"grid.n: decompose supports up to {DECOMPOSE_QUBIT_LIMIT} qubits, got {cfg.n}"
@@ -210,11 +196,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp = sub.add_parser(name, help=help_text)
         sp.add_argument("--config", required=True, help="path to a run configuration")
         sp.add_argument("--out", default=None, help="output directory")
-        sp.add_argument(
-            "--seed", type=int, default=None,
-            help="reserved; the current pipeline is deterministic",
-        )
-        sp.add_argument("--threads", type=int, default=1, help="sweep worker count")
         sp.set_defaults(func=func)
     return parser
 
@@ -228,7 +209,7 @@ def main(argv=None) -> int:
         cfg = parse_config(config_path.read_text(encoding="utf-8"))
         out_dir = Path(os.environ.get("QNUTE_OUT") or args.out or cfg.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-        return args.func(args, cfg, out_dir)
+        return args.func(cfg, out_dir)
     except _USAGE_ERRORS as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

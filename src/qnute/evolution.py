@@ -4,6 +4,11 @@ Each Trotter factor exp(h_m * dt) acting on a normalized state is replaced by
 a product of Pauli rotations whose angles solve the real symmetric system
 (S + S^T) a = b built from expectation values on the current state; the norm
 change is tracked by the scalar factor c = sqrt(1 + 2 dt Re<h_m>).
+
+The system is solved without forming S: with the rows sigma_I |psi> stacked
+as V = [Re rows, Im rows], S + S^T = 2 V V^T, so the SVD of V gives its
+eigenvalues 2 s^2, and those below lstsq_rel_tol times the largest are
+dropped from the minimal-norm solution.
 """
 
 from __future__ import annotations
@@ -16,6 +21,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import (
+    CapacityError,
     DimensionMismatchError,
     InvalidDomainError,
     SingularSystemError,
@@ -44,6 +50,10 @@ TERM_STRATEGIES = (STRATEGY_AUTO, STRATEGY_SINGLE, STRATEGY_WINDOWS)
 
 # The c radicand must clear this before taking the square root.
 C_RADICAND_FLOOR = 1e-12
+
+# Largest stacked action arrays (an index and a complex phase per basis string
+# and amplitude, 24 bytes) a basis may need; larger bases are refused.
+BASIS_BYTES_LIMIT = 1 << 30
 
 
 @dataclass(frozen=True)
@@ -130,7 +140,8 @@ def sigma_basis(domain: tuple[int, ...], mode: str, n: int) -> SigmaBasis:
     """All non-identity strings over the window (full), or those with odd Y count.
 
     Strings carry the identity on every qubit outside the window and are
-    ordered lexicographically.
+    ordered lexicographically.  A basis whose action arrays would exceed
+    BASIS_BYTES_LIMIT raises CapacityError before any string is built.
     """
     domain = tuple(sorted(domain))
     if not domain:
@@ -142,6 +153,13 @@ def sigma_basis(domain: tuple[int, ...], mode: str, n: int) -> SigmaBasis:
     if mode not in (BASIS_FULL, BASIS_ODD_Y):
         raise ValueError(f"unknown basis mode {mode!r}")
     width = len(domain)
+    size = 4**width - 1 if mode == BASIS_FULL else (4**width - 2**width) // 2
+    nbytes = size * (1 << n) * 24
+    if nbytes > BASIS_BYTES_LIMIT:
+        raise CapacityError(
+            f"a {width}-qubit {mode} basis on {n} qubits has {size} strings whose "
+            f"action arrays need {nbytes} bytes, over the {BASIS_BYTES_LIMIT}-byte limit"
+        )
     strings = []
     for local in itertools.product(SYMBOLS, repeat=width):
         if all(ch == "I" for ch in local):
@@ -178,7 +196,8 @@ def _apply_generator(h_m: PauliSum, state: StateVector) -> np.ndarray:
     return h_m.apply(state.amplitudes)
 
 
-def _c_from_radicand(radicand: float) -> float:
+def _c_from(psi: np.ndarray, hpsi: np.ndarray, delta_t: float) -> float:
+    radicand = 1.0 + 2.0 * delta_t * float(np.vdot(psi, hpsi).real)
     if radicand <= C_RADICAND_FLOOR:
         raise StepSizeError(
             f"c radicand {radicand:.3e} is not positive; reduce the time step"
@@ -186,16 +205,13 @@ def _c_from_radicand(radicand: float) -> float:
     return math.sqrt(radicand)
 
 
+def _b_from(rows: np.ndarray, hpsi: np.ndarray, c: float) -> np.ndarray:
+    return (-2.0 / c) * (np.conj(rows) @ hpsi).imag
+
+
 def measure_c(state: StateVector, h_m: PauliSum, delta_t: float) -> float:
     """Per-step norm estimate c = sqrt(1 + 2 dt Re<h_m>)."""
-    hval = np.vdot(state.amplitudes, _apply_generator(h_m, state))
-    return _c_from_radicand(1.0 + 2.0 * delta_t * float(hval.real))
-
-
-def measure_S(state: StateVector, basis: SigmaBasis) -> np.ndarray:
-    """Overlap matrix S[I, J] = <psi| sigma_I sigma_J |psi>."""
-    rows = basis.apply_all(state.amplitudes)
-    return np.conj(rows) @ rows.T
+    return _c_from(state.amplitudes, _apply_generator(h_m, state), delta_t)
 
 
 def measure_b(
@@ -204,50 +220,26 @@ def measure_b(
     """Right-hand side b[I] = (-2/c) Im <psi| sigma_I h_m |psi>."""
     if not c > 0.0:
         raise ValueError(f"c must be positive, got {c}")
-    rows = basis.apply_all(state.amplitudes)
-    hpsi = _apply_generator(h_m, state)
-    return (-2.0 / c) * (np.conj(rows) @ hpsi).imag
-
-
-def solve_coefficients(
-    S: np.ndarray, b: np.ndarray, rel_tol: float
-) -> tuple[np.ndarray, float]:
-    """Minimal-norm solution of (S + S^T) a = b via symmetric eigendecomposition.
-
-    Eigenvalues below rel_tol times the largest are discarded; if none survive
-    for a nonzero b the system is reported singular.
-    """
-    S = np.asarray(S)
-    b = np.asarray(b, dtype=float)
-    A = (S + S.T).real
-    if np.linalg.norm(b) == 0.0:
-        return np.zeros(A.shape[0]), 0.0
-    w, U = np.linalg.eigh(A)
-    wmax = float(w[-1])
-    keep = w > rel_tol * wmax if wmax > 0.0 else np.zeros_like(w, dtype=bool)
-    if not np.any(keep):
-        raise SingularSystemError(
-            "all eigenvalues of S + S^T fell below the relative cutoff"
-        )
-    Uk = U[:, keep]
-    a = Uk @ ((Uk.T @ b) / w[keep])
-    residual = float(np.linalg.norm(A @ a - b))
-    return a, residual
+    return _b_from(basis.apply_all(state.amplitudes), _apply_generator(h_m, state), c)
 
 
 def _solve_gram_factor(
     rows: np.ndarray, b: np.ndarray, rel_tol: float
 ) -> tuple[np.ndarray, float]:
-    """Same pseudo-inverse solution computed from the thin Gram factor.
+    """Minimal-norm solution of (S + S^T) a = b from the rows sigma_I |psi>.
 
     With V = [Re rows, Im rows] the system matrix is S + S^T = 2 V V^T, so its
-    eigenpairs are the left singular vectors of V with eigenvalues 2 s^2; this
-    avoids forming the I x I matrix when the basis is much larger than 2^n.
+    eigenpairs are the left singular vectors of V with eigenvalues 2 s^2.
+    Eigenvalues below rel_tol times the largest are discarded; if none survive
+    for a nonzero b, or V has no SVD, the system is reported singular.
     """
     if np.linalg.norm(b) == 0.0:
         return np.zeros(rows.shape[0]), 0.0
     V = np.hstack([rows.real, rows.imag])
-    U, sv, _ = np.linalg.svd(V, full_matrices=False)
+    try:
+        U, sv, _ = np.linalg.svd(V, full_matrices=False)
+    except np.linalg.LinAlgError as exc:
+        raise SingularSystemError(f"the fit factor has no SVD: {exc}") from None
     w = 2.0 * sv**2
     wmax = float(w[0]) if w.size else 0.0
     keep = w > rel_tol * wmax if wmax > 0.0 else np.zeros_like(w, dtype=bool)
@@ -279,15 +271,13 @@ def trotter_step(
         )
     h_m = term.pauli
     hpsi = _apply_generator(h_m, psi_in)
-    hval = complex(np.vdot(psi_in.amplitudes, hpsi))
-    c = _c_from_radicand(1.0 + 2.0 * cfg.delta_t * hval.real)
+    c = _c_from(psi_in.amplitudes, hpsi, cfg.delta_t)
 
     domain = window_for_support(term.support, cfg.domain_size, n)
     mode = resolve_basis_mode(cfg.basis_mode, psi_in, h_m)
     basis = sigma_basis(domain, mode, n)
     rows = basis.apply_all(psi_in.amplitudes)
-    b = (-2.0 / c) * (np.conj(rows) @ hpsi).imag
-    a, residual = _solve_gram_factor(rows, b, cfg.lstsq_rel_tol)
+    a, residual = _solve_gram_factor(rows, _b_from(rows, hpsi, c), cfg.lstsq_rel_tol)
 
     idx, ph = basis.action_arrays()
     psi = psi_in.amplitudes.copy()

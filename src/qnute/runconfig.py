@@ -31,7 +31,6 @@ class RunConfig:
     sweep_n: tuple[int, ...] = ()
     sweep_D: tuple[int, ...] = ()
     out_dir: str = "out"
-    formats: tuple[str, ...] = ("csv",)
 
     def grid(self, n: int | None = None) -> Grid:
         return Grid(self.x0, self.xN, self.n if n is None else n)
@@ -39,16 +38,8 @@ class RunConfig:
     def params(self) -> BSParams:
         return BSParams(self.r, self.sigma)
 
-    def resolved_domain_size(self, n: int | None = None) -> int:
-        if self.domain_size is not None:
-            return self.domain_size
-        return self.n if n is None else n
-
-    @property
-    def delta_t(self) -> float:
-        if self.num_steps == 0:
-            return 0.0
-        return self.maturity / self.num_steps
+    def resolved_domain_size(self) -> int:
+        return self.n if self.domain_size is None else self.domain_size
 
 
 def _parse_float(key: str, value: str) -> float:
@@ -96,7 +87,6 @@ _KEY_PARSERS = {
     "sweep.n": ("sweep_n", _parse_int_list),
     "sweep.D": ("sweep_D", _parse_int_list),
     "output.dir": ("out_dir", lambda k, v: v.strip()),
-    "output.formats": ("formats", None),
 }
 
 
@@ -132,9 +122,6 @@ def _validate(cfg: RunConfig) -> RunConfig:
         raise ConfigError(
             f"hamiltonian.boundary: expected central or linear, got {cfg.boundary!r}"
         )
-    for fmt in cfg.formats:
-        if fmt != "csv":
-            raise ConfigError(f"output.formats: only csv is supported, got {fmt!r}")
     return cfg
 
 
@@ -163,8 +150,6 @@ def parse_config(text: str) -> RunConfig:
             values[attr] = tuple(
                 _parse_contract(key, item) for item in specs if item
             )
-        elif key == "output.formats":
-            values[attr] = tuple(item.strip() for item in value.split(",") if item.strip())
         else:
             values[attr] = parser(key, value)
     return _validate(replace(RunConfig(), **values))
@@ -197,5 +182,4 @@ def serialize_config(cfg: RunConfig) -> str:
     if cfg.sweep_D:
         lines.append("sweep.D = " + ",".join(str(v) for v in cfg.sweep_D))
     lines.append(f"output.dir = {cfg.out_dir}")
-    lines.append("output.formats = " + ",".join(cfg.formats))
     return "\n".join(lines) + "\n"

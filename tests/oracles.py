@@ -48,3 +48,23 @@ def random_pauli_sum_terms(rng, n: int, num_terms: int, real_coeffs: bool = Fals
         coeff = rng.normal() if real_coeffs else rng.normal() + 1j * rng.normal()
         terms.append((coeff, symbols))
     return terms
+
+
+def measure_S(state, basis) -> np.ndarray:
+    """Overlap matrix S[I, J] = <psi| sigma_I sigma_J |psi> from dense strings."""
+    rows = np.array([kron_of(s) @ state.amplitudes for s in basis.strings])
+    return np.conj(rows) @ rows.T
+
+
+def solve_coefficients(S: np.ndarray, b: np.ndarray, rel_tol: float):
+    """Minimal-norm solution of (S + S^T) a = b by eigendecomposition of the I x I matrix.
+
+    Eigenvalues below rel_tol times the largest are discarded.  Returns the
+    solution and the residual norm.
+    """
+    A = (S + S.T).real
+    w, U = np.linalg.eigh(A)
+    keep = w > rel_tol * w[-1]
+    Uk = U[:, keep]
+    a = Uk @ ((Uk.T @ b) / w[keep])
+    return a, float(np.linalg.norm(A @ a - b))

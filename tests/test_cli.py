@@ -1,11 +1,15 @@
 """Command-line harness: artifacts, exit codes, and determinism."""
 
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
+import pytest
 
-from qnute.cli import main
+import qnute
+from qnute.cli import build_parser, main
 from qnute.hamiltonian import BSParams, Grid, bs_coefficients
 from qnute.market import OptionContract, payoff_samples
 
@@ -84,6 +88,17 @@ class TestPrice:
         assert (out1 / "prices.csv").read_bytes() == (out2 / "prices.csv").read_bytes()
         assert (out1 / "trajectory.csv").read_bytes() == (out2 / "trajectory.csv").read_bytes()
 
+    def test_basis_capacity_guard_exits_2(self, tmp_path, monkeypatch, capsys):
+        # grid.n = 10 fits one odd-y basis over all 10 qubits: 523776 strings
+        # whose action arrays would need 12.9 GB; no string is ever built.
+        monkeypatch.setattr(
+            "qnute.evolution.PauliString",
+            lambda _: pytest.fail("basis strings were enumerated"),
+        )
+        cfg = write_config(tmp_path, PRICE_CONFIG.replace("grid.n = 3", "grid.n = 10"))
+        assert main(["price", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert f"need {523776 * 1024 * 24} bytes" in capsys.readouterr().err
+
     def test_env_var_overrides_out(self, tmp_path, monkeypatch):
         cfg = write_config(tmp_path, PRICE_CONFIG.replace("N_T = 20", "N_T = 0"))
         env_dir = tmp_path / "env_out"
@@ -127,14 +142,6 @@ class TestFidelitySweep:
         cfg = write_config(tmp_path, "sweep.n = 2\nsweep.D = 2\n")
         assert main(["fidelity-sweep", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
 
-    def test_threaded_matches_serial(self, tmp_path):
-        text = SWEEP_CONFIG.replace("sweep.n = 2", "sweep.n = 2,3")
-        cfg = write_config(tmp_path, text)
-        out1, out2 = tmp_path / "serial", tmp_path / "pool"
-        assert main(["fidelity-sweep", "--config", cfg, "--out", str(out1)]) == 0
-        assert main(["fidelity-sweep", "--config", cfg, "--out", str(out2), "--threads", "2"]) == 0
-        assert (out1 / "fidelity.csv").read_bytes() == (out2 / "fidelity.csv").read_bytes()
-
 
 DECOMPOSE_CONFIG = """
 grid.n = 2
@@ -176,12 +183,42 @@ class TestDecompose:
         assert main(["decompose", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
 
 
+GOLDEN = Path(__file__).parent / "data"
+
+
+class TestGoldenBytes:
+    """CSV bodies pinned byte for byte; tests/data/*/run.cfg regenerates them."""
+
+    def test_price(self, tmp_path):
+        cfg = str(GOLDEN / "price" / "run.cfg")
+        assert main(["price", "--config", cfg, "--out", str(tmp_path)]) == 0
+        for name in ("prices.csv", "trajectory.csv"):
+            assert (tmp_path / name).read_bytes() == (GOLDEN / "price" / name).read_bytes()
+
+    def test_windowed_sweep(self, tmp_path):
+        cfg = str(GOLDEN / "sweep" / "run.cfg")
+        assert main(["fidelity-sweep", "--config", cfg, "--out", str(tmp_path)]) == 0
+        want = (GOLDEN / "sweep" / "fidelity.csv").read_bytes()
+        assert (tmp_path / "fidelity.csv").read_bytes() == want
+
+
+def test_options_are_config_and_out():
+    sub = build_parser()._subparsers._group_actions[0]
+    for name, parser in sub.choices.items():
+        flags = {flag for action in parser._actions for flag in action.option_strings}
+        assert flags == {"-h", "--help", "--config", "--out"}, name
+
+
 def test_module_invocation_smoke(tmp_path):
     cfg = write_config(tmp_path, PRICE_CONFIG.replace("N_T = 20", "N_T = 0"))
+    # The child imports the same qnute as this process, installed or not.
+    pythonpath = [str(Path(qnute.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, pythonpath)))
     proc = subprocess.run(
         [sys.executable, "-m", "qnute", "price", "--config", cfg, "--out", str(tmp_path / "o")],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "o" / "prices.csv").exists()

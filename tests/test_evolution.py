@@ -4,17 +4,26 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from oracles import dense_of_terms, kron_of, random_pauli_sum_terms
-from qnute.errors import InvalidDomainError, SingularSystemError, StepSizeError
+from oracles import (
+    dense_of_terms,
+    kron_of,
+    measure_S,
+    random_pauli_sum_terms,
+    solve_coefficients,
+)
+from qnute.errors import (
+    CapacityError,
+    InvalidDomainError,
+    SingularSystemError,
+    StepSizeError,
+)
 from qnute.evolution import (
     QnuteConfig,
     _solve_gram_factor,
     evolve,
     measure_b,
     measure_c,
-    measure_S,
     sigma_basis,
-    solve_coefficients,
     terms_for_config,
     trajectory_rows,
     trotter_step,
@@ -78,6 +87,21 @@ class TestSigmaBasis:
         with pytest.raises(InvalidDomainError):
             sigma_basis((0, 2), "full", 3)
 
+    def test_capacity_guard_before_enumeration(self, monkeypatch):
+        # Odd-Y on 10 of 10 qubits: (4^10 - 2^10) / 2 strings x 2^10 x 24 bytes.
+        monkeypatch.setattr(
+            "qnute.evolution.PauliString",
+            lambda _: pytest.fail("strings were enumerated"),
+        )
+        with pytest.raises(CapacityError, match=str(523776 * 1024 * 24)):
+            sigma_basis(tuple(range(10)), "odd-y", 10)
+        with pytest.raises(CapacityError):
+            sigma_basis(tuple(range(9)), "odd-y", 9)
+
+    def test_capacity_limit_admits_eight_qubits(self):
+        # The full basis at n = D = 8 needs 0.40 GB of action arrays.
+        assert sigma_basis(tuple(range(8)), "full", 8).size == 65535
+
     def test_apply_all_matches_dense(self):
         rng = np.random.default_rng(0)
         basis = sigma_basis((0, 1), "full", 2)
@@ -134,9 +158,14 @@ class TestMeasureS:
         assert np.max(np.abs(S - S.conj().T)) < 1e-12
 
     def test_gram_psd(self):
+        # The stepper's factor V = [Re rows, Im rows] satisfies S + S^T = 2 V V^T.
         rng = np.random.default_rng(5)
         basis = sigma_basis((0, 1), "full", 2)
-        S = measure_S(random_state(rng, 2), basis)
+        psi = random_state(rng, 2)
+        S = measure_S(psi, basis)
+        rows = basis.apply_all(psi.amplitudes)
+        V = np.hstack([rows.real, rows.imag])
+        assert np.allclose((S + S.T).real, 2.0 * V @ V.T)
         eigvals = np.linalg.eigvalsh((S + S.T).real)
         assert eigvals.min() > -1e-10
 
@@ -172,30 +201,39 @@ class TestMeasureB:
 
 
 class TestSolveCoefficients:
+    """The stepper's solve, which takes the rows sigma_I |psi> (S = conj(rows) rows^T)."""
+
     def test_diagonal_system(self):
-        S = np.eye(3, dtype=complex)
-        a, residual = solve_coefficients(S, np.array([2.0, 0.0, 0.0]), 1e-8)
+        rows = np.eye(3, dtype=complex)  # S = I, so S + S^T = 2 I
+        a, residual = _solve_gram_factor(rows, np.array([2.0, 0.0, 0.0]), 1e-8)
         assert np.allclose(a, [1.0, 0.0, 0.0])
         assert residual == pytest.approx(0.0, abs=1e-12)
 
     def test_zero_rhs(self):
-        a, residual = solve_coefficients(np.eye(4, dtype=complex), np.zeros(4), 1e-8)
-        assert np.allclose(a, 0.0) and residual == 0.0
+        rows = np.eye(4, dtype=complex)
+        a, residual = _solve_gram_factor(rows, np.zeros(4), 1e-8)
+        assert a.shape == (4,) and np.all(a == 0.0) and residual == 0.0
+        # A zero b returns before the factor is decomposed, even a singular one.
+        a, residual = _solve_gram_factor(np.zeros((3, 2)), np.zeros(3), 1e-8)
+        assert np.all(a == 0.0) and residual == 0.0
 
     def test_rank_deficient_minimal_norm(self):
         rng = np.random.default_rng(7)
-        v = rng.normal(size=(4, 2))
-        S = (v @ v.T).astype(complex) / 2.0  # symmetric, rank 2
-        a_target = v @ rng.normal(size=2)
-        b = (S + S.T).real @ a_target
-        a, residual = solve_coefficients(S, b, 1e-10)
-        want = np.linalg.lstsq((S + S.T).real, b, rcond=1e-10)[0]
+        rows = rng.normal(size=(4, 2)).astype(complex)  # S + S^T = 2 v v^T, rank 2
+        A = 2.0 * (rows.real @ rows.real.T)
+        b = A @ (rows.real @ rng.normal(size=2))
+        a, residual = _solve_gram_factor(rows, b, 1e-10)
+        want = np.linalg.lstsq(A, b, rcond=1e-10)[0]
         assert np.allclose(a, want, atol=1e-8)
         assert residual < 1e-10
 
     def test_singular_system(self):
-        with pytest.raises(SingularSystemError):
-            solve_coefficients(np.zeros((3, 3), dtype=complex), np.ones(3), 1e-8)
+        with pytest.raises(SingularSystemError, match="cutoff"):
+            _solve_gram_factor(np.zeros((3, 2), dtype=complex), np.ones(3), 1e-8)
+        nan_rows = np.ones((3, 2), dtype=complex)
+        nan_rows[1, 0] = np.nan
+        with pytest.raises(SingularSystemError, match="SVD"):
+            _solve_gram_factor(nan_rows, np.ones(3), 1e-8)
 
     def test_gram_factor_agrees(self):
         rng = np.random.default_rng(8)

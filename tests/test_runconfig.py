@@ -47,6 +47,8 @@ class TestParse:
     def test_unknown_key(self):
         with pytest.raises(ConfigError, match="unknown configuration key"):
             parse_config("grid.m = 3\n")
+        with pytest.raises(ConfigError, match="unknown configuration key 'output.formats'"):
+            parse_config("output.formats = csv\n")
 
     def test_duplicate_key(self):
         with pytest.raises(ConfigError, match="duplicate"):
@@ -69,8 +71,6 @@ class TestParse:
             parse_config("qnute.lstsq_rel_tol = 2\n")
         with pytest.raises(ConfigError, match="grid.x0"):
             parse_config("grid.x0 = 200\n")
-        with pytest.raises(ConfigError, match="output.formats"):
-            parse_config("output.formats = parquet\n")
         with pytest.raises(ConfigError, match="hamiltonian.boundary"):
             parse_config("hamiltonian.boundary = reflecting\n")
 
