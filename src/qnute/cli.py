@@ -7,8 +7,10 @@ failures (step-size, singular fitting system, or boundary-protocol failure).
 from __future__ import annotations
 
 import argparse
+import multiprocessing
 import os
 import sys
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -132,6 +134,22 @@ def _sweep_one(cfg: RunConfig, contract, n: int, domain: int):
     return stats.mean, stats.std
 
 
+def _sweep_cell(cfg: RunConfig, contract, n: int, domain: int):
+    """Pool entry point, pickled by name.
+
+    It looks ``_sweep_one`` up when it runs, so a wrapped or patched
+    ``_sweep_one``, which need not pickle, is what a forked worker calls.
+    """
+    return _sweep_one(cfg, contract, n, domain)
+
+
+def _cpu_count() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def cmd_fidelity_sweep(cfg: RunConfig, out_dir: Path) -> int:
     if not cfg.sweep_options:
         raise ConfigError("sweep.options: at least one contract is required")
@@ -142,7 +160,7 @@ def cmd_fidelity_sweep(cfg: RunConfig, out_dir: Path) -> int:
     if cfg.num_steps == 0:
         raise ConfigError("schedule.N_T: a fidelity sweep needs at least one step")
 
-    rows = []
+    cells = []
     for contract in cfg.sweep_options:
         spec = format_contract_spec(contract)
         for n in cfg.sweep_n:
@@ -150,8 +168,23 @@ def cmd_fidelity_sweep(cfg: RunConfig, out_dir: Path) -> int:
                 if domain > n:
                     print(f"warning: skipping D={domain} > n={n} for {spec}", file=sys.stderr)
                     continue
-                mu, sigma = _sweep_one(cfg, contract, n, domain)
-                rows.append((spec, n, domain, mu, sigma))
+                cells.append((spec, contract, n, domain))
+
+    # Cells are independent runs. Fork workers inherit the imported numpy and
+    # scipy; the largest registers go first so they do not finish last.
+    context = multiprocessing.get_context(
+        "fork" if "fork" in multiprocessing.get_all_start_methods() else None
+    )
+    order = sorted(range(len(cells)), key=lambda i: cells[i][2:], reverse=True)
+    pool = ProcessPoolExecutor(max_workers=min(_cpu_count(), len(cells)) or 1, mp_context=context)
+    try:
+        futures = {i: pool.submit(_sweep_cell, cfg, *cells[i][1:]) for i in order}
+        # Reading in config order raises the first failing cell's error, as a
+        # serial run would; the finally clause then cancels unstarted cells.
+        rows = [(spec, n, domain, *futures[i].result())
+                for i, (spec, _, n, domain) in enumerate(cells)]
+    finally:
+        pool.shutdown(cancel_futures=True)
 
     _write_csv(out_dir / "fidelity.csv", "option,n,D,mu_F,sigma_F", rows)
     print(f"wrote {out_dir / 'fidelity.csv'} ({len(rows)} rows)")

@@ -117,10 +117,11 @@ class PauliSum:
 
     Terms are merged, sorted lexicographically by symbol sequence, and dropped
     when their coefficient magnitude falls below ``COEFF_CUTOFF``.  Instances
-    are immutable and hashable.
+    are immutable and hashable.  ``has_real_matrix`` is True when the dense
+    realization has no imaginary entries.
     """
 
-    __slots__ = ("terms", "_hash")
+    __slots__ = ("terms", "_hash", "has_real_matrix")
 
     def __init__(self, terms=()):
         merged: dict[PauliString, complex] = {}
@@ -140,6 +141,12 @@ class PauliSum:
         )
         object.__setattr__(self, "terms", canon)
         object.__setattr__(self, "_hash", hash(canon))
+        # A string's matrix is real for an even Y count and purely imaginary
+        # for an odd one, so the check is structural and needs no dense work.
+        real = all(
+            abs(c.imag if s.y_count % 2 == 0 else c.real) <= COEFF_CUTOFF for c, s in canon
+        )
+        object.__setattr__(self, "has_real_matrix", real)
 
     def __setattr__(self, name, value):
         raise AttributeError("PauliSum is immutable")
@@ -205,21 +212,6 @@ class PauliSum:
     def is_hermitian(self) -> bool:
         """True when the sum equals its formal adjoint after canonicalization."""
         return self == self.adjoint()
-
-    @property
-    def has_real_matrix(self) -> bool:
-        """True when the dense realization has no imaginary entries.
-
-        A string's matrix is real for an even Y count and purely imaginary for
-        an odd one, so the check is structural and needs no dense work.
-        """
-        for c, s in self.terms:
-            if s.y_count % 2 == 0:
-                if abs(c.imag) > COEFF_CUTOFF:
-                    return False
-            elif abs(c.real) > COEFF_CUTOFF:
-                return False
-        return True
 
     def apply(self, vec: np.ndarray) -> np.ndarray:
         """Apply the dense realization to a length-2^n vector without forming it."""

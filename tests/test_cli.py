@@ -1,6 +1,7 @@
 """Command-line harness: artifacts, exit codes, and determinism."""
 
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -9,9 +10,12 @@ import numpy as np
 import pytest
 
 import qnute
-from qnute.cli import build_parser, main
+import qnute.cli
+from qnute.cli import _fmt, _sweep_one, build_parser, main
+from qnute.errors import QnuteError, StepSizeError
 from qnute.hamiltonian import BSParams, Grid, bs_coefficients
-from qnute.market import OptionContract, payoff_samples
+from qnute.market import OptionContract, format_contract_spec, payoff_samples
+from qnute.runconfig import parse_config
 
 PRICE_CONFIG = """
 contract = call:75
@@ -142,6 +146,48 @@ class TestFidelitySweep:
         cfg = write_config(tmp_path, "sweep.n = 2\nsweep.D = 2\n")
         assert main(["fidelity-sweep", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
 
+    def test_rows_match_serial_cells_in_config_order(self, tmp_path):
+        text = """
+schedule.T = 0.3
+schedule.N_T = 10
+sweep.options = put:65; call:75
+sweep.n = 3,2
+sweep.D = 3,2
+"""
+        cfg = parse_config(text)
+        want = [
+            [format_contract_spec(c), str(n), str(d), *map(_fmt, _sweep_one(cfg, c, n, d))]
+            for c in cfg.sweep_options for n in cfg.sweep_n for d in cfg.sweep_D if d <= n
+        ]
+        out = tmp_path / "out"
+        assert main(["fidelity-sweep", "--config", write_config(tmp_path, text), "--out", str(out)]) == 0
+        _, rows = read_csv(out / "fidelity.csv")
+        assert len(rows) == 6
+        assert rows == want
+
+    def test_failure_matches_serial_run(self, tmp_path, capsys):
+        text = (GOLDEN / "sweep" / "run.cfg").read_text(encoding="utf-8")
+        text = text.replace("schedule.T = 0.3", "schedule.T = 3").replace("N_T = 50", "N_T = 20")
+        cfg = parse_config(text)
+        with pytest.raises(StepSizeError) as serial:
+            for c in cfg.sweep_options:
+                for n in cfg.sweep_n:
+                    for d in cfg.sweep_D:
+                        _sweep_one(cfg, c, n, d)
+        out = tmp_path / "out"
+        assert main(["fidelity-sweep", "--config", write_config(tmp_path, text), "--out", str(out)]) == 3
+        assert capsys.readouterr().err.splitlines() == [f"numerical failure: {serial.value}"]
+        assert not (out / "fidelity.csv").exists()
+
+    def test_first_failing_cell_in_config_order_wins(self, tmp_path, monkeypatch, capsys):
+        def fail(cfg, contract, n, domain):
+            raise StepSizeError(f"cell n={n} D={domain}")
+
+        monkeypatch.setattr(qnute.cli, "_sweep_one", fail)
+        cfg = write_config(tmp_path, SWEEP_CONFIG.replace("sweep.n = 2", "sweep.n = 2,3,4"))
+        assert main(["fidelity-sweep", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+        assert capsys.readouterr().err.splitlines() == ["numerical failure: cell n=2 D=2"]
+
 
 DECOMPOSE_CONFIG = """
 grid.n = 2
@@ -201,6 +247,39 @@ class TestGoldenBytes:
         want = (GOLDEN / "sweep" / "fidelity.csv").read_bytes()
         assert (tmp_path / "fidelity.csv").read_bytes() == want
 
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")
+    def test_windowed_sweep_on_one_cpu(self, tmp_path):
+        cpu = min(os.sched_getaffinity(0))
+        cfg = str(GOLDEN / "sweep" / "run.cfg")
+        proc = subprocess.run(
+            [sys.executable, "-m", "qnute", "fidelity-sweep", "--config", cfg, "--out", str(tmp_path)],
+            capture_output=True,
+            text=True,
+            env=_child_env(),
+            preexec_fn=lambda: os.sched_setaffinity(0, {cpu}),
+        )
+        assert proc.returncode == 0, proc.stderr
+        want = (GOLDEN / "sweep" / "fidelity.csv").read_bytes()
+        assert (tmp_path / "fidelity.csv").read_bytes() == want
+
+
+def _child_env():
+    """Environment for a child that imports the same qnute as this process, installed or not."""
+    pythonpath = [str(Path(qnute.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, pythonpath)))
+
+
+def test_errors_survive_pickle():
+    def subclasses(cls):
+        for sub in cls.__subclasses__():
+            yield sub
+            yield from subclasses(sub)
+
+    for cls in (QnuteError, *subclasses(QnuteError)):
+        copy = pickle.loads(pickle.dumps(cls("what failed and where")))
+        assert type(copy) is cls
+        assert str(copy) == "what failed and where"
+
 
 def test_options_are_config_and_out():
     sub = build_parser()._subparsers._group_actions[0]
@@ -211,14 +290,11 @@ def test_options_are_config_and_out():
 
 def test_module_invocation_smoke(tmp_path):
     cfg = write_config(tmp_path, PRICE_CONFIG.replace("N_T = 20", "N_T = 0"))
-    # The child imports the same qnute as this process, installed or not.
-    pythonpath = [str(Path(qnute.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, pythonpath)))
     proc = subprocess.run(
         [sys.executable, "-m", "qnute", "price", "--config", cfg, "--out", str(tmp_path / "o")],
         capture_output=True,
         text=True,
-        env=env,
+        env=_child_env(),
     )
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "o" / "prices.csv").exists()
