@@ -23,7 +23,6 @@ from .evolution import (
     measure_b,
     measure_c,
     sigma_basis,
-    terms_for_config,
     trotter_step,
 )
 from .exact import (

@@ -27,14 +27,9 @@ from .errors import (
     StepSizeError,
     UnsupportedSizeError,
 )
-from .evolution import (
-    QnuteConfig,
-    evolve,
-    terms_for_config,
-    trajectory_rows,
-)
+from .evolution import QnuteConfig, evolve, trajectory_rows
 from .exact import exact_trajectory, fidelity_stats, reference_pde_solution
-from .hamiltonian import build_bs_pauli
+from .hamiltonian import build_bs_pauli, split_terms
 from .market import analytic_price, format_contract_spec, payoff_samples, price_run
 from .pauli import dense_matrix, format_pauli_sum
 from .runconfig import RunConfig, parse_config
@@ -75,9 +70,7 @@ def _qnute_config(cfg: RunConfig, domain_size: int) -> QnuteConfig:
         delta_t=cfg.maturity / cfg.num_steps,
         num_steps=cfg.num_steps,
         domain_size=domain_size,
-        basis_mode=cfg.basis_mode,
         lstsq_rel_tol=cfg.lstsq_rel_tol,
-        term_strategy=cfg.term_strategy,
     )
 
 
@@ -126,7 +119,7 @@ def _sweep_one(cfg: RunConfig, contract, n: int, domain: int):
     params = cfg.params()
     qcfg = _qnute_config(cfg, domain)
     gen = build_bs_pauli(grid, params, "linear")
-    terms = terms_for_config(gen, n, qcfg)
+    terms = split_terms(gen, n, domain)
     initial = encode_samples(payoff_samples(contract, grid))
     qnute_traj = evolve(initial, terms, qcfg)
     exact_traj = exact_trajectory(initial, terms, qcfg)

@@ -8,10 +8,18 @@ from functools import lru_cache
 import numpy as np
 import scipy.linalg
 
-from .errors import CapacityError, DimensionMismatchError
-from .evolution import QnuteConfig, Trajectory, cached_dense, terms_for_config
-from .hamiltonian import LINEAR, BSParams, Grid, HamiltonianTerm, build_bs_pauli
-from .pauli import DENSE_QUBIT_GUARD, PauliSum
+from .errors import DimensionMismatchError
+from .evolution import QnuteConfig, Trajectory, cached_dense
+from .hamiltonian import (
+    LINEAR,
+    BSParams,
+    Grid,
+    HamiltonianTerm,
+    build_bs_pauli,
+    split_terms,
+)
+from .market import payoff_samples
+from .pauli import PauliSum
 from .statevector import ScaledState, StateVector, fidelity
 
 
@@ -27,10 +35,6 @@ class FidelityStats:
 @lru_cache(maxsize=None)
 def step_propagator(h_m: PauliSum, n: int, delta_t: float) -> np.ndarray:
     """Dense exp(h_m * delta_t) via scaling-and-squaring."""
-    if n > DENSE_QUBIT_GUARD:
-        raise CapacityError(
-            f"dense propagator for {n} qubits exceeds the {DENSE_QUBIT_GUARD}-qubit guard"
-        )
     return scipy.linalg.expm(cached_dense(h_m, n) * delta_t)
 
 
@@ -83,11 +87,9 @@ def reference_pde_solution(contract, grid: Grid, p: BSParams, cfg: QnuteConfig) 
     step as the fitted evolution, without any encoding or rescaling, so the
     result isolates unitary-fitting error from finite-difference error.
     """
-    from .market import payoff_samples
-
     u = payoff_samples(contract, grid).astype(complex)
     gen = build_bs_pauli(grid, p, LINEAR)
-    terms = terms_for_config(gen, grid.n, cfg)
+    terms = split_terms(gen, grid.n, cfg.domain_size)
     propagators = [step_propagator(t.pauli, grid.n, cfg.delta_t) for t in terms]
     for _ in range(cfg.num_steps):
         for prop in propagators:

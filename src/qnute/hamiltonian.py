@@ -7,7 +7,6 @@ a Pauli sum into evolution terms with bounded qubit windows.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -208,58 +207,24 @@ class HamiltonianTerm:
     support: frozenset[int]
 
 
-def window_for_support(support, width: int, n: int) -> tuple[int, ...]:
-    """Window of `width` adjacent qubits centred on the support midpoint.
+def split_terms(hsum: PauliSum, n: int, domain_size: int) -> list[HamiltonianTerm]:
+    """Split a Pauli sum into terms on windows of `domain_size` adjacent qubits.
 
-    Ties round toward the lower qubit index; the window is clipped to the
-    register. An empty support centres on the middle of the register.
-    """
-    width = min(width, n)
-    if support:
-        lo, hi = min(support), max(support)
-    else:
-        lo = hi = (n - 1) // 2
-    mid = (lo + hi) / 2.0
-    start = math.floor(mid - (width - 1) / 2.0)
-    start = min(max(start, 0), n - width)
-    return tuple(range(start, start + width))
-
-
-def split_terms(
-    hsum: PauliSum,
-    n: int,
-    strategy: str = "single",
-    domain_size: int | None = None,
-    stride: int = 1,
-) -> list[HamiltonianTerm]:
-    """Split a Pauli sum into evolution terms.
-
-    "single" keeps one term supported on the whole register.  "windows" groups
-    strings into windows of `domain_size` adjacent qubits placed every `stride`
-    qubits; a string lands in the window containing its support when one
-    exists, otherwise in the window centred on its support midpoint (wider
-    strings are deliberately under-covered).  The terms always sum back to the
-    input.
+    Windows start at qubits 0 .. n - domain_size.  A string lands in the window
+    containing its support when one exists, otherwise in the window centred on
+    its support midpoint (wider strings are deliberately under-covered).  Only
+    non-empty windows become terms, and the terms always sum back to the input;
+    at domain_size = n a non-empty sum stays one term on the whole register.
     """
     if hsum.num_qubits not in (None, n):
         raise DimensionMismatchError(
             f"sum acts on {hsum.num_qubits} qubits, split asked for {n}"
         )
-    if strategy == "single":
-        return [HamiltonianTerm(hsum, frozenset(range(n)))]
-    if strategy != "windows":
-        raise ValueError(f"unknown term strategy {strategy!r}")
-    if domain_size is None:
-        raise ValueError("windows strategy requires a domain_size")
     if not 1 <= domain_size <= n:
         raise InvalidDomainError(
             f"window width {domain_size} is invalid for an {n}-qubit register"
         )
-    if stride < 1:
-        raise ValueError(f"stride must be positive, got {stride}")
-    starts = list(range(0, n - domain_size + 1, stride))
-    if starts[-1] != n - domain_size:
-        starts.append(n - domain_size)
+    starts = range(n - domain_size + 1)
     groups: dict[int, list] = {}
     for coeff, string in hsum.terms:
         sup = string.support

@@ -8,8 +8,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ProtocolFailureError, RescaleDegeneracyError
-from .evolution import QnuteConfig, Trajectory, evolve, terms_for_config
-from .hamiltonian import LINEAR, BSParams, Grid, build_bs_pauli
+from .evolution import QnuteConfig, Trajectory, evolve
+from .hamiltonian import LINEAR, BSParams, Grid, build_bs_pauli, split_terms
 from .statevector import StateVector, encode_samples
 
 LEFT = "left"
@@ -240,7 +240,7 @@ def price_run(
     side = choose_rescale_side(contract, coeffs)
     initial = encode_samples(samples)
     gen = build_bs_pauli(grid, p, LINEAR)
-    terms = terms_for_config(gen, grid.n, cfg)
+    terms = split_terms(gen, grid.n, cfg.domain_size)
     traj = evolve(initial, terms, cfg)
     tau = cfg.delta_t * cfg.num_steps
     final = traj.states[-1].state

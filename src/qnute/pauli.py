@@ -104,14 +104,6 @@ def apply_string(s: PauliString, vec: np.ndarray) -> np.ndarray:
     return ph * vec[..., idx]
 
 
-def _string_dense(s: PauliString) -> np.ndarray:
-    idx, ph = string_action(s)
-    dim = idx.shape[0]
-    m = np.zeros((dim, dim), dtype=complex)
-    m[np.arange(dim), idx] = ph
-    return m
-
-
 class PauliSum:
     """Canonicalized complex-weighted sum of equal-length Pauli strings.
 

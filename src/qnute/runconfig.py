@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .errors import ConfigError
-from .evolution import BASIS_AUTO, BASIS_MODES, STRATEGY_AUTO, TERM_STRATEGIES
 from .hamiltonian import CENTRAL, LINEAR, BSParams, Grid
 from .market import OptionContract, format_contract_spec, parse_contract_spec
 
@@ -23,8 +22,6 @@ class RunConfig:
     maturity: float = 3.0
     num_steps: int = 500
     domain_size: int | None = None  # defaults to n
-    basis_mode: str = BASIS_AUTO
-    term_strategy: str = STRATEGY_AUTO
     lstsq_rel_tol: float = 1e-8
     boundary: str = CENTRAL
     sweep_options: tuple[OptionContract, ...] = ()
@@ -79,8 +76,6 @@ _KEY_PARSERS = {
     "schedule.T": ("maturity", _parse_float),
     "schedule.N_T": ("num_steps", _parse_int),
     "qnute.domain_size": ("domain_size", _parse_int),
-    "qnute.basis_mode": ("basis_mode", lambda k, v: v.strip()),
-    "qnute.term_strategy": ("term_strategy", lambda k, v: v.strip()),
     "qnute.lstsq_rel_tol": ("lstsq_rel_tol", _parse_float),
     "hamiltonian.boundary": ("boundary", lambda k, v: v.strip()),
     "sweep.options": ("sweep_options", None),  # ';'-separated specs, handled inline
@@ -105,15 +100,6 @@ def _validate(cfg: RunConfig) -> RunConfig:
         raise ConfigError(f"schedule.T: must be positive, got {cfg.maturity}")
     if cfg.domain_size is not None and cfg.domain_size < 1:
         raise ConfigError(f"qnute.domain_size: must be at least 1, got {cfg.domain_size}")
-    if cfg.basis_mode not in BASIS_MODES:
-        raise ConfigError(
-            f"qnute.basis_mode: expected one of {', '.join(BASIS_MODES)}, got {cfg.basis_mode!r}"
-        )
-    if cfg.term_strategy not in TERM_STRATEGIES:
-        raise ConfigError(
-            f"qnute.term_strategy: expected one of {', '.join(TERM_STRATEGIES)}, "
-            f"got {cfg.term_strategy!r}"
-        )
     if not 0.0 < cfg.lstsq_rel_tol < 1.0:
         raise ConfigError(
             f"qnute.lstsq_rel_tol: must lie in (0, 1), got {cfg.lstsq_rel_tol}"
@@ -167,8 +153,6 @@ def serialize_config(cfg: RunConfig) -> str:
         f"schedule.T = {cfg.maturity:.12g}",
         f"schedule.N_T = {cfg.num_steps}",
         f"qnute.domain_size = {cfg.resolved_domain_size()}",
-        f"qnute.basis_mode = {cfg.basis_mode}",
-        f"qnute.term_strategy = {cfg.term_strategy}",
         f"qnute.lstsq_rel_tol = {cfg.lstsq_rel_tol:.12g}",
         f"hamiltonian.boundary = {cfg.boundary}",
     ]

@@ -11,7 +11,7 @@ import pytest
 
 from qnute.cli import main as cli_main
 from qnute.errors import ProtocolFailureError
-from qnute.evolution import QnuteConfig, evolve, terms_for_config, trotter_step
+from qnute.evolution import QnuteConfig, evolve, trotter_step
 from qnute.exact import (
     exact_step,
     exact_trajectory,
@@ -29,6 +29,7 @@ from qnute.hamiltonian import (
     chi_squared_matrix,
     d1_matrix,
     d2_matrix,
+    split_terms,
 )
 from qnute.market import (
     OptionContract,
@@ -62,7 +63,7 @@ def _mean_fidelity(kind: str, n: int, domain: int) -> tuple[float, float]:
             delta_t=MATURITY / NUM_STEPS, num_steps=NUM_STEPS, domain_size=domain
         )
         gen = build_bs_pauli(grid, PARAMS, "linear")
-        terms = terms_for_config(gen, n, cfg)
+        terms = split_terms(gen, n, domain)
         initial = encode_samples(payoff_samples(contract, grid))
         stats = fidelity_stats(
             evolve(initial, terms, cfg), exact_trajectory(initial, terms, cfg)
@@ -177,7 +178,7 @@ def test_criterion_6_first_order_consistency():
         term = HamiltonianTerm(h, frozenset({0, 1}))
         errs = []
         for dt in dts:
-            cfg = QnuteConfig(delta_t=dt, num_steps=1, domain_size=2, basis_mode="full")
+            cfg = QnuteConfig(delta_t=dt, num_steps=1, domain_size=2)
             out, _ = trotter_step(ScaledState(psi0, 1.0), term, cfg)
             exact, _ = exact_step(psi0, h, dt)
             phase = np.exp(-1j * np.angle(np.vdot(exact.amplitudes, out.state.amplitudes)))
@@ -200,8 +201,8 @@ def test_criterion_7_qite_regression():
     h = decompose_dense(-L)
     v = rng.normal(size=4) + 1j * rng.normal(size=4)
     initial = ScaledState(StateVector(v / np.linalg.norm(v)), 1.0)
-    cfg = QnuteConfig(delta_t=0.01, num_steps=1000, domain_size=2, basis_mode="full")
-    traj = evolve(initial, terms_for_config(h, 2, cfg), cfg)
+    cfg = QnuteConfig(delta_t=0.01, num_steps=1000, domain_size=2)
+    traj = evolve(initial, split_terms(h, 2, cfg.domain_size), cfg)
     final = traj.states[-1].state.amplitudes
     energy = float(np.real(np.vdot(final, L @ final)))
     err = abs(energy - evals[0])

@@ -77,6 +77,13 @@ class TestPrice:
         cfg = write_config(tmp_path, PRICE_CONFIG + "qnute.domain_size = 5\n")
         assert main(["price", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize("key", ["qnute.basis_mode", "qnute.term_strategy"])
+    def test_removed_key_exits_2(self, tmp_path, capsys, key):
+        cfg = write_config(tmp_path, PRICE_CONFIG + f"{key} = auto\n")
+        assert main(["price", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert f"unknown configuration key '{key}'" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_protocol_failure_exits_3(self, tmp_path, capsys):
         # A strike above the whole grid leaves the payoff identically zero, so
         # both boundaries are degenerate and the rescaling protocol fails.

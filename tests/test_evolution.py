@@ -24,13 +24,18 @@ from qnute.evolution import (
     measure_b,
     measure_c,
     sigma_basis,
-    terms_for_config,
     trajectory_rows,
     trotter_step,
 )
-from qnute.hamiltonian import BSParams, Grid, HamiltonianTerm, build_bs_pauli
+from qnute.hamiltonian import BSParams, Grid, HamiltonianTerm, build_bs_pauli, split_terms
 from qnute.pauli import PauliSum, decompose_dense
-from qnute.statevector import ScaledState, StateVector, encode_samples, fidelity
+from qnute.statevector import (
+    ScaledState,
+    StateVector,
+    apply_pauli_rotation,
+    encode_samples,
+    fidelity,
+)
 
 PAPER_PARAMS = BSParams(r=0.04, sigma=0.2)
 
@@ -50,7 +55,7 @@ def bs_setup(n, num_steps=500, domain_size=None, maturity=3.0):
         num_steps=num_steps,
         domain_size=n if domain_size is None else domain_size,
     )
-    terms = terms_for_config(gen, n, cfg)
+    terms = split_terms(gen, n, cfg.domain_size)
     payoff = np.maximum(grid.points() - 75.0, 0.0)
     return encode_samples(payoff), terms, cfg
 
@@ -252,7 +257,7 @@ class TestTrotterStep:
         rng = np.random.default_rng(9)
         psi = random_state(rng, 2)
         term = HamiltonianTerm(PauliSum(), frozenset({0, 1}))
-        cfg = QnuteConfig(delta_t=0.01, num_steps=1, domain_size=2, basis_mode="full")
+        cfg = QnuteConfig(delta_t=0.01, num_steps=1, domain_size=2)
         out, report = trotter_step(ScaledState(psi, 1.0), term, cfg)
         assert np.allclose(out.state.amplitudes, psi.amplitudes)
         assert report.c == pytest.approx(1.0)
@@ -265,7 +270,7 @@ class TestTrotterStep:
         psi = random_state(rng, 2)
         terms = random_pauli_sum_terms(rng, 2, 4)
         h = PauliSum(terms)
-        cfg = QnuteConfig(delta_t=0.005, num_steps=1, domain_size=2, basis_mode="full")
+        cfg = QnuteConfig(delta_t=0.005, num_steps=1, domain_size=2)
         term = HamiltonianTerm(h, frozenset({0, 1}))
         _, report = trotter_step(ScaledState(psi, 1.0), term, cfg)
         basis = sigma_basis((0, 1), "full", 2)
@@ -280,7 +285,7 @@ class TestTrotterStep:
         psi = random_state(rng, 2)
         terms = random_pauli_sum_terms(rng, 2, 4)
         term = HamiltonianTerm(PauliSum(terms), frozenset({0, 1}))
-        cfg = QnuteConfig(delta_t=0.004, num_steps=1, domain_size=2, basis_mode="full")
+        cfg = QnuteConfig(delta_t=0.004, num_steps=1, domain_size=2)
         out, report = trotter_step(ScaledState(psi, 2.0), term, cfg)
         assert out.state.norm() == pytest.approx(1.0, abs=1e-10)
         assert out.scale == pytest.approx(2.0 * report.c, rel=1e-12)
@@ -290,7 +295,7 @@ class TestTrotterStep:
         # eigenvector of exp(h t).
         plus = StateVector(np.array([1.0, 1.0]) / np.sqrt(2.0))
         term = HamiltonianTerm(PauliSum([(-1.0, "I"), (-1.0, "Z")]), frozenset({0}))
-        cfg = QnuteConfig(delta_t=0.01, num_steps=1, domain_size=1, basis_mode="full")
+        cfg = QnuteConfig(delta_t=0.01, num_steps=1, domain_size=1)
         out, _ = trotter_step(ScaledState(plus, 1.0), term, cfg)
         assert abs(out.state.amplitudes[1]) > abs(out.state.amplitudes[0])
 
@@ -299,20 +304,25 @@ class TestTrotterStep:
         _, report = trotter_step(initial, terms[0], cfg)
         assert report.step_fidelity >= 1.0 - 1e-6
 
-    def test_domain_guard(self):
-        psi = StateVector.basis(2, 0)
-        term = HamiltonianTerm(PauliSum([(1.0, "XX")]), frozenset({0, 1}))
-        cfg = QnuteConfig(delta_t=0.01, num_steps=1, domain_size=3)
-        with pytest.raises(InvalidDomainError):
-            trotter_step(ScaledState(psi, 1.0), term, cfg)
-
+    def test_windowed_terms_fit_on_their_own_support(self):
+        initial, terms, cfg = bs_setup(4, domain_size=2)
+        assert len(terms) > 1
+        for term in terms:
+            out, report = trotter_step(initial, term, cfg)
+            # Real payoff and real generator: odd-Y strings on the term's window.
+            basis = sigma_basis(tuple(sorted(term.support)), "odd-y", 4)
+            assert len(report.a) == basis.size
+            psi = initial.state
+            for string, coeff in zip(basis.strings, report.a):
+                psi = apply_pauli_rotation(psi, string, coeff * cfg.delta_t)
+            assert np.allclose(out.state.amplitudes, psi.normalized().amplitudes, atol=1e-12)
 
 class TestEvolve:
     def test_zero_generator_constant_trajectory(self):
         rng = np.random.default_rng(12)
         psi = random_state(rng, 2)
         terms = [HamiltonianTerm(PauliSum(), frozenset({0, 1}))]
-        cfg = QnuteConfig(delta_t=0.01, num_steps=5, domain_size=2, basis_mode="full")
+        cfg = QnuteConfig(delta_t=0.01, num_steps=5, domain_size=2)
         traj = evolve(ScaledState(psi, 1.0), terms, cfg)
         assert len(traj.states) == 6
         for state in traj.states:
@@ -323,7 +333,7 @@ class TestEvolve:
         # h = -(Z+I): exp(h tau) favors |1>; by tau = 5 the overlap is ~1.
         plus = StateVector(np.array([1.0, 1.0]) / np.sqrt(2.0))
         terms = [HamiltonianTerm(PauliSum([(-1.0, "I"), (-1.0, "Z")]), frozenset({0}))]
-        cfg = QnuteConfig(delta_t=0.01, num_steps=500, domain_size=1, basis_mode="full")
+        cfg = QnuteConfig(delta_t=0.01, num_steps=500, domain_size=1)
         traj = evolve(ScaledState(plus, 1.0), terms, cfg)
         h_dense = dense_of_terms([(-1.0, "I"), (-1.0, "Z")])
         eigvals, eigvecs = np.linalg.eigh(h_dense)
@@ -337,8 +347,8 @@ class TestEvolve:
         L = q @ np.diag(evals) @ q.conj().T
         h = decompose_dense(-L)
         psi0 = random_state(rng, 2)
-        cfg = QnuteConfig(delta_t=0.01, num_steps=1000, domain_size=2, basis_mode="full")
-        traj = evolve(ScaledState(psi0, 1.0), terms_for_config(h, 2, cfg), cfg)
+        cfg = QnuteConfig(delta_t=0.01, num_steps=1000, domain_size=2)
+        traj = evolve(ScaledState(psi0, 1.0), split_terms(h, 2, cfg.domain_size), cfg)
         final = traj.states[-1].state.amplitudes
         energy = float(np.real(np.vdot(final, L @ final)))
         assert abs(energy - evals[0]) <= 1e-4
@@ -359,7 +369,7 @@ class TestEvolve:
 
         errs, scale_errs, dts = [], [], (6e-3, 3e-3, 1.5e-3)
         for dt in dts:
-            cfg = QnuteConfig(delta_t=dt, num_steps=1, domain_size=2, basis_mode="full")
+            cfg = QnuteConfig(delta_t=dt, num_steps=1, domain_size=2)
             term = HamiltonianTerm(h, frozenset({0, 1}))
             out, report = trotter_step(ScaledState(psi0, 1.0), term, cfg)
             exact, norm = exact_step(psi0, h, dt)
@@ -407,8 +417,4 @@ class TestQnuteConfig:
         with pytest.raises(ValueError):
             QnuteConfig(delta_t=0.1, num_steps=1, domain_size=0)
         with pytest.raises(ValueError):
-            QnuteConfig(delta_t=0.1, num_steps=1, domain_size=1, basis_mode="odd")
-        with pytest.raises(ValueError):
             QnuteConfig(delta_t=0.1, num_steps=1, domain_size=1, lstsq_rel_tol=2.0)
-        with pytest.raises(ValueError):
-            QnuteConfig(delta_t=0.1, num_steps=1, domain_size=1, term_strategy="pairs")

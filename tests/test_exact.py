@@ -5,7 +5,7 @@ import pytest
 
 from oracles import dense_of_terms, random_pauli_sum_terms, taylor_expm_apply
 from qnute.errors import CapacityError, DimensionMismatchError
-from qnute.evolution import QnuteConfig, terms_for_config
+from qnute.evolution import QnuteConfig
 from qnute.exact import (
     exact_step,
     exact_trajectory,
@@ -13,7 +13,7 @@ from qnute.exact import (
     reference_pde_solution,
     step_propagator,
 )
-from qnute.hamiltonian import BSParams, Grid, HamiltonianTerm, build_bs_pauli
+from qnute.hamiltonian import BSParams, Grid, HamiltonianTerm, build_bs_pauli, split_terms
 from qnute.market import OptionContract, analytic_price, payoff_samples
 from qnute.pauli import PauliSum
 from qnute.statevector import ScaledState, StateVector, decode_nonnegative, encode_samples
@@ -74,7 +74,7 @@ class TestExactTrajectory:
         h = decompose_dense(-L)
         psi = ScaledState(random_state(rng, 2), 1.0)
         cfg = QnuteConfig(delta_t=0.05, num_steps=80, domain_size=2)
-        traj = exact_trajectory(psi, terms_for_config(h, 2, cfg), cfg)
+        traj = exact_trajectory(psi, split_terms(h, 2, cfg.domain_size), cfg)
         energies = [
             float(np.real(np.vdot(s.state.amplitudes, L @ s.state.amplitudes)))
             for s in traj.states
@@ -88,7 +88,7 @@ class TestExactTrajectory:
         cfg = QnuteConfig(delta_t=3.0 / 500, num_steps=500, domain_size=3)
         contract = OptionContract("call", (75.0,))
         initial = encode_samples(payoff_samples(contract, grid))
-        traj = exact_trajectory(initial, terms_for_config(gen, 3, cfg), cfg)
+        traj = exact_trajectory(initial, split_terms(gen, 3, cfg.domain_size), cfg)
         scales = np.array([s.scale for s in traj.states])
         assert np.all(np.isfinite(scales)) and np.all(scales > 0.0)
 

@@ -16,7 +16,6 @@ from qnute.hamiltonian import (
     d1_matrix,
     d2_matrix,
     split_terms,
-    window_for_support,
 )
 from qnute.pauli import PauliSum, dense_matrix
 
@@ -155,38 +154,23 @@ class TestBuildBsPauli:
         assert np.linalg.norm(comm) > 1e-6
 
 
-class TestWindowForSupport:
-    def test_exact_window_is_stable(self):
-        assert window_for_support(frozenset({1, 2}), 2, 4) == (1, 2)
-
-    def test_tie_breaks_low(self):
-        assert window_for_support(frozenset({1}), 2, 4) == (0, 1)
-
-    def test_clipped_at_edges(self):
-        assert window_for_support(frozenset({0}), 2, 4) == (0, 1)
-        assert window_for_support(frozenset({3}), 2, 4) == (2, 3)
-
-    def test_wide_support_centres(self):
-        assert window_for_support(frozenset({0, 3}), 2, 4) == (1, 2)
-
-
 class TestSplitTerms:
     def test_single(self):
         s = PauliSum([(1.0, "XXII"), (2.0, "IIZZ")])
-        terms = split_terms(s, 4, "single")
+        terms = split_terms(s, 4, 4)
         assert len(terms) == 1
         assert terms[0].support == frozenset(range(4))
         assert terms[0].pauli == s
 
     def test_window_covering_register(self):
         s = PauliSum([(1.0, "XY")])
-        terms = split_terms(s, 2, "windows", domain_size=2)
+        terms = split_terms(s, 2, 2)
         assert len(terms) == 1
         assert terms[0].support == frozenset({0, 1})
 
     def test_ixxi_lands_in_middle_window(self):
         s = PauliSum([(1.0, "IXXI"), (1.0, "ZIII")])
-        terms = split_terms(s, 4, "windows", domain_size=2)
+        terms = split_terms(s, 4, 2)
         by_support = {term.support: term.pauli for term in terms}
         assert frozenset({1, 2}) in by_support
         assert by_support[frozenset({1, 2})] == PauliSum([(1.0, "IXXI")])
@@ -194,35 +178,29 @@ class TestSplitTerms:
     def test_narrow_strings_respect_support(self):
         rng = np.random.default_rng(4)
         s = PauliSum(random_pauli_sum_terms(rng, 5, 12))
-        for term in split_terms(s, 5, "windows", domain_size=3):
+        for term in split_terms(s, 5, 3):
             for _, string in term.pauli.terms:
                 sup = set(string.support)
                 if len(sup) and max(sup) - min(sup) + 1 <= 3:
                     assert sup <= set(term.support)
 
-    @pytest.mark.parametrize("strategy,kwargs", [("single", {}), ("windows", {"domain_size": 2})])
-    def test_reconstruction(self, strategy, kwargs):
+    @pytest.mark.parametrize("domain_size", [1, 2, 3, 4])
+    def test_reconstruction(self, domain_size):
         rng = np.random.default_rng(6)
         s = PauliSum(random_pauli_sum_terms(rng, 4, 15))
-        terms = split_terms(s, 4, strategy, **kwargs)
+        terms = split_terms(s, 4, domain_size)
         total = PauliSum()
         for term in terms:
             total = total + term.pauli
         assert total == s
 
-    def test_stride_limits_window_starts(self):
-        s = PauliSum([(1.0, "XIII"), (1.0, "IIXI"), (1.0, "IIIX")])
-        terms = split_terms(s, 4, "windows", domain_size=2, stride=2)
-        assert {term.support for term in terms} == {frozenset({0, 1}), frozenset({2, 3})}
-        total = PauliSum()
-        for term in terms:
-            total = total + term.pauli
-        assert total == s
+    def test_empty_sum_has_no_terms(self):
+        assert split_terms(PauliSum(), 3, 2) == []
 
     def test_domain_larger_than_register(self):
         with pytest.raises(InvalidDomainError):
-            split_terms(PauliSum([(1.0, "XX")]), 2, "windows", domain_size=3)
+            split_terms(PauliSum([(1.0, "XX")]), 2, 3)
 
     def test_size_mismatch(self):
         with pytest.raises(DimensionMismatchError):
-            split_terms(PauliSum([(1.0, "XX")]), 3, "single")
+            split_terms(PauliSum([(1.0, "XX")]), 3, 2)

@@ -1,5 +1,8 @@
 """Run-configuration parsing, validation, and canonical serialization."""
 
+import re
+from pathlib import Path
+
 import pytest
 
 from qnute.errors import ConfigError
@@ -47,8 +50,9 @@ class TestParse:
     def test_unknown_key(self):
         with pytest.raises(ConfigError, match="unknown configuration key"):
             parse_config("grid.m = 3\n")
-        with pytest.raises(ConfigError, match="unknown configuration key 'output.formats'"):
-            parse_config("output.formats = csv\n")
+        for key in ("output.formats", "qnute.basis_mode", "qnute.term_strategy"):
+            with pytest.raises(ConfigError, match=f"unknown configuration key '{key}'"):
+                parse_config(f"{key} = auto\n")
 
     def test_duplicate_key(self):
         with pytest.raises(ConfigError, match="duplicate"):
@@ -65,8 +69,6 @@ class TestParse:
             parse_config("contract = call:\n")
         with pytest.raises(ConfigError, match="params.sigma"):
             parse_config("params.sigma = -1\n")
-        with pytest.raises(ConfigError, match="qnute.basis_mode"):
-            parse_config("qnute.basis_mode = evens\n")
         with pytest.raises(ConfigError, match="qnute.lstsq_rel_tol"):
             parse_config("qnute.lstsq_rel_tol = 2\n")
         with pytest.raises(ConfigError, match="grid.x0"):
@@ -98,3 +100,11 @@ class TestSerialize:
         text = serialize_config(cfg)
         assert "sweep.options = put:75" in text
         assert parse_config(text).sweep_options == cfg.sweep_options
+
+
+def test_readme_config_block_parses():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"```ini\n(.*?)```", readme, re.DOTALL)
+    assert len(blocks) == 1
+    cfg = parse_config(blocks[0])
+    assert cfg.n == 6 and cfg.resolved_domain_size() == 6
