@@ -13,8 +13,10 @@ dropped from the minimal-norm solution.
 
 from __future__ import annotations
 
+import ctypes
 import itertools
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -43,9 +45,18 @@ BASIS_ODD_Y = "odd-y"
 # The c radicand must clear this before taking the square root.
 C_RADICAND_FLOOR = 1e-12
 
-# Largest stacked action arrays (an index and a complex phase per basis string
-# and amplitude, 24 bytes) a basis may need; larger bases are refused.
+# Largest stacked action arrays a basis may need (per basis string and
+# amplitude: an index, a complex phase and a rotation gain, 32 bytes odd-Y and
+# 40 bytes full); larger bases are refused.
 BASIS_BYTES_LIMIT = 1 << 30
+
+# Sizes, in entries, of the fit factors V whose SVD runs on one OpenBLAS
+# thread.  On a 2-core host one thread is faster in this range (2016 x 128:
+# 22 vs 42 ms) and threads pay off above it (32640 x 512: 2.8 vs 2.0 s).
+# Below it the SVD never starts a BLAS thread, so pinning would only make a
+# forked sweep worker start OpenBLAS's thread pool, which spins ~0.1 s.
+SERIAL_BLAS_MIN_ENTRIES = 1 << 11
+SERIAL_BLAS_MAX_ENTRIES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -105,19 +116,24 @@ class SigmaBasis:
     def size(self) -> int:
         return len(self.strings)
 
-    def action_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """Stacked gather indices and phases, one row per basis string."""
+    def action_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Stacked gather indices, phases and rotation gains, one row per basis string.
+
+        The gain -i * phase is the factor of the sin term of a rotation.  On
+        an odd-Y basis every phase is +-i, so the gain is the real phase.imag.
+        """
         if self._actions is None:
             idx = np.empty((self.size, 1 << self.n), dtype=np.intp)
             ph = np.empty((self.size, 1 << self.n), dtype=complex)
             for i, s in enumerate(self.strings):
                 idx[i], ph[i] = string_action(s)
-            self._actions = (idx, ph)
+            gain = ph.imag.copy() if self.mode == BASIS_ODD_Y else -1j * ph
+            self._actions = (idx, ph, gain)
         return self._actions
 
     def apply_all(self, vec: np.ndarray) -> np.ndarray:
         """Matrix whose row I is string_I applied to vec."""
-        idx, ph = self.action_arrays()
+        idx, ph, _ = self.action_arrays()
         return ph * vec[idx]
 
 
@@ -139,8 +155,11 @@ def sigma_basis(domain: tuple[int, ...], mode: str, n: int) -> SigmaBasis:
     if mode not in (BASIS_FULL, BASIS_ODD_Y):
         raise ValueError(f"unknown basis mode {mode!r}")
     width = len(domain)
-    size = 4**width - 1 if mode == BASIS_FULL else (4**width - 2**width) // 2
-    nbytes = size * (1 << n) * 24
+    if mode == BASIS_FULL:
+        size, entry_bytes = 4**width - 1, 40
+    else:
+        size, entry_bytes = (4**width - 2**width) // 2, 32
+    nbytes = size * (1 << n) * entry_bytes
     if nbytes > BASIS_BYTES_LIMIT:
         raise CapacityError(
             f"a {width}-qubit {mode} basis on {n} qubits has {size} strings whose "
@@ -200,6 +219,50 @@ def measure_b(
     return _b_from(basis.apply_all(state.amplitudes), _apply_generator(h_m, state), c)
 
 
+@lru_cache(maxsize=None)
+def _openblas_threads():
+    """numpy's OpenBLAS (get, set) thread-count functions, or None under another BLAS.
+
+    They are looked up through numpy's extension module, whose dependencies
+    dlsym also searches.
+    """
+    try:
+        from numpy._core import _multiarray_umath
+    except ImportError:  # numpy < 2
+        from numpy.core import _multiarray_umath
+    lib = ctypes.CDLL(_multiarray_umath.__file__)
+    for prefix, suffix in (("scipy_openblas_", "64_"), ("openblas_", "")):
+        get = getattr(lib, f"{prefix}get_num_threads{suffix}", None)
+        put = getattr(lib, f"{prefix}set_num_threads{suffix}", None)
+        if get is not None and put is not None:
+            get.argtypes, get.restype = [], ctypes.c_int
+            put.argtypes, put.restype = [ctypes.c_int], None
+            return get, put
+    return None
+
+
+@contextmanager
+def _serial_blas(entries: int):
+    """Run the block on one OpenBLAS thread for a matrix of serial size.
+
+    Serial sizes run from SERIAL_BLAS_MIN_ENTRIES to SERIAL_BLAS_MAX_ENTRIES.
+    The prior thread count is restored on exit.  The count is process-wide, so
+    BLAS calls made meanwhile by other threads of the process run serial too.
+    """
+    serial = SERIAL_BLAS_MIN_ENTRIES <= entries <= SERIAL_BLAS_MAX_ENTRIES
+    threads = _openblas_threads() if serial else None
+    if threads is None:
+        yield
+        return
+    get, put = threads
+    prior = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(prior)
+
+
 def _solve_gram_factor(
     rows: np.ndarray, b: np.ndarray, rel_tol: float
 ) -> tuple[np.ndarray, float]:
@@ -208,13 +271,15 @@ def _solve_gram_factor(
     With V = [Re rows, Im rows] the system matrix is S + S^T = 2 V V^T, so its
     eigenpairs are the left singular vectors of V with eigenvalues 2 s^2.
     Eigenvalues below rel_tol times the largest are discarded; if none survive
-    for a nonzero b, or V has no SVD, the system is reported singular.
+    for a nonzero b, or V has no SVD, the system is reported singular.  A
+    mid-sized V is decomposed on one OpenBLAS thread (see _serial_blas).
     """
     if np.linalg.norm(b) == 0.0:
         return np.zeros(rows.shape[0]), 0.0
     V = np.hstack([rows.real, rows.imag])
     try:
-        U, sv, _ = np.linalg.svd(V, full_matrices=False)
+        with _serial_blas(V.size):
+            U, sv, _ = np.linalg.svd(V, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise SingularSystemError(f"the fit factor has no SVD: {exc}") from None
     w = 2.0 * sv**2
@@ -241,9 +306,15 @@ def trotter_step(
     state is renormalized, and the scale is multiplied by c.  The report
     carries the solved angles, the linear-system residual, and the fidelity
     against the exactly evolved and normalized step on the same input state.
+    A term whose support is wider than cfg.domain_size raises
+    InvalidDomainError.
     """
     psi_in = state.state
     h_m = term.pauli
+    if len(term.support) > cfg.domain_size:
+        raise InvalidDomainError(
+            f"term on {len(term.support)} qubits exceeds domain_size {cfg.domain_size}"
+        )
     hpsi = _apply_generator(h_m, psi_in)
     c = _c_from(psi_in.amplitudes, hpsi, cfg.delta_t)
 
@@ -252,13 +323,17 @@ def trotter_step(
     rows = basis.apply_all(psi_in.amplitudes)
     a, residual = _solve_gram_factor(rows, _b_from(rows, hpsi, c), cfg.lstsq_rel_tol)
 
-    idx, ph = basis.action_arrays()
-    psi = psi_in.amplitudes.copy()
-    for i in range(basis.size):
-        theta = a[i] * cfg.delta_t
+    # A real state on an odd-Y basis rotates in real arithmetic, with the
+    # same roundings as the complex loop; psi is made complex again before the
+    # norm and the division, whose roundings would differ on a real array.
+    idx, _, gain = basis.action_arrays()
+    amp = psi_in.amplitudes
+    psi = amp.copy() if amp.imag.any() else amp.real.copy()
+    for theta, g, ix in zip((a * cfg.delta_t).tolist(), gain, idx):
         if theta == 0.0:
             continue
-        psi = math.cos(theta) * psi - (1j * math.sin(theta)) * (ph[i] * psi[idx[i]])
+        psi = math.cos(theta) * psi + math.sin(theta) * (g * psi[ix])
+    psi = psi.astype(complex, copy=False)
     nrm = float(np.linalg.norm(psi))
     psi_out = StateVector(psi / nrm)
 

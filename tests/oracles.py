@@ -4,6 +4,8 @@ Everything here is built from literal 2x2 matrices and numpy primitives so
 the checks never route through the code under test.
 """
 
+import math
+
 import numpy as np
 
 PAULI_MATS = {
@@ -68,3 +70,20 @@ def solve_coefficients(S: np.ndarray, b: np.ndarray, rel_tol: float):
     Uk = U[:, keep]
     a = Uk @ ((Uk.T @ b) / w[keep])
     return a, float(np.linalg.norm(A @ a - b))
+
+
+def rotate_complex(amplitudes: np.ndarray, idx, ph, thetas) -> tuple[np.ndarray, float]:
+    """exp(-i theta_I sigma_I) applied in order in complex arithmetic, then normalized.
+
+    sigma_I acts as ph[I] * v[idx[I]].  The loop is written exactly as the
+    stepper's original complex loop, so a faster stepper loop that keeps its
+    roundings matches this bit for bit.  Returns the normalized state and
+    the norm it was divided by.
+    """
+    psi = np.array(amplitudes, dtype=complex)
+    for i, theta in enumerate(thetas):
+        if theta == 0.0:
+            continue
+        psi = math.cos(theta) * psi - (1j * math.sin(theta)) * (ph[i] * psi[idx[i]])
+    nrm = float(np.linalg.norm(psi))
+    return psi / nrm, nrm

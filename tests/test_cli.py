@@ -101,14 +101,14 @@ class TestPrice:
 
     def test_basis_capacity_guard_exits_2(self, tmp_path, monkeypatch, capsys):
         # grid.n = 10 fits one odd-y basis over all 10 qubits: 523776 strings
-        # whose action arrays would need 12.9 GB; no string is ever built.
+        # whose action arrays would need 17.2 GB; no string is ever built.
         monkeypatch.setattr(
             "qnute.evolution.PauliString",
             lambda _: pytest.fail("basis strings were enumerated"),
         )
         cfg = write_config(tmp_path, PRICE_CONFIG.replace("grid.n = 3", "grid.n = 10"))
         assert main(["price", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
-        assert f"need {523776 * 1024 * 24} bytes" in capsys.readouterr().err
+        assert f"need {523776 * 1024 * 32} bytes" in capsys.readouterr().err
 
     def test_env_var_overrides_out(self, tmp_path, monkeypatch):
         cfg = write_config(tmp_path, PRICE_CONFIG.replace("N_T = 20", "N_T = 0"))
@@ -242,11 +242,18 @@ GOLDEN = Path(__file__).parent / "data"
 class TestGoldenBytes:
     """CSV bodies pinned byte for byte; tests/data/*/run.cfg regenerates them."""
 
-    def test_price(self, tmp_path):
-        cfg = str(GOLDEN / "price" / "run.cfg")
-        assert main(["price", "--config", cfg, "--out", str(tmp_path)]) == 0
+    @staticmethod
+    def check_price(golden, out):
+        assert main(["price", "--config", str(golden / "run.cfg"), "--out", str(out)]) == 0
         for name in ("prices.csv", "trajectory.csv"):
-            assert (tmp_path / name).read_bytes() == (GOLDEN / "price" / name).read_bytes()
+            assert (out / name).read_bytes() == (golden / name).read_bytes()
+
+    def test_price(self, tmp_path):
+        self.check_price(GOLDEN / "price", tmp_path)
+
+    def test_price_full_register(self, tmp_path):
+        # n = D = 6: one 2016-string odd-Y basis, fitted through a 2016 x 128 factor.
+        self.check_price(GOLDEN / "price-n6", tmp_path)
 
     def test_windowed_sweep(self, tmp_path):
         cfg = str(GOLDEN / "sweep" / "run.cfg")

@@ -1,14 +1,19 @@
 """The fitted Trotter stepper: bases, measurements, solver, steps, trajectories."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import (
     dense_of_terms,
     kron_of,
     measure_S,
     random_pauli_sum_terms,
+    rotate_complex,
     solve_coefficients,
 )
 from qnute.errors import (
@@ -18,7 +23,11 @@ from qnute.errors import (
     StepSizeError,
 )
 from qnute.evolution import (
+    SERIAL_BLAS_MAX_ENTRIES,
+    SERIAL_BLAS_MIN_ENTRIES,
     QnuteConfig,
+    _openblas_threads,
+    _serial_blas,
     _solve_gram_factor,
     evolve,
     measure_b,
@@ -30,6 +39,7 @@ from qnute.evolution import (
 from qnute.hamiltonian import BSParams, Grid, HamiltonianTerm, build_bs_pauli, split_terms
 from qnute.pauli import PauliSum, decompose_dense
 from qnute.statevector import (
+    REAL_STATE_TOL,
     ScaledState,
     StateVector,
     apply_pauli_rotation,
@@ -93,18 +103,18 @@ class TestSigmaBasis:
             sigma_basis((0, 2), "full", 3)
 
     def test_capacity_guard_before_enumeration(self, monkeypatch):
-        # Odd-Y on 10 of 10 qubits: (4^10 - 2^10) / 2 strings x 2^10 x 24 bytes.
+        # Odd-Y on 10 of 10 qubits: (4^10 - 2^10) / 2 strings x 2^10 x 32 bytes.
         monkeypatch.setattr(
             "qnute.evolution.PauliString",
             lambda _: pytest.fail("strings were enumerated"),
         )
-        with pytest.raises(CapacityError, match=str(523776 * 1024 * 24)):
+        with pytest.raises(CapacityError, match=str(523776 * 1024 * 32)):
             sigma_basis(tuple(range(10)), "odd-y", 10)
         with pytest.raises(CapacityError):
             sigma_basis(tuple(range(9)), "odd-y", 9)
 
     def test_capacity_limit_admits_eight_qubits(self):
-        # The full basis at n = D = 8 needs 0.40 GB of action arrays.
+        # The full basis at n = D = 8 needs 0.67 GB of action arrays.
         assert sigma_basis(tuple(range(8)), "full", 8).size == 65535
 
     def test_apply_all_matches_dense(self):
@@ -252,6 +262,111 @@ class TestSolveCoefficients:
             assert r_eigh == pytest.approx(r_fac, abs=1e-8)
 
 
+@pytest.fixture
+def blas_threads():
+    """numpy's OpenBLAS (get, set) pair set to 2 threads, restored afterwards."""
+    threads = _openblas_threads()
+    if threads is None:
+        pytest.skip("numpy does not link OpenBLAS")
+    get, put = threads
+    prior = get()
+    put(2)
+    yield get, put
+    put(prior)
+
+
+class TestSerialBlas:
+    def test_one_thread_inside_and_restored(self, blas_threads):
+        get, _ = blas_threads
+        for entries in (SERIAL_BLAS_MIN_ENTRIES, SERIAL_BLAS_MAX_ENTRIES):
+            with _serial_blas(entries):
+                assert get() == 1
+            assert get() == 2
+
+    def test_restored_when_the_svd_raises(self, blas_threads, monkeypatch):
+        get, _ = blas_threads
+        svd, seen = np.linalg.svd, []
+
+        def counting_svd(*args, **kwargs):
+            seen.append(get())
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        nan_rows = np.ones((32, 64), dtype=complex)  # V has 32 x 128 entries
+        nan_rows[1, 0] = np.nan
+        with pytest.raises(SingularSystemError, match="SVD"):
+            _solve_gram_factor(nan_rows, np.ones(32), 1e-8)
+        assert seen == [1]
+        assert get() == 2
+
+    def test_small_and_large_factors_keep_the_thread_count(self, blas_threads):
+        get, _ = blas_threads
+        for entries in (SERIAL_BLAS_MIN_ENTRIES - 1, SERIAL_BLAS_MAX_ENTRIES + 1):
+            with _serial_blas(entries):
+                assert get() == 2
+            assert get() == 2
+
+    def test_no_op_without_openblas(self, monkeypatch):
+        monkeypatch.setattr("qnute.evolution._openblas_threads", lambda: None)
+        with _serial_blas(SERIAL_BLAS_MIN_ENTRIES):
+            pass
+        a, _ = _solve_gram_factor(np.eye(3, dtype=complex), np.array([2.0, 0.0, 0.0]), 1e-8)
+        assert np.allclose(a, [1.0, 0.0, 0.0])
+
+
+def _bs_term(n):
+    gen = build_bs_pauli(Grid(0.0, 150.0, n), PAPER_PARAMS, "linear")
+    return split_terms(gen, n, n)[0]
+
+
+class TestRotationBits:
+    """trotter_step's rotation loop against the complex-arithmetic oracle, bit for bit."""
+
+    @staticmethod
+    def check(psi, term, mode, angles):
+        n = psi.n
+        cfg = QnuteConfig(delta_t=0.01, num_steps=1, domain_size=n)
+        a = np.array(angles)
+        with mock.patch("qnute.evolution._solve_gram_factor", return_value=(a, 0.0)):
+            out, report = trotter_step(ScaledState(psi, 1.0), term, cfg)
+        idx, ph, _ = sigma_basis(tuple(range(n)), mode, n).action_arrays()
+        want, nrm = rotate_complex(psi.amplitudes, idx, ph, [x * cfg.delta_t for x in a])
+        assert np.array_equal(out.state.amplitudes, want)
+        assert out.scale == 1.0 * report.c * nrm
+
+    @staticmethod
+    def draw(data, n, size):
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        angle = st.one_of(st.just(0.0), st.floats(-200.0, 200.0, allow_nan=False))
+        angles = data.draw(st.lists(angle, min_size=size, max_size=size), label="angles")
+        return np.random.default_rng(seed), angles
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(2, 3), st.data())
+    def test_real_state_odd_y(self, n, data):
+        rng, angles = self.draw(data, n, (4**n - 2**n) // 2)
+        self.check(random_state(rng, n, real=True), _bs_term(n), "odd-y", angles)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(2, 3), st.booleans(), st.data())
+    def test_full_basis(self, n, real, data):
+        # A complex term: a complex state, or a real one that turns complex.
+        rng, angles = self.draw(data, n, 4**n - 1)
+        h = PauliSum(random_pauli_sum_terms(rng, n, 4))
+        term = HamiltonianTerm(h, frozenset(range(n)))
+        self.check(random_state(rng, n, real=real), term, "full", angles)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(2, 3), st.data())
+    def test_nearly_real_state_odd_y(self, n, data):
+        rng, angles = self.draw(data, n, (4**n - 2**n) // 2)
+        v = random_state(rng, n, real=True).amplitudes
+        v = v + 1j * rng.uniform(-REAL_STATE_TOL, REAL_STATE_TOL, size=v.size)
+        psi = StateVector(v)
+        assert psi.is_real and np.any(psi.amplitudes.imag)
+        self.check(psi, _bs_term(n), "odd-y", angles)
+
+
 class TestTrotterStep:
     def test_zero_generator_is_identity(self):
         rng = np.random.default_rng(9)
@@ -298,6 +413,14 @@ class TestTrotterStep:
         cfg = QnuteConfig(delta_t=0.01, num_steps=1, domain_size=1)
         out, _ = trotter_step(ScaledState(plus, 1.0), term, cfg)
         assert abs(out.state.amplitudes[1]) > abs(out.state.amplitudes[0])
+
+    def test_term_wider_than_domain_size(self):
+        initial, terms, _ = bs_setup(3)
+        cfg = QnuteConfig(delta_t=0.006, num_steps=1, domain_size=2)
+        with pytest.raises(InvalidDomainError, match="domain_size 2"):
+            trotter_step(initial, terms[0], cfg)
+        with pytest.raises(InvalidDomainError):
+            evolve(initial, terms, cfg)
 
     def test_black_scholes_step_fidelity(self):
         initial, terms, cfg = bs_setup(3)
