@@ -20,8 +20,6 @@ from .evolution import (
     StepReport,
     Trajectory,
     evolve,
-    measure_b,
-    measure_c,
     sigma_basis,
     trotter_step,
 )
@@ -65,15 +63,11 @@ from .pauli import (
     dense_matrix,
     ladder_as_pauli,
     multiply_strings,
-    tensor,
 )
 from .statevector import (
     ScaledState,
     StateVector,
-    apply_pauli_rotation,
-    decode_nonnegative,
     encode_samples,
-    expectation,
     fidelity,
 )
 

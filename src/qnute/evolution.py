@@ -24,7 +24,6 @@ import numpy as np
 
 from .errors import (
     CapacityError,
-    DimensionMismatchError,
     InvalidDomainError,
     SingularSystemError,
     StepSizeError,
@@ -97,7 +96,6 @@ class Trajectory:
 
     states: list[ScaledState]
     reports: list[StepReport]
-    measurement_count: int
 
 
 class SigmaBasis:
@@ -185,10 +183,6 @@ def cached_dense(h_m: PauliSum, n: int) -> np.ndarray:
 
 
 def _apply_generator(h_m: PauliSum, state: StateVector) -> np.ndarray:
-    if h_m.num_qubits not in (None, state.n):
-        raise DimensionMismatchError(
-            f"generator acts on {h_m.num_qubits} qubits, state has {state.n}"
-        )
     return cached_dense(h_m, state.n) @ state.amplitudes
 
 
@@ -203,20 +197,6 @@ def _c_from(psi: np.ndarray, hpsi: np.ndarray, delta_t: float) -> float:
 
 def _b_from(rows: np.ndarray, hpsi: np.ndarray, c: float) -> np.ndarray:
     return (-2.0 / c) * (np.conj(rows) @ hpsi).imag
-
-
-def measure_c(state: StateVector, h_m: PauliSum, delta_t: float) -> float:
-    """Per-step norm estimate c = sqrt(1 + 2 dt Re<h_m>)."""
-    return _c_from(state.amplitudes, _apply_generator(h_m, state), delta_t)
-
-
-def measure_b(
-    state: StateVector, basis: SigmaBasis, h_m: PauliSum, c: float
-) -> np.ndarray:
-    """Right-hand side b[I] = (-2/c) Im <psi| sigma_I h_m |psi>."""
-    if not c > 0.0:
-        raise ValueError(f"c must be positive, got {c}")
-    return _b_from(basis.apply_all(state.amplitudes), _apply_generator(h_m, state), c)
 
 
 @lru_cache(maxsize=None)
@@ -361,8 +341,7 @@ def evolve(
             current, report = trotter_step(current, term, cfg)
             reports.append(report)
         states.append(current)
-    measurements = sum(report.a.shape[0] ** 2 for report in reports)
-    return Trajectory(states, reports, measurements)
+    return Trajectory(states, reports)
 
 
 def trajectory_rows(traj: Trajectory, delta_t: float) -> list[tuple]:

@@ -42,10 +42,6 @@ def exact_step(
     state: StateVector, h_m: PauliSum, delta_t: float
 ) -> tuple[StateVector, float]:
     """Apply exp(h_m * delta_t) exactly; return the normalized state and its norm."""
-    if h_m.num_qubits not in (None, state.n):
-        raise DimensionMismatchError(
-            f"generator acts on {h_m.num_qubits} qubits, state has {state.n}"
-        )
     evolved = step_propagator(h_m, state.n, delta_t) @ state.amplitudes
     norm = float(np.linalg.norm(evolved))
     return StateVector(evolved / norm), norm
@@ -62,7 +58,7 @@ def exact_trajectory(
             stepped, norm = exact_step(current.state, term.pauli, cfg.delta_t)
             current = ScaledState(stepped, current.scale * norm)
         states.append(current)
-    return Trajectory(states, [], 0)
+    return Trajectory(states, [])
 
 
 def fidelity_stats(qnute_traj: Trajectory, exact_traj: Trajectory) -> FidelityStats:

@@ -72,15 +72,6 @@ class TridiagonalOperator:
     beta: np.ndarray  # length 2^n - 1, super-diagonal entry of rows 0..2^n-2
     boundary: str
 
-    @property
-    def size(self) -> int:
-        return self.gamma.shape[0]
-
-    def to_dense(self) -> np.ndarray:
-        return (
-            np.diag(self.alpha, -1) + np.diag(self.gamma) + np.diag(self.beta, 1)
-        ).astype(complex)
-
 
 def bs_coefficients(grid: Grid, p: BSParams) -> TridiagonalOperator:
     """Central-difference generator rows: alpha_k, beta_k, gamma_k = -r - alpha_k - beta_k."""
@@ -107,10 +98,6 @@ def apply_linear_bc(t: TridiagonalOperator, grid: Grid, p: BSParams) -> Tridiago
     return TridiagonalOperator(alpha, gamma, beta, LINEAR)
 
 
-def _identity(n: int) -> PauliSum:
-    return PauliSum.identity(n)
-
-
 @lru_cache(maxsize=None)
 def chi_matrix(n: int) -> PauliSum:
     """Pauli form of diag(0, 1, ..., 2^n - 1), built by prepending one qubit at a time."""
@@ -118,9 +105,9 @@ def chi_matrix(n: int) -> PauliSum:
         raise ValueError("chi_matrix requires n >= 1")
     if n == 1:
         return ladder_as_pauli(LadderOp.SE)
-    return _identity(1).tensor(chi_matrix(n - 1)) + float(2 ** (n - 1)) * ladder_as_pauli(
-        LadderOp.SE
-    ).tensor(_identity(n - 1))
+    return PauliSum.identity(1).tensor(chi_matrix(n - 1)) + float(2 ** (n - 1)) * (
+        ladder_as_pauli(LadderOp.SE).tensor(PauliSum.identity(n - 1))
+    )
 
 
 @lru_cache(maxsize=None)
@@ -130,8 +117,11 @@ def chi_squared_matrix(n: int) -> PauliSum:
         raise ValueError("chi_squared_matrix requires n >= 1")
     if n == 1:
         return ladder_as_pauli(LadderOp.SE)
-    inner = float(2**n) * chi_matrix(n - 1) + float(2 ** (2 * (n - 1))) * _identity(n - 1)
-    return _identity(1).tensor(chi_squared_matrix(n - 1)) + ladder_as_pauli(
+    inner = (
+        float(2**n) * chi_matrix(n - 1)
+        + float(2 ** (2 * (n - 1))) * PauliSum.identity(n - 1)
+    )
+    return PauliSum.identity(1).tensor(chi_squared_matrix(n - 1)) + ladder_as_pauli(
         LadderOp.SE
     ).tensor(inner)
 
@@ -144,7 +134,7 @@ def d1_matrix(n: int) -> PauliSum:
     if n == 1:
         return PauliSum([(1j, "Y")])
     return (
-        _identity(1).tensor(d1_matrix(n - 1))
+        PauliSum.identity(1).tensor(d1_matrix(n - 1))
         + ladder_as_pauli(LadderOp.NE).tensor(ladder_power(LadderOp.SW, n - 1))
         - ladder_as_pauli(LadderOp.SW).tensor(ladder_power(LadderOp.NE, n - 1))
     )
@@ -158,7 +148,7 @@ def d2_matrix(n: int) -> PauliSum:
     if n == 1:
         return PauliSum([(-2.0, "I"), (1.0, "X")])
     return (
-        _identity(1).tensor(d2_matrix(n - 1))
+        PauliSum.identity(1).tensor(d2_matrix(n - 1))
         + ladder_as_pauli(LadderOp.NE).tensor(ladder_power(LadderOp.SW, n - 1))
         + ladder_as_pauli(LadderOp.SW).tensor(ladder_power(LadderOp.NE, n - 1))
     )
@@ -173,16 +163,16 @@ def build_bs_pauli(grid: Grid, p: BSParams, boundary: str = CENTRAL) -> PauliSum
     if boundary == LINEAR and n < 2:
         raise UnsupportedSizeError("linear boundary mode requires n >= 2 qubits")
     h = grid.h
-    x_sum = grid.x0 * _identity(n) + h * chi_matrix(n)
+    x_sum = grid.x0 * PauliSum.identity(n) + h * chi_matrix(n)
     x2_sum = (
-        grid.x0**2 * _identity(n)
+        grid.x0**2 * PauliSum.identity(n)
         + (2.0 * grid.x0 * h) * chi_matrix(n)
         + h**2 * chi_squared_matrix(n)
     )
     gen = (
         (p.sigma**2 / (2.0 * h**2)) * (x2_sum @ d2_matrix(n))
         + (p.r / (2.0 * h)) * (x_sum @ d1_matrix(n))
-        - p.r * _identity(n)
+        - p.r * PauliSum.identity(n)
     )
     if boundary == LINEAR:
         central = bs_coefficients(grid, p)

@@ -43,7 +43,7 @@ AMPLITUDE_FLOOR = 1e-12
 
 @dataclass(frozen=True)
 class OptionContract:
-    """European option payoff: a kind plus one or two positive strikes."""
+    """European option payoff: a kind plus one or two positive, finite strikes."""
 
     kind: str
     strikes: tuple[float, ...]
@@ -55,8 +55,8 @@ class OptionContract:
             raise ValueError(
                 f"{self.kind} takes {KINDS[self.kind]} strike(s), got {len(self.strikes)}"
             )
-        if any(not k > 0.0 for k in self.strikes):
-            raise ValueError(f"strikes must be positive, got {self.strikes}")
+        if not all(0.0 < k < math.inf for k in self.strikes):
+            raise ValueError(f"strikes must be positive and finite, got {self.strikes}")
         if len(self.strikes) == 2 and not self.strikes[0] < self.strikes[1]:
             raise ValueError(
                 f"{self.kind} requires K1 < K2, got {self.strikes}"

@@ -56,10 +56,6 @@ class PauliString(str):
         return self.count("Y")
 
 
-def identity_string(n: int) -> PauliString:
-    return PauliString("I" * n)
-
-
 def multiply_strings(p: PauliString, q: PauliString) -> tuple[complex, PauliString]:
     """Return (phase, r) with matrix(p) @ matrix(q) == phase * matrix(r)."""
     if len(p) != len(q):
@@ -92,16 +88,6 @@ def string_action(s: PauliString) -> tuple[np.ndarray, np.ndarray]:
             phase = phase * (1 - 2 * bit)
     src = k ^ xmask
     return src, phase[src]
-
-
-def apply_string(s: PauliString, vec: np.ndarray) -> np.ndarray:
-    """Apply matrix(s) to a length-2^n vector."""
-    idx, ph = string_action(s)
-    if vec.shape[-1] != idx.shape[0]:
-        raise DimensionMismatchError(
-            f"vector length {vec.shape[-1]} does not match {len(s)}-qubit string"
-        )
-    return ph * vec[..., idx]
 
 
 class PauliSum:
@@ -145,7 +131,7 @@ class PauliSum:
 
     @classmethod
     def identity(cls, n: int, coeff: complex = 1.0) -> "PauliSum":
-        return cls([(coeff, identity_string(n))])
+        return cls([(coeff, "I" * n)])
 
     @property
     def num_qubits(self) -> int | None:
@@ -196,25 +182,6 @@ class PauliSum:
             for ca, sa in self.terms
             for cb, sb in other.terms
         )
-
-    def adjoint(self) -> "PauliSum":
-        return PauliSum((c.conjugate(), s) for c, s in self.terms)
-
-    @property
-    def is_hermitian(self) -> bool:
-        """True when the sum equals its formal adjoint after canonicalization."""
-        return self == self.adjoint()
-
-    def apply(self, vec: np.ndarray) -> np.ndarray:
-        """Apply the dense realization to a length-2^n vector without forming it."""
-        out = np.zeros_like(np.asarray(vec, dtype=complex))
-        for c, s in self.terms:
-            out += c * apply_string(s, vec)
-        return out
-
-
-def tensor(a: PauliSum, b: PauliSum) -> PauliSum:
-    return a.tensor(b)
 
 
 class LadderOp(Enum):
@@ -302,22 +269,3 @@ def format_pauli_sum(s: PauliSum) -> str:
         f"({c.real:.12g}{c.imag:+.12g}i) {string}" for c, string in s.terms
     )
 
-
-def parse_pauli_sum(text: str) -> PauliSum:
-    """Parse the ``format_pauli_sum`` notation (accepts both i and j suffixes)."""
-    terms = []
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line == "0" or line.startswith("#"):
-            continue
-        try:
-            coeff_part, string_part = line.rsplit(None, 1)
-        except ValueError:
-            raise ValueError(f"malformed Pauli term: {line!r}") from None
-        coeff_text = coeff_part.strip().strip("()").replace("i", "j")
-        try:
-            coeff = complex(coeff_text)
-        except ValueError:
-            raise ValueError(f"malformed coefficient in Pauli term: {line!r}") from None
-        terms.append((coeff, PauliString(string_part)))
-    return PauliSum(terms)

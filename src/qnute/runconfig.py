@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 from .errors import ConfigError
@@ -44,6 +45,8 @@ def _parse_float(key: str, value: str) -> float:
         out = float(value)
     except ValueError:
         raise ConfigError(f"{key}: expected a number, got {value!r}") from None
+    if not math.isfinite(out):
+        raise ConfigError(f"{key}: expected a finite number, got {value!r}")
     return out
 
 
@@ -100,6 +103,9 @@ def _validate(cfg: RunConfig) -> RunConfig:
         raise ConfigError(f"schedule.T: must be positive, got {cfg.maturity}")
     if cfg.domain_size is not None and cfg.domain_size < 1:
         raise ConfigError(f"qnute.domain_size: must be at least 1, got {cfg.domain_size}")
+    for key, values in (("sweep.n", cfg.sweep_n), ("sweep.D", cfg.sweep_D)):
+        if any(v < 1 for v in values):
+            raise ConfigError(f"{key}: entries must be at least 1, got {values}")
     if not 0.0 < cfg.lstsq_rel_tol < 1.0:
         raise ConfigError(
             f"qnute.lstsq_rel_tol: must lie in (0, 1), got {cfg.lstsq_rel_tol}"

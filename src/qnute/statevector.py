@@ -1,14 +1,12 @@
-"""Dense n-qubit statevectors with amplitude encoding and Pauli rotations."""
+"""Dense n-qubit statevectors with amplitude encoding and fidelity."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegenerateInputError, DimensionMismatchError
-from .pauli import PauliString, PauliSum, apply_string
 
 # States whose imaginary parts stay below this are treated as real-valued.
 REAL_STATE_TOL = 1e-12
@@ -75,36 +73,6 @@ def encode_samples(values) -> ScaledState:
     if nrm == 0.0:
         raise DegenerateInputError("sample vector is identically zero")
     return ScaledState(StateVector(vec / nrm), nrm)
-
-
-def decode_nonnegative(scaled: ScaledState) -> np.ndarray:
-    """Recover scale * |amplitude_k| per basis index.
-
-    Lossy by design: signs and phases of the amplitudes are discarded, which
-    is exact only for real non-negative encoded functions.
-    """
-    return scaled.scale * np.abs(scaled.state.amplitudes)
-
-
-def expectation(state: StateVector, op: PauliSum) -> complex:
-    """<psi|op|psi> for a Pauli-sum operator."""
-    if op.num_qubits not in (None, state.n):
-        raise DimensionMismatchError(
-            f"operator acts on {op.num_qubits} qubits, state has {state.n}"
-        )
-    return complex(np.vdot(state.amplitudes, op.apply(state.amplitudes)))
-
-
-def apply_pauli_rotation(state: StateVector, s: PauliString, angle: float) -> StateVector:
-    """Apply exp(-i * angle * matrix(s)): cos(angle)|psi> - i sin(angle) s|psi>."""
-    if len(s) != state.n:
-        raise DimensionMismatchError(
-            f"string acts on {len(s)} qubits, state has {state.n}"
-        )
-    rotated = math.cos(angle) * state.amplitudes - 1j * math.sin(angle) * apply_string(
-        s, state.amplitudes
-    )
-    return StateVector(rotated)
 
 
 def fidelity(a: StateVector, b: StateVector) -> float:

@@ -87,3 +87,25 @@ def rotate_complex(amplitudes: np.ndarray, idx, ph, thetas) -> tuple[np.ndarray,
         psi = math.cos(theta) * psi - (1j * math.sin(theta)) * (ph[i] * psi[idx[i]])
     nrm = float(np.linalg.norm(psi))
     return psi / nrm, nrm
+
+
+def tridiagonal_dense(t) -> np.ndarray:
+    """Dense matrix of a tridiagonal operator's alpha (below), gamma, beta (above)."""
+    return (np.diag(t.alpha, -1) + np.diag(t.gamma) + np.diag(t.beta, 1)).astype(complex)
+
+
+def decode_nonnegative(scaled) -> np.ndarray:
+    """scale * |amplitude_k|: exact for encoded real non-negative samples."""
+    return scaled.scale * np.abs(scaled.state.amplitudes)
+
+
+def parse_pauli_terms(text: str) -> list[tuple[complex, str]]:
+    """(coefficient, symbols) pairs of the "(re+imi) SYMBOLS" text form, one per line."""
+    terms = []
+    for line in text.splitlines():
+        line = line.strip()
+        if not line or line == "0":
+            continue
+        coeff_text, symbols = line.rsplit(None, 1)
+        terms.append((complex(coeff_text.strip("()").replace("i", "j")), symbols))
+    return terms

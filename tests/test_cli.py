@@ -11,6 +11,7 @@ import pytest
 
 import qnute
 import qnute.cli
+from oracles import tridiagonal_dense
 from qnute.cli import _fmt, _sweep_one, build_parser, main
 from qnute.errors import QnuteError, StepSizeError
 from qnute.hamiltonian import BSParams, Grid, bs_coefficients
@@ -69,6 +70,12 @@ class TestPrice:
         cfg = write_config(tmp_path, "contract = call:\n")
         assert main(["price", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         assert "contract" in capsys.readouterr().err
+
+    def test_non_finite_number_exits_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, PRICE_CONFIG + "params.r = nan\n")
+        assert main(["price", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert "params.r: expected a finite number" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "prices.csv").exists()
 
     def test_missing_config_exits_2(self, tmp_path):
         assert main(["price", "--config", str(tmp_path / "nope.cfg")]) == 2
@@ -211,7 +218,7 @@ class TestDecompose:
         got = np.zeros((4, 4), dtype=complex)
         for row, col, re, im in rows:
             got[int(row), int(col)] = float(re) + 1j * float(im)
-        want = bs_coefficients(Grid(0.0, 150.0, 2), BSParams(0.04, 0.2)).to_dense()
+        want = tridiagonal_dense(bs_coefficients(Grid(0.0, 150.0, 2), BSParams(0.04, 0.2)))
         assert np.max(np.abs(got - want)) < 1e-10
         assert (out / "hamiltonian_pauli.txt").exists()
 

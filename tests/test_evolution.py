@@ -18,6 +18,7 @@ from oracles import (
 )
 from qnute.errors import (
     CapacityError,
+    DimensionMismatchError,
     InvalidDomainError,
     SingularSystemError,
     StepSizeError,
@@ -26,12 +27,12 @@ from qnute.evolution import (
     SERIAL_BLAS_MAX_ENTRIES,
     SERIAL_BLAS_MIN_ENTRIES,
     QnuteConfig,
+    _b_from,
+    _c_from,
     _openblas_threads,
     _serial_blas,
     _solve_gram_factor,
     evolve,
-    measure_b,
-    measure_c,
     sigma_basis,
     trajectory_rows,
     trotter_step,
@@ -42,7 +43,6 @@ from qnute.statevector import (
     REAL_STATE_TOL,
     ScaledState,
     StateVector,
-    apply_pauli_rotation,
     encode_samples,
     fidelity,
 )
@@ -55,6 +55,21 @@ def random_state(rng, n, real=False):
     if not real:
         v = v + 1j * rng.normal(size=1 << n)
     return StateVector(v / np.linalg.norm(v))
+
+
+def dense_hpsi(psi, terms):
+    """h|psi> for h given as (coefficient, symbols) terms, by the dense oracle."""
+    return dense_of_terms(terms) @ psi.amplitudes if terms else np.zeros_like(psi.amplitudes)
+
+
+def measure_c(psi, terms, delta_t):
+    """The stepper's c = sqrt(1 + 2 dt Re<h>)."""
+    return _c_from(psi.amplitudes, dense_hpsi(psi, terms), delta_t)
+
+
+def measure_b(psi, basis, terms, c):
+    """The stepper's b[I] = (-2/c) Im <psi| sigma_I h |psi> from its basis rows."""
+    return _b_from(basis.apply_all(psi.amplitudes), dense_hpsi(psi, terms), c)
 
 
 def bs_setup(n, num_steps=500, domain_size=None, maturity=3.0):
@@ -129,28 +144,26 @@ class TestSigmaBasis:
 class TestMeasureC:
     def test_zero_generator(self):
         psi = StateVector.basis(2, 1)
-        assert measure_c(psi, PauliSum(), 0.01) == pytest.approx(1.0)
+        assert measure_c(psi, [], 0.01) == pytest.approx(1.0)
 
     def test_constant_drift(self):
         psi = StateVector.basis(1, 0)
-        h = PauliSum([(-0.04, "I")])
-        assert measure_c(psi, h, 0.006) == pytest.approx(np.sqrt(1.0 - 0.00048))
+        assert measure_c(psi, [(-0.04, "I")], 0.006) == pytest.approx(np.sqrt(1.0 - 0.00048))
 
     def test_radicand_guard(self):
         psi = StateVector.basis(1, 0)
         with pytest.raises(StepSizeError):
-            measure_c(psi, PauliSum([(-100.0, "I")]), 0.01)
+            measure_c(psi, [(-100.0, "I")], 0.01)
 
     def test_c_squared_tracks_exact_norm(self):
         # |c^2 - ||exp(h dt) psi||^2| shrinks like dt^2.
         rng = np.random.default_rng(3)
         terms = random_pauli_sum_terms(rng, 2, 5)
-        h = PauliSum(terms)
         h_dense = dense_of_terms(terms)
         psi = random_state(rng, 2)
         errs = []
         for dt in (1e-2, 5e-3, 2.5e-3):
-            c = measure_c(psi, h, dt)
+            c = measure_c(psi, terms, dt)
             true = np.linalg.norm(scipy.linalg.expm(h_dense * dt) @ psi.amplitudes)
             errs.append(abs(c**2 - true**2))
         slope = np.polyfit(np.log([1e-2, 5e-3, 2.5e-3]), np.log(errs), 1)[0]
@@ -188,15 +201,15 @@ class TestMeasureS:
 class TestMeasureB:
     def test_zero_generator(self):
         basis = sigma_basis((0, 1), "odd-y", 2)
-        b = measure_b(StateVector.basis(2, 0), basis, PauliSum(), 1.0)
+        b = measure_b(StateVector.basis(2, 0), basis, [], 1.0)
         assert np.allclose(b, 0.0)
 
     def test_single_qubit_worked_value(self):
         # h = Z on |+> with basis {Y}: the dense oracle fixes b = -2/c.
         plus = StateVector(np.array([1.0, 1.0]) / np.sqrt(2.0))
         basis = sigma_basis((0,), "odd-y", 1)
-        c = measure_c(plus, PauliSum([(1.0, "Z")]), 0.01)
-        got = measure_b(plus, basis, PauliSum([(1.0, "Z")]), c)
+        c = measure_c(plus, [(1.0, "Z")], 0.01)
+        got = measure_b(plus, basis, [(1.0, "Z")], c)
         sandwich = np.vdot(plus.amplitudes, kron_of("Y") @ kron_of("Z") @ plus.amplitudes)
         want = (-2.0 / c) * sandwich.imag
         assert got[0] == pytest.approx(want)
@@ -209,7 +222,7 @@ class TestMeasureB:
         terms = random_pauli_sum_terms(rng, 2, 4)
         h_dense = dense_of_terms(terms)
         c = 0.97
-        got = measure_b(psi, basis, PauliSum(terms), c)
+        got = measure_b(psi, basis, terms, c)
         for i, s in enumerate(basis.strings):
             sandwich = np.vdot(psi.amplitudes, kron_of(s) @ h_dense @ psi.amplitudes)
             assert got[i] == pytest.approx((-2.0 / c) * sandwich.imag)
@@ -389,9 +402,9 @@ class TestTrotterStep:
         term = HamiltonianTerm(h, frozenset({0, 1}))
         _, report = trotter_step(ScaledState(psi, 1.0), term, cfg)
         basis = sigma_basis((0, 1), "full", 2)
-        c = measure_c(psi, h, cfg.delta_t)
+        c = measure_c(psi, terms, cfg.delta_t)
         S = measure_S(psi, basis)
-        b = measure_b(psi, basis, h, c)
+        b = measure_b(psi, basis, terms, c)
         a, _ = solve_coefficients(S, b, cfg.lstsq_rel_tol)
         assert np.allclose(report.a, a, atol=1e-8)
 
@@ -422,6 +435,13 @@ class TestTrotterStep:
         with pytest.raises(InvalidDomainError):
             evolve(initial, terms, cfg)
 
+    @pytest.mark.parametrize("symbols", ["X", "XYZ"])
+    def test_generator_on_wrong_register(self, symbols):
+        term = HamiltonianTerm(PauliSum([(1.0, symbols)]), frozenset({0}))
+        cfg = QnuteConfig(delta_t=0.01, num_steps=1, domain_size=1)
+        with pytest.raises(DimensionMismatchError):
+            trotter_step(ScaledState(StateVector.basis(2, 0), 1.0), term, cfg)
+
     def test_black_scholes_step_fidelity(self):
         initial, terms, cfg = bs_setup(3)
         _, report = trotter_step(initial, terms[0], cfg)
@@ -435,10 +455,12 @@ class TestTrotterStep:
             # Real payoff and real generator: odd-Y strings on the term's window.
             basis = sigma_basis(tuple(sorted(term.support)), "odd-y", 4)
             assert len(report.a) == basis.size
-            psi = initial.state
+            psi = initial.state.amplitudes
             for string, coeff in zip(basis.strings, report.a):
-                psi = apply_pauli_rotation(psi, string, coeff * cfg.delta_t)
-            assert np.allclose(out.state.amplitudes, psi.normalized().amplitudes, atol=1e-12)
+                theta = coeff * cfg.delta_t
+                psi = np.cos(theta) * psi - 1j * np.sin(theta) * (kron_of(string) @ psi)
+            psi = psi / np.linalg.norm(psi)
+            assert np.allclose(out.state.amplitudes, psi, atol=1e-12)
 
 class TestEvolve:
     def test_zero_generator_constant_trajectory(self):
@@ -514,12 +536,6 @@ class TestEvolve:
             )
             means[domain] = stats.mean
         assert means[4] >= means[2]
-
-    def test_measurement_count(self):
-        initial, terms, cfg = bs_setup(2, num_steps=3)
-        traj = evolve(initial, terms, cfg)
-        # One full-register term, odd-Y basis on 2 qubits has 6 strings.
-        assert traj.measurement_count == 3 * 6**2
 
     def test_trajectory_rows(self):
         initial, terms, cfg = bs_setup(2, num_steps=4)

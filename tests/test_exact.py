@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from oracles import dense_of_terms, random_pauli_sum_terms, taylor_expm_apply
+from oracles import decode_nonnegative, dense_of_terms, random_pauli_sum_terms, taylor_expm_apply
 from qnute.errors import CapacityError, DimensionMismatchError
 from qnute.evolution import QnuteConfig
 from qnute.exact import (
@@ -16,7 +16,7 @@ from qnute.exact import (
 from qnute.hamiltonian import BSParams, Grid, HamiltonianTerm, build_bs_pauli, split_terms
 from qnute.market import OptionContract, analytic_price, payoff_samples
 from qnute.pauli import PauliSum
-from qnute.statevector import ScaledState, StateVector, decode_nonnegative, encode_samples
+from qnute.statevector import ScaledState, StateVector, encode_samples
 
 PAPER_PARAMS = BSParams(r=0.04, sigma=0.2)
 
@@ -48,6 +48,11 @@ class TestExactStep:
         want = taylor_expm_apply(dense_of_terms(terms) * 0.05, psi.amplitudes)
         assert np.linalg.norm(out.amplitudes * norm - want) < 1e-12
         assert norm == pytest.approx(np.linalg.norm(want), abs=1e-12)
+
+    @pytest.mark.parametrize("symbols", ["X", "XYZ"])
+    def test_generator_on_wrong_register(self, symbols):
+        with pytest.raises(DimensionMismatchError):
+            exact_step(StateVector.basis(2, 0), PauliSum([(1.0, symbols)]), 0.1)
 
     def test_capacity_guard(self):
         with pytest.raises(CapacityError):

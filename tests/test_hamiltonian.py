@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from oracles import random_pauli_sum_terms
+from oracles import random_pauli_sum_terms, tridiagonal_dense
 from qnute.errors import DimensionMismatchError, InvalidDomainError, UnsupportedSizeError
 from qnute.hamiltonian import (
     BSParams,
@@ -59,7 +59,7 @@ class TestBsCoefficients:
     def test_row_sums(self):
         grid = Grid(10.0, 200.0, 3)
         t = bs_coefficients(grid, PAPER_PARAMS)
-        dense = t.to_dense().real
+        dense = tridiagonal_dense(t).real
         sums = dense.sum(axis=1)
         # Interior rows sum to -r by construction of gamma.
         assert np.allclose(sums[1:-1], -PAPER_PARAMS.r)
@@ -83,7 +83,7 @@ class TestLinearBoundary:
     def test_annihilates_constants_up_to_rate(self):
         grid = Grid(10.0, 150.0, 3)
         t = apply_linear_bc(bs_coefficients(grid, PAPER_PARAMS), grid, PAPER_PARAMS)
-        out = t.to_dense().real @ np.ones(grid.num_points)
+        out = tridiagonal_dense(t).real @ np.ones(grid.num_points)
         assert np.allclose(out, -PAPER_PARAMS.r)
 
 
@@ -128,7 +128,7 @@ class TestBuildBsPauli:
         if boundary == "linear":
             t = apply_linear_bc(t, grid, PAPER_PARAMS)
         got = dense_matrix(build_bs_pauli(grid, PAPER_PARAMS, boundary), n)
-        assert np.max(np.abs(got - t.to_dense())) < 1e-10
+        assert np.max(np.abs(got - tridiagonal_dense(t))) < 1e-10
 
     def test_linear_rows_carry_boundary_coefficients(self):
         grid = Grid(0.0, 150.0, 3)

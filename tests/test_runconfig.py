@@ -16,6 +16,15 @@ grid.n = 3
 schedule.N_T = 20
 """
 
+FLOAT_KEYS = (
+    "grid.x0",
+    "grid.xN",
+    "params.r",
+    "params.sigma",
+    "schedule.T",
+    "qnute.lstsq_rel_tol",
+)
+
 
 class TestParse:
     def test_defaults_are_paper_parameters(self):
@@ -75,6 +84,26 @@ class TestParse:
             parse_config("grid.x0 = 200\n")
         with pytest.raises(ConfigError, match="hamiltonian.boundary"):
             parse_config("hamiltonian.boundary = reflecting\n")
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("key", FLOAT_KEYS)
+    def test_non_finite_number(self, key, value):
+        with pytest.raises(ConfigError, match=f"{re.escape(key)}: expected a finite number"):
+            parse_config(f"{key} = {value}\n")
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("key", ["contract", "sweep.options"])
+    def test_non_finite_strike(self, key, value):
+        with pytest.raises(ConfigError, match=f"{key}: strikes must be positive and finite"):
+            parse_config(f"{key} = put:{value}\n")
+        with pytest.raises(ConfigError, match=f"{key}: strikes must be positive and finite"):
+            parse_config(f"{key} = strangle:50,{value}\n")
+
+    @pytest.mark.parametrize("value", ["0", "-2", "3,0"])
+    @pytest.mark.parametrize("key", ["sweep.n", "sweep.D"])
+    def test_sweep_entries_below_one(self, key, value):
+        with pytest.raises(ConfigError, match=f"{key}: entries must be at least 1"):
+            parse_config(f"sweep.options = call:75\n{key} = {value}\n")
 
 
 class TestSerialize:
