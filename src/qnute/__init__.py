@@ -16,7 +16,6 @@ from .errors import (
 )
 from .evolution import (
     QnuteConfig,
-    SigmaBasis,
     StepReport,
     Trajectory,
     evolve,

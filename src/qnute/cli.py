@@ -162,6 +162,8 @@ def cmd_fidelity_sweep(cfg: RunConfig, out_dir: Path) -> int:
                     print(f"warning: skipping D={domain} > n={n} for {spec}", file=sys.stderr)
                     continue
                 cells.append((spec, contract, n, domain))
+    if not cells:
+        raise ConfigError("sweep.D: every domain size exceeds every qubit count in sweep.n")
 
     # Cells are independent runs. Fork workers inherit the imported numpy and
     # scipy; the largest registers go first so they do not finish last.

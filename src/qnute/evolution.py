@@ -14,7 +14,6 @@ dropped from the minimal-norm solution.
 from __future__ import annotations
 
 import ctypes
-import itertools
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -29,24 +28,15 @@ from .errors import (
     StepSizeError,
 )
 from .hamiltonian import HamiltonianTerm
-from .pauli import (
-    SYMBOLS,
-    PauliString,
-    PauliSum,
-    dense_matrix,
-    string_action,
-)
+from .pauli import PauliSum, dense_matrix, gather_tables
 from .statevector import ScaledState, StateVector, fidelity
-
-BASIS_FULL = "full"
-BASIS_ODD_Y = "odd-y"
 
 # The c radicand must clear this before taking the square root.
 C_RADICAND_FLOOR = 1e-12
 
-# Largest stacked action arrays a basis may need (per basis string and
-# amplitude: an index, a complex phase and a rotation gain, 32 bytes odd-Y and
-# 40 bytes full); larger bases are refused.
+# Largest gather tables a basis may keep (per basis string and amplitude: an
+# index, a complex phase and a rotation gain, 32 bytes odd-Y and 40 bytes
+# full); larger bases are refused.
 BASIS_BYTES_LIMIT = 1 << 30
 
 # Sizes, in entries, of the fit factors V whose SVD runs on one OpenBLAS
@@ -98,50 +88,20 @@ class Trajectory:
     reports: list[StepReport]
 
 
-class SigmaBasis:
-    """Ordered rotation-generator strings over a contiguous qubit window."""
-
-    __slots__ = ("domain", "mode", "strings", "n", "_actions")
-
-    def __init__(self, domain: tuple[int, ...], mode: str, strings: tuple, n: int):
-        self.domain = domain
-        self.mode = mode
-        self.strings = strings
-        self.n = n
-        self._actions = None
-
-    @property
-    def size(self) -> int:
-        return len(self.strings)
-
-    def action_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Stacked gather indices, phases and rotation gains, one row per basis string.
-
-        The gain -i * phase is the factor of the sin term of a rotation.  On
-        an odd-Y basis every phase is +-i, so the gain is the real phase.imag.
-        """
-        if self._actions is None:
-            idx = np.empty((self.size, 1 << self.n), dtype=np.intp)
-            ph = np.empty((self.size, 1 << self.n), dtype=complex)
-            for i, s in enumerate(self.strings):
-                idx[i], ph[i] = string_action(s)
-            gain = ph.imag.copy() if self.mode == BASIS_ODD_Y else -1j * ph
-            self._actions = (idx, ph, gain)
-        return self._actions
-
-    def apply_all(self, vec: np.ndarray) -> np.ndarray:
-        """Matrix whose row I is string_I applied to vec."""
-        idx, ph, _ = self.action_arrays()
-        return ph * vec[idx]
-
-
 @lru_cache(maxsize=None)
-def sigma_basis(domain: tuple[int, ...], mode: str, n: int) -> SigmaBasis:
-    """All non-identity strings over the window (full), or those with odd Y count.
+def sigma_basis(
+    domain: tuple[int, ...], odd_y: bool, n: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Gather indices, phases and rotation gains of the fit strings, one row each.
 
-    Strings carry the identity on every qubit outside the window and are
-    ordered lexicographically.  A basis whose action arrays would exceed
-    BASIS_BYTES_LIMIT raises CapacityError before any string is built.
+    The strings are all non-identity strings over the window, or those with
+    an odd Y count, with the identity on every qubit outside it.  Rows are
+    the window's symbol codes (I, X, Y, Z = 0..3, first qubit most
+    significant) in ascending order, which is lexicographic string order.
+    Row I acts as sigma_I v = ph[I] * v[idx[I]].  The gain -i * ph is the
+    factor of the sin term of a rotation; on an odd-Y basis every phase is
+    +-i, so the gain is the real ph.imag.  A basis whose tables would exceed
+    BASIS_BYTES_LIMIT raises CapacityError before any table is built.
     """
     domain = tuple(sorted(domain))
     if not domain:
@@ -150,31 +110,22 @@ def sigma_basis(domain: tuple[int, ...], mode: str, n: int) -> SigmaBasis:
         raise InvalidDomainError(f"domain {domain} is outside a {n}-qubit register")
     if domain != tuple(range(domain[0], domain[-1] + 1)):
         raise InvalidDomainError(f"domain {domain} is not contiguous")
-    if mode not in (BASIS_FULL, BASIS_ODD_Y):
-        raise ValueError(f"unknown basis mode {mode!r}")
     width = len(domain)
-    if mode == BASIS_FULL:
-        size, entry_bytes = 4**width - 1, 40
-    else:
-        size, entry_bytes = (4**width - 2**width) // 2, 32
-    nbytes = size * (1 << n) * entry_bytes
+    size = (4**width - 2**width) // 2 if odd_y else 4**width - 1
+    nbytes = size * (1 << n) * (32 if odd_y else 40)
     if nbytes > BASIS_BYTES_LIMIT:
         raise CapacityError(
-            f"a {width}-qubit {mode} basis on {n} qubits has {size} strings whose "
-            f"action arrays need {nbytes} bytes, over the {BASIS_BYTES_LIMIT}-byte limit"
+            f"a {width}-qubit {'odd-y' if odd_y else 'full'} basis on {n} qubits has "
+            f"{size} strings whose gather tables need {nbytes} bytes, over the "
+            f"{BASIS_BYTES_LIMIT}-byte limit"
         )
-    strings = []
-    for local in itertools.product(SYMBOLS, repeat=width):
-        if all(ch == "I" for ch in local):
-            continue
-        if mode == BASIS_ODD_Y and local.count("Y") % 2 == 0:
-            continue
-        full = ["I"] * n
-        for q, ch in zip(domain, local):
-            full[q] = ch
-        strings.append(PauliString("".join(full)))
-    strings.sort()
-    return SigmaBasis(domain, mode, tuple(strings), n)
+    digits = (np.arange(1, 4**width)[:, None] >> np.arange(2 * width - 2, -1, -2)) & 3
+    if odd_y:
+        digits = digits[(digits == 2).sum(axis=1) % 2 == 1]
+    codes = np.zeros((size, n), dtype=np.int8)
+    codes[:, domain[0] : domain[-1] + 1] = digits
+    idx, ph = gather_tables(codes)
+    return idx, ph, (ph.imag.copy() if odd_y else -1j * ph)
 
 
 @lru_cache(maxsize=None)
@@ -298,16 +249,15 @@ def trotter_step(
     hpsi = _apply_generator(h_m, psi_in)
     c = _c_from(psi_in.amplitudes, hpsi, cfg.delta_t)
 
-    mode = BASIS_ODD_Y if (psi_in.is_real and h_m.has_real_matrix) else BASIS_FULL
-    basis = sigma_basis(tuple(sorted(term.support)), mode, psi_in.n)
-    rows = basis.apply_all(psi_in.amplitudes)
+    odd_y = psi_in.is_real and h_m.has_real_matrix
+    idx, ph, gain = sigma_basis(tuple(sorted(term.support)), odd_y, psi_in.n)
+    amp = psi_in.amplitudes
+    rows = ph * amp[idx]
     a, residual = _solve_gram_factor(rows, _b_from(rows, hpsi, c), cfg.lstsq_rel_tol)
 
     # A real state on an odd-Y basis rotates in real arithmetic, with the
     # same roundings as the complex loop; psi is made complex again before the
     # norm and the division, whose roundings would differ on a real array.
-    idx, _, gain = basis.action_arrays()
-    amp = psi_in.amplitudes
     psi = amp.copy() if amp.imag.any() else amp.real.copy()
     for theta, g, ix in zip((a * cfg.delta_t).tolist(), gain, idx):
         if theta == 0.0:

@@ -69,25 +69,30 @@ def multiply_strings(p: PauliString, q: PauliString) -> tuple[complex, PauliStri
     return phase, PauliString("".join(out))
 
 
-@lru_cache(maxsize=None)
+def gather_tables(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Gather form w = ph[r] * v[idx[r]] of the strings given as symbol codes.
+
+    ``codes[r, q]`` is the position in SYMBOLS of string r's symbol on qubit
+    q (I, X, Y, Z = 0, 1, 2, 3).  X and Y flip the source index's bit; the
+    phase multiplies in i * (-1)^bit for each Y and (-1)^bit for each Z, with
+    bit read from the source index, one qubit at a time in ascending order.
+    """
+    n = codes.shape[1]
+    flips = (codes == 1) | (codes == 2)
+    idx = np.arange(1 << n) ^ (flips @ (1 << np.arange(n - 1, -1, -1)))[:, None]
+    ph = np.ones(idx.shape, dtype=complex)
+    for q in range(n):
+        for symbol, unit in ((2, 1j), (3, 1)):
+            rows = np.flatnonzero(codes[:, q] == symbol)
+            if rows.size:
+                ph[rows] *= unit * (1 - 2 * ((idx[rows] >> (n - 1 - q)) & 1))
+    return idx, ph
+
+
 def string_action(s: PauliString) -> tuple[np.ndarray, np.ndarray]:
     """Gather representation of w = matrix(s) @ v as w = phases * v[indices]."""
-    n = len(s)
-    dim = 1 << n
-    k = np.arange(dim)
-    xmask = 0
-    phase = np.ones(dim, dtype=complex)
-    for i, ch in enumerate(s):
-        bit = (k >> (n - 1 - i)) & 1
-        if ch == "X":
-            xmask |= 1 << (n - 1 - i)
-        elif ch == "Y":
-            xmask |= 1 << (n - 1 - i)
-            phase = phase * (1j * (1 - 2 * bit))
-        elif ch == "Z":
-            phase = phase * (1 - 2 * bit)
-    src = k ^ xmask
-    return src, phase[src]
+    idx, ph = gather_tables(np.array([[SYMBOLS.index(ch) for ch in s]]))
+    return idx[0], ph[0]
 
 
 class PauliSum:

@@ -4,6 +4,7 @@ Everything here is built from literal 2x2 matrices and numpy primitives so
 the checks never route through the code under test.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -52,9 +53,60 @@ def random_pauli_sum_terms(rng, n: int, num_terms: int, real_coeffs: bool = Fals
     return terms
 
 
-def measure_S(state, basis) -> np.ndarray:
+def fit_strings(window, odd_y: bool, n: int) -> tuple[str, ...]:
+    """The fit basis as symbol strings, enumerated and sorted one by one.
+
+    All non-identity strings over the window, or those with an odd Y count,
+    with the identity on every other qubit, in lexicographic order.
+    """
+    strings = []
+    for local in itertools.product("IXYZ", repeat=len(window)):
+        if all(ch == "I" for ch in local):
+            continue
+        if odd_y and local.count("Y") % 2 == 0:
+            continue
+        full = ["I"] * n
+        for q, ch in zip(window, local):
+            full[q] = ch
+        strings.append("".join(full))
+    return tuple(sorted(strings))
+
+
+def string_gather(symbols: str) -> tuple[np.ndarray, np.ndarray]:
+    """Gather form w = ph * v[idx] of one string, by per-qubit phase products.
+
+    The arithmetic is the reference for the stepper's tables bit for bit,
+    signed zeros included.
+    """
+    n = len(symbols)
+    k = np.arange(1 << n)
+    xmask = 0
+    phase = np.ones(1 << n, dtype=complex)
+    for i, ch in enumerate(symbols):
+        bit = (k >> (n - 1 - i)) & 1
+        if ch in "XY":
+            xmask |= 1 << (n - 1 - i)
+        if ch == "Y":
+            phase = phase * (1j * (1 - 2 * bit))
+        elif ch == "Z":
+            phase = phase * (1 - 2 * bit)
+    src = k ^ xmask
+    return src, phase[src]
+
+
+def fit_tables(window, odd_y: bool, n: int):
+    """Gather indices, phases and rotation gains of the fit basis, string by string."""
+    strings = fit_strings(window, odd_y, n)
+    idx = np.empty((len(strings), 1 << n), dtype=np.intp)
+    ph = np.empty((len(strings), 1 << n), dtype=complex)
+    for i, s in enumerate(strings):
+        idx[i], ph[i] = string_gather(s)
+    return idx, ph, (ph.imag.copy() if odd_y else -1j * ph)
+
+
+def measure_S(state, strings) -> np.ndarray:
     """Overlap matrix S[I, J] = <psi| sigma_I sigma_J |psi> from dense strings."""
-    rows = np.array([kron_of(s) @ state.amplitudes for s in basis.strings])
+    rows = np.array([kron_of(s) @ state.amplitudes for s in strings])
     return np.conj(rows) @ rows.T
 
 

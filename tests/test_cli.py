@@ -108,10 +108,10 @@ class TestPrice:
 
     def test_basis_capacity_guard_exits_2(self, tmp_path, monkeypatch, capsys):
         # grid.n = 10 fits one odd-y basis over all 10 qubits: 523776 strings
-        # whose action arrays would need 17.2 GB; no string is ever built.
+        # whose tables would need 17.2 GB; the guard raises before any is built.
         monkeypatch.setattr(
-            "qnute.evolution.PauliString",
-            lambda _: pytest.fail("basis strings were enumerated"),
+            "qnute.evolution.gather_tables",
+            lambda _: pytest.fail("basis tables were built"),
         )
         cfg = write_config(tmp_path, PRICE_CONFIG.replace("grid.n = 3", "grid.n = 10"))
         assert main(["price", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
@@ -155,6 +155,17 @@ class TestFidelitySweep:
         assert "skipping D=4" in capsys.readouterr().err
         _, rows = read_csv(out / "fidelity.csv")
         assert len(rows) == 1
+
+    def test_no_runnable_cell_exits_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, SWEEP_CONFIG.replace("sweep.D = 2", "sweep.D = 3"))
+        out = tmp_path / "out"
+        assert main(["fidelity-sweep", "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err[0].startswith("warning: skipping D=3 > n=2")
+        assert err[-1] == (
+            "config error: sweep.D: every domain size exceeds every qubit count in sweep.n"
+        )
+        assert not (out / "fidelity.csv").exists()
 
     def test_empty_option_list_exits_2(self, tmp_path):
         cfg = write_config(tmp_path, "sweep.n = 2\nsweep.D = 2\n")

@@ -1,5 +1,6 @@
 """The fitted Trotter stepper: bases, measurements, solver, steps, trajectories."""
 
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -10,6 +11,8 @@ from hypothesis import strategies as st
 
 from oracles import (
     dense_of_terms,
+    fit_strings,
+    fit_tables,
     kron_of,
     measure_S,
     random_pauli_sum_terms,
@@ -67,9 +70,22 @@ def measure_c(psi, terms, delta_t):
     return _c_from(psi.amplitudes, dense_hpsi(psi, terms), delta_t)
 
 
-def measure_b(psi, basis, terms, c):
+def basis_rows(psi, window, odd_y):
+    """The stepper's fit rows sigma_I |psi>, gathered through its basis tables."""
+    idx, ph, _ = sigma_basis(window, odd_y, psi.n)
+    return ph * psi.amplitudes[idx]
+
+
+def measure_b(psi, window, odd_y, terms, c):
     """The stepper's b[I] = (-2/c) Im <psi| sigma_I h |psi> from its basis rows."""
-    return _b_from(basis.apply_all(psi.amplitudes), dense_hpsi(psi, terms), c)
+    return _b_from(basis_rows(psi, window, odd_y), dense_hpsi(psi, terms), c)
+
+
+def assert_tables_match_oracle(window, odd_y, n):
+    got = sigma_basis(window, odd_y, n)
+    for mine, want in zip(got, fit_tables(window, odd_y, n)):
+        assert mine.dtype == want.dtype and mine.shape == want.shape
+        assert mine.tobytes() == want.tobytes()
 
 
 def bs_setup(n, num_steps=500, domain_size=None, maturity=3.0):
@@ -85,59 +101,108 @@ def bs_setup(n, num_steps=500, domain_size=None, maturity=3.0):
     return encode_samples(payoff), terms, cfg
 
 
+def all_windows(max_n):
+    for n in range(1, max_n + 1):
+        for width in range(1, n + 1):
+            for first in range(n - width + 1):
+                yield tuple(range(first, first + width)), n
+
+
 class TestSigmaBasis:
     def test_full_single_qubit(self):
-        basis = sigma_basis((0,), "full", 1)
-        assert basis.strings == ("X", "Y", "Z")
+        assert fit_strings((0,), False, 1) == ("X", "Y", "Z")
+        assert_tables_match_oracle((0,), False, 1)
 
     def test_odd_y_single_qubit(self):
-        assert sigma_basis((0,), "odd-y", 1).strings == ("Y",)
+        assert fit_strings((0,), True, 1) == ("Y",)
+        assert_tables_match_oracle((0,), True, 1)
 
     def test_two_qubit_counts(self):
-        assert sigma_basis((0, 1), "full", 2).size == 15
-        assert sigma_basis((0, 1), "odd-y", 2).size == 6
+        for odd_y, size in ((False, 15), (True, 6)):
+            assert len(fit_strings((0, 1), odd_y, 2)) == size
+            assert all(a.shape == (size, 4) for a in sigma_basis((0, 1), odd_y, 2))
 
     def test_odd_y_two_qubit_strings(self):
-        got = set(sigma_basis((0, 1), "odd-y", 2).strings)
+        got = set(fit_strings((0, 1), True, 2))
         assert got == {"IY", "XY", "YI", "YX", "YZ", "ZY"}
+        assert_tables_match_oracle((0, 1), True, 2)
 
     def test_embedding_pads_identity(self):
-        basis = sigma_basis((1,), "full", 3)
-        assert basis.strings == ("IXI", "IYI", "IZI")
+        assert fit_strings((1,), False, 3) == ("IXI", "IYI", "IZI")
+        assert_tables_match_oracle((1,), False, 3)
 
     def test_deterministic_order(self):
-        strings = sigma_basis((0, 1), "full", 2).strings
+        # Row I of the tables is the I-th string in lexicographic order.
+        rng = np.random.default_rng(1)
+        psi = random_state(rng, 3)
+        strings = fit_strings((1, 2), False, 3)
         assert list(strings) == sorted(strings)
+        rows = basis_rows(psi, (1, 2), False)
+        for row, string in zip(rows, strings, strict=True):
+            assert np.allclose(row, kron_of(string) @ psi.amplitudes)
+
+    def test_tables_match_oracle_bitwise(self):
+        # Every window of up to six qubits, both bases: 112 tables.
+        cases = [(w, odd_y, n) for w, n in all_windows(6) for odd_y in (False, True)]
+        assert len(cases) == 112
+        for case in cases:
+            assert_tables_match_oracle(*case)
+
+    def test_eight_qubit_odd_y_tables_match_oracle_bitwise(self):
+        try:
+            assert_tables_match_oracle(tuple(range(8)), True, 8)
+        finally:
+            sigma_basis.cache_clear()
+
+    def test_tables_keep_only_their_bytes(self):
+        # The n = D = 6 odd-Y basis of the price-n6 run keeps its tables and
+        # nothing per string beside them.
+        sigma_basis.cache_clear()
+        tracemalloc.start()
+        try:
+            tables = sigma_basis(tuple(range(6)), True, 6)
+            kept, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert kept <= 1.1 * sum(a.nbytes for a in tables)
 
     def test_empty_domain(self):
         with pytest.raises(InvalidDomainError):
-            sigma_basis((), "full", 2)
+            sigma_basis((), False, 2)
 
     def test_non_contiguous_domain(self):
         with pytest.raises(InvalidDomainError):
-            sigma_basis((0, 2), "full", 3)
+            sigma_basis((0, 2), False, 3)
 
     def test_capacity_guard_before_enumeration(self, monkeypatch):
         # Odd-Y on 10 of 10 qubits: (4^10 - 2^10) / 2 strings x 2^10 x 32 bytes.
         monkeypatch.setattr(
-            "qnute.evolution.PauliString",
-            lambda _: pytest.fail("strings were enumerated"),
+            "qnute.evolution.gather_tables",
+            lambda _: pytest.fail("basis tables were built"),
         )
-        with pytest.raises(CapacityError, match=str(523776 * 1024 * 32)):
-            sigma_basis(tuple(range(10)), "odd-y", 10)
-        with pytest.raises(CapacityError):
-            sigma_basis(tuple(range(9)), "odd-y", 9)
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError, match=str(523776 * 1024 * 32)):
+                sigma_basis(tuple(range(10)), True, 10)
+            with pytest.raises(CapacityError):
+                sigma_basis(tuple(range(9)), True, 9)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_capacity_limit_admits_eight_qubits(self):
-        # The full basis at n = D = 8 needs 0.67 GB of action arrays.
-        assert sigma_basis(tuple(range(8)), "full", 8).size == 65535
+        # The full basis at n = D = 8 keeps 0.67 GB of tables.
+        try:
+            assert sigma_basis(tuple(range(8)), False, 8)[0].shape == (65535, 256)
+        finally:
+            sigma_basis.cache_clear()
 
     def test_apply_all_matches_dense(self):
         rng = np.random.default_rng(0)
-        basis = sigma_basis((0, 1), "full", 2)
         psi = random_state(rng, 2)
-        rows = basis.apply_all(psi.amplitudes)
-        for i, s in enumerate(basis.strings):
+        rows = basis_rows(psi, (0, 1), False)
+        for i, s in enumerate(fit_strings((0, 1), False, 2)):
             assert np.allclose(rows[i], kron_of(s) @ psi.amplitudes)
 
 
@@ -172,26 +237,23 @@ class TestMeasureC:
 
 class TestMeasureS:
     def test_zero_ket_full_basis(self):
-        basis = sigma_basis((0,), "full", 1)
-        S = measure_S(StateVector.basis(1, 0), basis)
+        S = measure_S(StateVector.basis(1, 0), fit_strings((0,), False, 1))
         want = np.array([[1, 1j, 0], [-1j, 1, 0], [0, 0, 1]], dtype=complex)
         assert np.allclose(S, want)
         assert np.allclose(S + S.T, 2.0 * np.eye(3))
 
     def test_unit_diagonal_and_hermitian(self):
         rng = np.random.default_rng(4)
-        basis = sigma_basis((0, 1), "full", 2)
-        S = measure_S(random_state(rng, 2), basis)
+        S = measure_S(random_state(rng, 2), fit_strings((0, 1), False, 2))
         assert np.allclose(np.diag(S), 1.0)
         assert np.max(np.abs(S - S.conj().T)) < 1e-12
 
     def test_gram_psd(self):
         # The stepper's factor V = [Re rows, Im rows] satisfies S + S^T = 2 V V^T.
         rng = np.random.default_rng(5)
-        basis = sigma_basis((0, 1), "full", 2)
         psi = random_state(rng, 2)
-        S = measure_S(psi, basis)
-        rows = basis.apply_all(psi.amplitudes)
+        S = measure_S(psi, fit_strings((0, 1), False, 2))
+        rows = basis_rows(psi, (0, 1), False)
         V = np.hstack([rows.real, rows.imag])
         assert np.allclose((S + S.T).real, 2.0 * V @ V.T)
         eigvals = np.linalg.eigvalsh((S + S.T).real)
@@ -200,16 +262,14 @@ class TestMeasureS:
 
 class TestMeasureB:
     def test_zero_generator(self):
-        basis = sigma_basis((0, 1), "odd-y", 2)
-        b = measure_b(StateVector.basis(2, 0), basis, [], 1.0)
+        b = measure_b(StateVector.basis(2, 0), (0, 1), True, [], 1.0)
         assert np.allclose(b, 0.0)
 
     def test_single_qubit_worked_value(self):
         # h = Z on |+> with basis {Y}: the dense oracle fixes b = -2/c.
         plus = StateVector(np.array([1.0, 1.0]) / np.sqrt(2.0))
-        basis = sigma_basis((0,), "odd-y", 1)
         c = measure_c(plus, [(1.0, "Z")], 0.01)
-        got = measure_b(plus, basis, [(1.0, "Z")], c)
+        got = measure_b(plus, (0,), True, [(1.0, "Z")], c)
         sandwich = np.vdot(plus.amplitudes, kron_of("Y") @ kron_of("Z") @ plus.amplitudes)
         want = (-2.0 / c) * sandwich.imag
         assert got[0] == pytest.approx(want)
@@ -217,13 +277,12 @@ class TestMeasureB:
 
     def test_random_matches_dense(self):
         rng = np.random.default_rng(6)
-        basis = sigma_basis((0, 1), "full", 2)
         psi = random_state(rng, 2)
         terms = random_pauli_sum_terms(rng, 2, 4)
         h_dense = dense_of_terms(terms)
         c = 0.97
-        got = measure_b(psi, basis, terms, c)
-        for i, s in enumerate(basis.strings):
+        got = measure_b(psi, (0, 1), False, terms, c)
+        for i, s in enumerate(fit_strings((0, 1), False, 2)):
             sandwich = np.vdot(psi.amplitudes, kron_of(s) @ h_dense @ psi.amplitudes)
             assert got[i] == pytest.approx((-2.0 / c) * sandwich.imag)
 
@@ -336,13 +395,13 @@ class TestRotationBits:
     """trotter_step's rotation loop against the complex-arithmetic oracle, bit for bit."""
 
     @staticmethod
-    def check(psi, term, mode, angles):
+    def check(psi, term, odd_y, angles):
         n = psi.n
         cfg = QnuteConfig(delta_t=0.01, num_steps=1, domain_size=n)
         a = np.array(angles)
         with mock.patch("qnute.evolution._solve_gram_factor", return_value=(a, 0.0)):
             out, report = trotter_step(ScaledState(psi, 1.0), term, cfg)
-        idx, ph, _ = sigma_basis(tuple(range(n)), mode, n).action_arrays()
+        idx, ph, _ = fit_tables(tuple(range(n)), odd_y, n)
         want, nrm = rotate_complex(psi.amplitudes, idx, ph, [x * cfg.delta_t for x in a])
         assert np.array_equal(out.state.amplitudes, want)
         assert out.scale == 1.0 * report.c * nrm
@@ -358,7 +417,7 @@ class TestRotationBits:
     @given(st.integers(2, 3), st.data())
     def test_real_state_odd_y(self, n, data):
         rng, angles = self.draw(data, n, (4**n - 2**n) // 2)
-        self.check(random_state(rng, n, real=True), _bs_term(n), "odd-y", angles)
+        self.check(random_state(rng, n, real=True), _bs_term(n), True, angles)
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(2, 3), st.booleans(), st.data())
@@ -367,7 +426,7 @@ class TestRotationBits:
         rng, angles = self.draw(data, n, 4**n - 1)
         h = PauliSum(random_pauli_sum_terms(rng, n, 4))
         term = HamiltonianTerm(h, frozenset(range(n)))
-        self.check(random_state(rng, n, real=real), term, "full", angles)
+        self.check(random_state(rng, n, real=real), term, False, angles)
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(2, 3), st.data())
@@ -377,7 +436,7 @@ class TestRotationBits:
         v = v + 1j * rng.uniform(-REAL_STATE_TOL, REAL_STATE_TOL, size=v.size)
         psi = StateVector(v)
         assert psi.is_real and np.any(psi.amplitudes.imag)
-        self.check(psi, _bs_term(n), "odd-y", angles)
+        self.check(psi, _bs_term(n), True, angles)
 
 
 class TestTrotterStep:
@@ -401,10 +460,9 @@ class TestTrotterStep:
         cfg = QnuteConfig(delta_t=0.005, num_steps=1, domain_size=2)
         term = HamiltonianTerm(h, frozenset({0, 1}))
         _, report = trotter_step(ScaledState(psi, 1.0), term, cfg)
-        basis = sigma_basis((0, 1), "full", 2)
         c = measure_c(psi, terms, cfg.delta_t)
-        S = measure_S(psi, basis)
-        b = measure_b(psi, basis, terms, c)
+        S = measure_S(psi, fit_strings((0, 1), False, 2))
+        b = measure_b(psi, (0, 1), False, terms, c)
         a, _ = solve_coefficients(S, b, cfg.lstsq_rel_tol)
         assert np.allclose(report.a, a, atol=1e-8)
 
@@ -453,10 +511,10 @@ class TestTrotterStep:
         for term in terms:
             out, report = trotter_step(initial, term, cfg)
             # Real payoff and real generator: odd-Y strings on the term's window.
-            basis = sigma_basis(tuple(sorted(term.support)), "odd-y", 4)
-            assert len(report.a) == basis.size
+            strings = fit_strings(tuple(sorted(term.support)), True, 4)
+            assert len(report.a) == len(strings)
             psi = initial.state.amplitudes
-            for string, coeff in zip(basis.strings, report.a):
+            for string, coeff in zip(strings, report.a):
                 theta = coeff * cfg.delta_t
                 psi = np.cos(theta) * psi - 1j * np.sin(theta) * (kron_of(string) @ psi)
             psi = psi / np.linalg.norm(psi)
