@@ -1,7 +1,8 @@
 """Command-line experiment harness: price curves, fidelity sweeps, operator dumps.
 
-Exit codes: 0 on success, 2 for configuration problems, 3 for numerical
-failures (step-size, singular fitting system, or boundary-protocol failure).
+Exit codes: 0 on success, 2 for a UsageError (a malformed or oversized
+request), 3 for a NumericalError (step size, singular fitting system, or
+boundary-protocol failure).
 """
 
 from __future__ import annotations
@@ -15,42 +16,16 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (
-    CapacityError,
-    ConfigError,
-    DegenerateInputError,
-    DimensionMismatchError,
-    InvalidDomainError,
-    ProtocolFailureError,
-    RescaleDegeneracyError,
-    SingularSystemError,
-    StepSizeError,
-    UnsupportedSizeError,
-)
-from .evolution import QnuteConfig, evolve, trajectory_rows
+from .errors import CapacityError, ConfigError, NumericalError, UsageError
+from .evolution import QnuteConfig, check_basis_size, evolve, trajectory_rows
 from .exact import exact_trajectory, fidelity_stats, reference_pde_solution
 from .hamiltonian import build_bs_pauli, split_terms
 from .market import analytic_price, format_contract_spec, payoff_samples, price_run
-from .pauli import dense_matrix, format_pauli_sum
+from .pauli import check_dense_size, dense_matrix, format_pauli_sum
 from .runconfig import RunConfig, parse_config
 from .statevector import encode_samples
 
 DECOMPOSE_QUBIT_LIMIT = 10
-
-_USAGE_ERRORS = (
-    ConfigError,
-    InvalidDomainError,
-    UnsupportedSizeError,
-    CapacityError,
-    DimensionMismatchError,
-)
-_NUMERICAL_ERRORS = (
-    StepSizeError,
-    SingularSystemError,
-    ProtocolFailureError,
-    RescaleDegeneracyError,
-    DegenerateInputError,
-)
 
 
 def _fmt(value: float) -> str:
@@ -70,8 +45,13 @@ def _qnute_config(cfg: RunConfig, domain_size: int) -> QnuteConfig:
         delta_t=cfg.maturity / cfg.num_steps,
         num_steps=cfg.num_steps,
         domain_size=domain_size,
-        lstsq_rel_tol=cfg.lstsq_rel_tol,
     )
+
+
+def _check_capacity(n: int, domain: int) -> None:
+    """Refuse a too-large (n, D) run up front; the CLI's real runs fit odd-Y bases."""
+    check_dense_size(n)
+    check_basis_size(domain, True, n)
 
 
 def cmd_price(cfg: RunConfig, out_dir: Path) -> int:
@@ -79,9 +59,7 @@ def cmd_price(cfg: RunConfig, out_dir: Path) -> int:
     params = cfg.params()
     domain = cfg.resolved_domain_size()
     if domain > cfg.n:
-        raise ConfigError(
-            f"qnute.domain_size: {domain} exceeds grid.n = {cfg.n}"
-        )
+        raise ConfigError(f"qnute.domain_size: {domain} exceeds grid.n = {cfg.n}")
     points = grid.points()
     samples = payoff_samples(cfg.contract, grid)
 
@@ -91,6 +69,7 @@ def cmd_price(cfg: RunConfig, out_dir: Path) -> int:
         rows = []
         delta_t = 0.0
     else:
+        _check_capacity(cfg.n, domain)
         qcfg = _qnute_config(cfg, domain)
         run = price_run(cfg.contract, grid, params, qcfg)
         qnute_prices = run.prices
@@ -164,6 +143,8 @@ def cmd_fidelity_sweep(cfg: RunConfig, out_dir: Path) -> int:
                 cells.append((spec, contract, n, domain))
     if not cells:
         raise ConfigError("sweep.D: every domain size exceeds every qubit count in sweep.n")
+    for _, _, n, domain in cells:
+        _check_capacity(n, domain)
 
     # Cells are independent runs. Fork workers inherit the imported numpy and
     # scipy; the largest registers go first so they do not finish last.
@@ -197,12 +178,9 @@ def cmd_decompose(cfg: RunConfig, out_dir: Path) -> int:
     pauli_path.write_text(format_pauli_sum(gen) + "\n", encoding="utf-8")
 
     dense = dense_matrix(gen, cfg.n)
-    rows = []
-    for i in range(dense.shape[0]):
-        for j in range(dense.shape[1]):
-            v = dense[i, j]
-            if v != 0:
-                rows.append((i, j, v.real, v.imag))
+    i, j = np.nonzero(dense)
+    values = dense[i, j]
+    rows = zip(i.tolist(), j.tolist(), values.real, values.imag)
     _write_csv(out_dir / "hamiltonian_dense.csv", "row,col,real,imag", rows)
     print(f"{len(gen)} Pauli terms")
     print(f"wrote {pauli_path} and {out_dir / 'hamiltonian_dense.csv'}")
@@ -238,10 +216,10 @@ def main(argv=None) -> int:
         out_dir = Path(os.environ.get("QNUTE_OUT") or args.out or cfg.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         return args.func(cfg, out_dir)
-    except _USAGE_ERRORS as exc:
+    except UsageError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except _NUMERICAL_ERRORS as exc:
+    except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
 

@@ -7,7 +7,7 @@ change is tracked by the scalar factor c = sqrt(1 + 2 dt Re<h_m>).
 
 The system is solved without forming S: with the rows sigma_I |psi> stacked
 as V = [Re rows, Im rows], S + S^T = 2 V V^T, so the SVD of V gives its
-eigenvalues 2 s^2, and those below lstsq_rel_tol times the largest are
+eigenvalues 2 s^2, and those below LSTSQ_REL_TOL times the largest are
 dropped from the minimal-norm solution.
 """
 
@@ -21,18 +21,16 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import (
-    CapacityError,
-    InvalidDomainError,
-    SingularSystemError,
-    StepSizeError,
-)
+from .errors import CapacityError, InvalidDomainError, SingularSystemError, StepSizeError
 from .hamiltonian import HamiltonianTerm
 from .pauli import PauliSum, dense_matrix, gather_tables
 from .statevector import ScaledState, StateVector, fidelity
 
 # The c radicand must clear this before taking the square root.
 C_RADICAND_FLOOR = 1e-12
+
+# Fit eigenvalues below this fraction of the largest are dropped.
+LSTSQ_REL_TOL = 1e-8
 
 # Largest gather tables a basis may keep (per basis string and amplitude: an
 # index, a complex phase and a rotation gain, 32 bytes odd-Y and 40 bytes
@@ -50,12 +48,11 @@ SERIAL_BLAS_MAX_ENTRIES = 1 << 20
 
 @dataclass(frozen=True)
 class QnuteConfig:
-    """Stepper settings: time step, step count, unitary domain and solver cutoff."""
+    """Stepper settings: time step, step count and unitary domain."""
 
     delta_t: float
     num_steps: int
     domain_size: int
-    lstsq_rel_tol: float = 1e-8
 
     def __post_init__(self):
         if not self.delta_t > 0.0:
@@ -64,10 +61,6 @@ class QnuteConfig:
             raise ValueError(f"num_steps must be non-negative, got {self.num_steps}")
         if self.domain_size < 1:
             raise ValueError(f"domain_size must be at least 1, got {self.domain_size}")
-        if not 0.0 < self.lstsq_rel_tol < 1.0:
-            raise ValueError(
-                f"lstsq_rel_tol must lie in (0, 1), got {self.lstsq_rel_tol}"
-            )
 
 
 @dataclass(frozen=True)
@@ -86,6 +79,19 @@ class Trajectory:
 
     states: list[ScaledState]
     reports: list[StepReport]
+
+
+def check_basis_size(width: int, odd_y: bool, n: int) -> int:
+    """String count of a width-qubit fit basis; CapacityError if over BASIS_BYTES_LIMIT."""
+    size = (4**width - 2**width) // 2 if odd_y else 4**width - 1
+    nbytes = size * (1 << n) * (32 if odd_y else 40)
+    if nbytes > BASIS_BYTES_LIMIT:
+        raise CapacityError(
+            f"a {width}-qubit {'odd-y' if odd_y else 'full'} basis on {n} qubits has "
+            f"{size} strings whose gather tables need {nbytes} bytes, over the "
+            f"{BASIS_BYTES_LIMIT}-byte limit"
+        )
+    return size
 
 
 @lru_cache(maxsize=None)
@@ -111,14 +117,7 @@ def sigma_basis(
     if domain != tuple(range(domain[0], domain[-1] + 1)):
         raise InvalidDomainError(f"domain {domain} is not contiguous")
     width = len(domain)
-    size = (4**width - 2**width) // 2 if odd_y else 4**width - 1
-    nbytes = size * (1 << n) * (32 if odd_y else 40)
-    if nbytes > BASIS_BYTES_LIMIT:
-        raise CapacityError(
-            f"a {width}-qubit {'odd-y' if odd_y else 'full'} basis on {n} qubits has "
-            f"{size} strings whose gather tables need {nbytes} bytes, over the "
-            f"{BASIS_BYTES_LIMIT}-byte limit"
-        )
+    size = check_basis_size(width, odd_y, n)
     digits = (np.arange(1, 4**width)[:, None] >> np.arange(2 * width - 2, -1, -2)) & 3
     if odd_y:
         digits = digits[(digits == 2).sum(axis=1) % 2 == 1]
@@ -253,7 +252,7 @@ def trotter_step(
     idx, ph, gain = sigma_basis(tuple(sorted(term.support)), odd_y, psi_in.n)
     amp = psi_in.amplitudes
     rows = ph * amp[idx]
-    a, residual = _solve_gram_factor(rows, _b_from(rows, hpsi, c), cfg.lstsq_rel_tol)
+    a, residual = _solve_gram_factor(rows, _b_from(rows, hpsi, c), LSTSQ_REL_TOL)
 
     # A real state on an odd-Y basis rotates in real arithmetic, with the
     # same roundings as the complex loop; psi is made complex again before the

@@ -222,7 +222,8 @@ def ladder_power(op: LadderOp, n: int) -> PauliSum:
     return out
 
 
-def _check_dense_size(n: int) -> None:
+def check_dense_size(n: int) -> None:
+    """Raise CapacityError when a dense n-qubit matrix exceeds DENSE_QUBIT_GUARD."""
     if n > DENSE_QUBIT_GUARD:
         raise CapacityError(
             f"dense realization of {n} qubits exceeds the {DENSE_QUBIT_GUARD}-qubit guard"
@@ -231,7 +232,7 @@ def _check_dense_size(n: int) -> None:
 
 def dense_matrix(s: PauliSum, n: int) -> np.ndarray:
     """Dense 2^n x 2^n realization of a Pauli sum."""
-    _check_dense_size(n)
+    check_dense_size(n)
     if s.num_qubits not in (None, n):
         raise DimensionMismatchError(
             f"sum acts on {s.num_qubits} qubits, dense realization asked for {n}"
@@ -253,7 +254,7 @@ def decompose_dense(m: np.ndarray) -> PauliSum:
     n = dim.bit_length() - 1
     if dim != 1 << n or dim < 2:
         raise DimensionMismatchError(f"matrix dimension {dim} is not a power of two")
-    _check_dense_size(n)
+    check_dense_size(n)
     rows = np.arange(dim)
     terms = []
     for symbols in itertools.product(SYMBOLS, repeat=n):

@@ -23,7 +23,6 @@ class RunConfig:
     maturity: float = 3.0
     num_steps: int = 500
     domain_size: int | None = None  # defaults to n
-    lstsq_rel_tol: float = 1e-8
     boundary: str = CENTRAL
     sweep_options: tuple[OptionContract, ...] = ()
     sweep_n: tuple[int, ...] = ()
@@ -52,10 +51,9 @@ def _parse_float(key: str, value: str) -> float:
 
 def _parse_int(key: str, value: str) -> int:
     try:
-        out = int(value)
+        return int(value)
     except ValueError:
         raise ConfigError(f"{key}: expected an integer, got {value!r}") from None
-    return out
 
 
 def _parse_int_list(key: str, value: str) -> tuple[int, ...]:
@@ -69,22 +67,39 @@ def _parse_contract(key: str, value: str) -> OptionContract:
         raise ConfigError(f"{key}: {exc}") from None
 
 
-_KEY_PARSERS = {
-    "contract": ("contract", _parse_contract),
-    "grid.x0": ("x0", _parse_float),
-    "grid.xN": ("xN", _parse_float),
-    "grid.n": ("n", _parse_int),
-    "params.r": ("r", _parse_float),
-    "params.sigma": ("sigma", _parse_float),
-    "schedule.T": ("maturity", _parse_float),
-    "schedule.N_T": ("num_steps", _parse_int),
-    "qnute.domain_size": ("domain_size", _parse_int),
-    "qnute.lstsq_rel_tol": ("lstsq_rel_tol", _parse_float),
-    "hamiltonian.boundary": ("boundary", lambda k, v: v.strip()),
-    "sweep.options": ("sweep_options", None),  # ';'-separated specs, handled inline
-    "sweep.n": ("sweep_n", _parse_int_list),
-    "sweep.D": ("sweep_D", _parse_int_list),
-    "output.dir": ("out_dir", lambda k, v: v.strip()),
+def _parse_contract_list(key: str, value: str) -> tuple[OptionContract, ...]:
+    # Contract specs contain commas; option lists are separated by ';'.
+    return tuple(_parse_contract(key, item.strip()) for item in value.split(";") if item.strip())
+
+
+def _format_float(value: float) -> str:
+    return f"{value:.12g}"
+
+
+def _format_int_list(values: tuple[int, ...]) -> str:
+    return ",".join(str(v) for v in values)
+
+
+# Every key, in canonical order: its RunConfig field, parser and formatter.
+_KEYS = {
+    "contract": ("contract", _parse_contract, format_contract_spec),
+    "grid.x0": ("x0", _parse_float, _format_float),
+    "grid.xN": ("xN", _parse_float, _format_float),
+    "grid.n": ("n", _parse_int, str),
+    "params.r": ("r", _parse_float, _format_float),
+    "params.sigma": ("sigma", _parse_float, _format_float),
+    "schedule.T": ("maturity", _parse_float, _format_float),
+    "schedule.N_T": ("num_steps", _parse_int, str),
+    "qnute.domain_size": ("domain_size", _parse_int, str),
+    "hamiltonian.boundary": ("boundary", lambda k, v: v, str),
+    "sweep.options": (
+        "sweep_options",
+        _parse_contract_list,
+        lambda cs: "; ".join(format_contract_spec(c) for c in cs),
+    ),
+    "sweep.n": ("sweep_n", _parse_int_list, _format_int_list),
+    "sweep.D": ("sweep_D", _parse_int_list, _format_int_list),
+    "output.dir": ("out_dir", lambda k, v: v, str),
 }
 
 
@@ -106,10 +121,6 @@ def _validate(cfg: RunConfig) -> RunConfig:
     for key, values in (("sweep.n", cfg.sweep_n), ("sweep.D", cfg.sweep_D)):
         if any(v < 1 for v in values):
             raise ConfigError(f"{key}: entries must be at least 1, got {values}")
-    if not 0.0 < cfg.lstsq_rel_tol < 1.0:
-        raise ConfigError(
-            f"qnute.lstsq_rel_tol: must lie in (0, 1), got {cfg.lstsq_rel_tol}"
-        )
     if cfg.boundary not in (CENTRAL, LINEAR):
         raise ConfigError(
             f"hamiltonian.boundary: expected central or linear, got {cfg.boundary!r}"
@@ -130,46 +141,25 @@ def parse_config(text: str) -> RunConfig:
         value = value.strip()
         if not sep or not key:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
-        if key not in _KEY_PARSERS:
+        if key not in _KEYS:
             raise ConfigError(f"line {lineno}: unknown configuration key {key!r}")
         if key in seen:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         seen.add(key)
-        attr, parser = _KEY_PARSERS[key]
-        if key == "sweep.options":
-            # Contract specs contain commas; option lists are separated by ';'.
-            specs = [item.strip() for item in value.split(";")]
-            values[attr] = tuple(
-                _parse_contract(key, item) for item in specs if item
-            )
-        else:
-            values[attr] = parser(key, value)
+        attr, parser, _ = _KEYS[key]
+        values[attr] = parser(key, value)
     return _validate(replace(RunConfig(), **values))
 
 
 def serialize_config(cfg: RunConfig) -> str:
-    """Canonical text form: every key in fixed order, floats to 12 significant digits."""
-    lines = [
-        f"contract = {format_contract_spec(cfg.contract)}",
-        f"grid.x0 = {cfg.x0:.12g}",
-        f"grid.xN = {cfg.xN:.12g}",
-        f"grid.n = {cfg.n}",
-        f"params.r = {cfg.r:.12g}",
-        f"params.sigma = {cfg.sigma:.12g}",
-        f"schedule.T = {cfg.maturity:.12g}",
-        f"schedule.N_T = {cfg.num_steps}",
-        f"qnute.domain_size = {cfg.resolved_domain_size()}",
-        f"qnute.lstsq_rel_tol = {cfg.lstsq_rel_tol:.12g}",
-        f"hamiltonian.boundary = {cfg.boundary}",
-    ]
-    if cfg.sweep_options:
-        lines.append(
-            "sweep.options = "
-            + "; ".join(format_contract_spec(c) for c in cfg.sweep_options)
-        )
-    if cfg.sweep_n:
-        lines.append("sweep.n = " + ",".join(str(v) for v in cfg.sweep_n))
-    if cfg.sweep_D:
-        lines.append("sweep.D = " + ",".join(str(v) for v in cfg.sweep_D))
-    lines.append(f"output.dir = {cfg.out_dir}")
+    """Canonical text form: every key in fixed order, floats to 12 significant digits.
+
+    Empty sweep lists are left out; qnute.domain_size is the resolved size.
+    """
+    cfg = replace(cfg, domain_size=cfg.resolved_domain_size())
+    lines = []
+    for key, (attr, _, fmt) in _KEYS.items():
+        value = getattr(cfg, attr)
+        if value != ():
+            lines.append(f"{key} = {fmt(value)}")
     return "\n".join(lines) + "\n"

@@ -13,7 +13,7 @@ import qnute
 import qnute.cli
 from oracles import tridiagonal_dense
 from qnute.cli import _fmt, _sweep_one, build_parser, main
-from qnute.errors import QnuteError, StepSizeError
+from qnute.errors import NumericalError, QnuteError, StepSizeError, UsageError
 from qnute.hamiltonian import BSParams, Grid, bs_coefficients
 from qnute.market import OptionContract, format_contract_spec, payoff_samples
 from qnute.runconfig import parse_config
@@ -84,7 +84,9 @@ class TestPrice:
         cfg = write_config(tmp_path, PRICE_CONFIG + "qnute.domain_size = 5\n")
         assert main(["price", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
 
-    @pytest.mark.parametrize("key", ["qnute.basis_mode", "qnute.term_strategy"])
+    @pytest.mark.parametrize(
+        "key", ["qnute.basis_mode", "qnute.term_strategy", "qnute.lstsq_rel_tol"]
+    )
     def test_removed_key_exits_2(self, tmp_path, capsys, key):
         cfg = write_config(tmp_path, PRICE_CONFIG + f"{key} = auto\n")
         assert main(["price", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
@@ -116,6 +118,22 @@ class TestPrice:
         cfg = write_config(tmp_path, PRICE_CONFIG.replace("grid.n = 3", "grid.n = 10"))
         assert main(["price", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         assert f"need {523776 * 1024 * 32} bytes" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "n, message",
+        [
+            (15, "dense realization of 15 qubits exceeds the 14-qubit guard"),
+            (12, f"need {(4**12 - 2**12) // 2 * 4096 * 32} bytes"),
+        ],
+    )
+    def test_oversized_run_exits_2_before_building(self, tmp_path, monkeypatch, capsys, n, message):
+        monkeypatch.setattr(
+            "qnute.market.build_bs_pauli", lambda *_: pytest.fail("the generator was built")
+        )
+        cfg = write_config(tmp_path, PRICE_CONFIG.replace("grid.n = 3", f"grid.n = {n}"))
+        assert main(["price", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "o" / "prices.csv").exists()
 
     def test_env_var_overrides_out(self, tmp_path, monkeypatch):
         cfg = write_config(tmp_path, PRICE_CONFIG.replace("N_T = 20", "N_T = 0"))
@@ -165,6 +183,19 @@ class TestFidelitySweep:
         assert err[-1] == (
             "config error: sweep.D: every domain size exceeds every qubit count in sweep.n"
         )
+        assert not (out / "fidelity.csv").exists()
+
+    def test_oversized_cell_exits_2_before_any_worker(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(qnute.cli, "_sweep_one", lambda *_: pytest.fail("a cell ran"))
+        monkeypatch.setattr(
+            qnute.cli, "ProcessPoolExecutor", lambda *_, **__: pytest.fail("a worker started")
+        )
+        cfg = write_config(tmp_path, SWEEP_CONFIG.replace("sweep.n = 2", "sweep.n = 2,15"))
+        out = tmp_path / "out"
+        assert main(["fidelity-sweep", "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "config error: dense realization of 15 qubits exceeds the 14-qubit guard"
+        ]
         assert not (out / "fidelity.csv").exists()
 
     def test_empty_option_list_exits_2(self, tmp_path):
@@ -301,13 +332,51 @@ def _child_env():
     return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, pythonpath)))
 
 
-def test_errors_survive_pickle():
-    def subclasses(cls):
-        for sub in cls.__subclasses__():
-            yield sub
-            yield from subclasses(sub)
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
 
-    for cls in (QnuteError, *subclasses(QnuteError)):
+
+# Exit code of every concrete error: 2 for a usage error, 3 for a numerical one.
+EXIT_CODES = {
+    "CapacityError": 2,
+    "ConfigError": 2,
+    "DimensionMismatchError": 2,
+    "InvalidDomainError": 2,
+    "UnsupportedSizeError": 2,
+    "DegenerateInputError": 3,
+    "ProtocolFailureError": 3,
+    "RescaleDegeneracyError": 3,
+    "SingularSystemError": 3,
+    "StepSizeError": 3,
+}
+CONCRETE_ERRORS = [
+    cls for cls in _subclasses(QnuteError) if cls not in (UsageError, NumericalError)
+]
+
+
+def test_every_concrete_error_has_an_exit_code():
+    assert sorted(cls.__name__ for cls in CONCRETE_ERRORS) == sorted(EXIT_CODES)
+
+
+@pytest.mark.parametrize("cls", CONCRETE_ERRORS, ids=lambda cls: cls.__name__)
+def test_error_exit_code(tmp_path, monkeypatch, capsys, cls):
+    assert issubclass(cls, UsageError) != issubclass(cls, NumericalError)
+    code, prefix = (2, "config error") if issubclass(cls, UsageError) else (3, "numerical failure")
+    assert code == EXIT_CODES[cls.__name__]
+
+    def fail(cfg, out_dir):
+        raise cls("what failed")
+
+    monkeypatch.setattr(qnute.cli, "cmd_price", fail)
+    cfg = write_config(tmp_path, PRICE_CONFIG)
+    assert main(["price", "--config", cfg, "--out", str(tmp_path / "o")]) == code
+    assert capsys.readouterr().err == f"{prefix}: what failed\n"
+
+
+def test_errors_survive_pickle():
+    for cls in (QnuteError, *_subclasses(QnuteError)):
         copy = pickle.loads(pickle.dumps(cls("what failed and where")))
         assert type(copy) is cls
         assert str(copy) == "what failed and where"

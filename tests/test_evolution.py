@@ -27,6 +27,7 @@ from qnute.errors import (
     StepSizeError,
 )
 from qnute.evolution import (
+    LSTSQ_REL_TOL,
     SERIAL_BLAS_MAX_ENTRIES,
     SERIAL_BLAS_MIN_ENTRIES,
     QnuteConfig,
@@ -463,7 +464,7 @@ class TestTrotterStep:
         c = measure_c(psi, terms, cfg.delta_t)
         S = measure_S(psi, fit_strings((0, 1), False, 2))
         b = measure_b(psi, (0, 1), False, terms, c)
-        a, _ = solve_coefficients(S, b, cfg.lstsq_rel_tol)
+        a, _ = solve_coefficients(S, b, LSTSQ_REL_TOL)
         assert np.allclose(report.a, a, atol=1e-8)
 
     def test_norm_preserved_and_scale_accumulates(self):
@@ -613,5 +614,3 @@ class TestQnuteConfig:
             QnuteConfig(delta_t=0.1, num_steps=-1, domain_size=1)
         with pytest.raises(ValueError):
             QnuteConfig(delta_t=0.1, num_steps=1, domain_size=0)
-        with pytest.raises(ValueError):
-            QnuteConfig(delta_t=0.1, num_steps=1, domain_size=1, lstsq_rel_tol=2.0)

@@ -22,7 +22,6 @@ FLOAT_KEYS = (
     "params.r",
     "params.sigma",
     "schedule.T",
-    "qnute.lstsq_rel_tol",
 )
 
 
@@ -59,7 +58,12 @@ class TestParse:
     def test_unknown_key(self):
         with pytest.raises(ConfigError, match="unknown configuration key"):
             parse_config("grid.m = 3\n")
-        for key in ("output.formats", "qnute.basis_mode", "qnute.term_strategy"):
+        for key in (
+            "output.formats",
+            "qnute.basis_mode",
+            "qnute.term_strategy",
+            "qnute.lstsq_rel_tol",
+        ):
             with pytest.raises(ConfigError, match=f"unknown configuration key '{key}'"):
                 parse_config(f"{key} = auto\n")
 
@@ -78,8 +82,6 @@ class TestParse:
             parse_config("contract = call:\n")
         with pytest.raises(ConfigError, match="params.sigma"):
             parse_config("params.sigma = -1\n")
-        with pytest.raises(ConfigError, match="qnute.lstsq_rel_tol"):
-            parse_config("qnute.lstsq_rel_tol = 2\n")
         with pytest.raises(ConfigError, match="grid.x0"):
             parse_config("grid.x0 = 200\n")
         with pytest.raises(ConfigError, match="hamiltonian.boundary"):
@@ -123,6 +125,24 @@ class TestSerialize:
             "output.dir =",
         ):
             assert key in text
+
+    def test_every_key_pinned(self):
+        text = """contract = strangle:50.5,100
+grid.x0 = 1.25
+grid.xN = 140
+grid.n = 5
+params.r = 0.035
+params.sigma = 0.3
+schedule.T = 1.5
+schedule.N_T = 250
+qnute.domain_size = 3
+hamiltonian.boundary = linear
+sweep.options = call:75; put:65; bull-spread:60,90
+sweep.n = 3,4,5
+sweep.D = 2,3
+output.dir = runs/out
+"""
+        assert serialize_config(parse_config(text)) == text
 
     def test_sweep_keys_preserved(self):
         cfg = parse_config("sweep.options = put:75\nsweep.n = 2\nsweep.D = 2\n")
