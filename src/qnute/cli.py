@@ -15,9 +15,10 @@ from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
+from scipy.linalg import _fblas
 
-from .errors import CapacityError, ConfigError, NumericalError, UsageError
-from .evolution import QnuteConfig, check_basis_size, evolve, trajectory_rows
+from .errors import CapacityError, ConfigError, NumericalError, UnsupportedSizeError, UsageError
+from .evolution import QnuteConfig, _openblas_threads, check_basis_size, evolve, trajectory_rows
 from .exact import exact_trajectory, fidelity_stats, reference_pde_solution
 from .hamiltonian import build_bs_pauli, split_terms
 from .market import analytic_price, format_contract_spec, payoff_samples, price_run
@@ -48,8 +49,14 @@ def _qnute_config(cfg: RunConfig, domain_size: int) -> QnuteConfig:
     )
 
 
-def _check_capacity(n: int, domain: int) -> None:
-    """Refuse a too-large (n, D) run up front; the CLI's real runs fit odd-Y bases."""
+def _check_capacity(key: str, n: int, domain: int) -> None:
+    """Refuse an (n, D) run up front that cannot run or is too large.
+
+    The CLI evolves the linear-boundary generator, which needs two qubits,
+    and its real runs fit odd-Y bases; key names the qubit count's config key.
+    """
+    if n < 2:
+        raise UnsupportedSizeError(f"{key}: linear boundary mode requires n >= 2 qubits, got {n}")
     check_dense_size(n)
     check_basis_size(domain, True, n)
 
@@ -69,7 +76,7 @@ def cmd_price(cfg: RunConfig, out_dir: Path) -> int:
         rows = []
         delta_t = 0.0
     else:
-        _check_capacity(cfg.n, domain)
+        _check_capacity("grid.n", cfg.n, domain)
         qcfg = _qnute_config(cfg, domain)
         run = price_run(cfg.contract, grid, params, qcfg)
         qnute_prices = run.prices
@@ -115,6 +122,20 @@ def _sweep_cell(cfg: RunConfig, contract, n: int, domain: int):
     return _sweep_one(cfg, contract, n, domain)
 
 
+def _one_scipy_blas_thread() -> None:
+    """Pool initializer, pickled by name: scipy's OpenBLAS on one thread.
+
+    A worker's only scipy BLAS calls are the expm of exact.step_propagator,
+    each of which would otherwise wake a helper thread that spins beside the
+    other workers.  numpy's OpenBLAS is left alone: setting it would start
+    its thread pool, which sweep-sized fits never start.
+    """
+    threads = _openblas_threads(_fblas)
+    if threads is not None:
+        _, put = threads
+        put(1)
+
+
 def _cpu_count() -> int:
     try:
         return len(os.sched_getaffinity(0))
@@ -144,7 +165,7 @@ def cmd_fidelity_sweep(cfg: RunConfig, out_dir: Path) -> int:
     if not cells:
         raise ConfigError("sweep.D: every domain size exceeds every qubit count in sweep.n")
     for _, _, n, domain in cells:
-        _check_capacity(n, domain)
+        _check_capacity("sweep.n", n, domain)
 
     # Cells are independent runs. Fork workers inherit the imported numpy and
     # scipy; the largest registers go first so they do not finish last.
@@ -152,7 +173,11 @@ def cmd_fidelity_sweep(cfg: RunConfig, out_dir: Path) -> int:
         "fork" if "fork" in multiprocessing.get_all_start_methods() else None
     )
     order = sorted(range(len(cells)), key=lambda i: cells[i][2:], reverse=True)
-    pool = ProcessPoolExecutor(max_workers=min(_cpu_count(), len(cells)) or 1, mp_context=context)
+    pool = ProcessPoolExecutor(
+        max_workers=min(_cpu_count(), len(cells)) or 1,
+        mp_context=context,
+        initializer=_one_scipy_blas_thread,
+    )
     try:
         futures = {i: pool.submit(_sweep_cell, cfg, *cells[i][1:]) for i in order}
         # Reading in config order raises the first failing cell's error, as a

@@ -26,6 +26,11 @@ from .hamiltonian import HamiltonianTerm
 from .pauli import PauliSum, dense_matrix, gather_tables
 from .statevector import ScaledState, StateVector, fidelity
 
+try:
+    from numpy._core import _multiarray_umath
+except ImportError:  # numpy < 2
+    from numpy.core import _multiarray_umath
+
 # The c radicand must clear this before taking the square root.
 C_RADICAND_FLOOR = 1e-12
 
@@ -37,8 +42,9 @@ LSTSQ_REL_TOL = 1e-8
 # full); larger bases are refused.
 BASIS_BYTES_LIMIT = 1 << 30
 
-# Sizes, in entries, of the fit factors V whose SVD runs on one OpenBLAS
-# thread.  On a 2-core host one thread is faster in this range (2016 x 128:
+# Sizes, in entries, of the fit factors V whose step (generator matvec, fit
+# solve and exact-step diagnostic) runs on one numpy OpenBLAS thread.  The SVD
+# sets the range: on a 2-core host one thread is faster in it (2016 x 128:
 # 22 vs 42 ms) and threads pay off above it (32640 x 512: 2.8 vs 2.0 s).
 # Below it the SVD never starts a BLAS thread, so pinning would only make a
 # forked sweep worker start OpenBLAS's thread pool, which spins ~0.1 s.
@@ -150,18 +156,15 @@ def _b_from(rows: np.ndarray, hpsi: np.ndarray, c: float) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _openblas_threads():
-    """numpy's OpenBLAS (get, set) thread-count functions, or None under another BLAS.
+def _openblas_threads(module=_multiarray_umath):
+    """OpenBLAS (get, set) thread-count functions of an extension module, or None.
 
-    They are looked up through numpy's extension module, whose dependencies
-    dlsym also searches.
+    They are looked up through the module's shared library, whose
+    dependencies dlsym also searches: numpy's by default, scipy's through
+    scipy.linalg._fblas.  Under another BLAS the lookup returns None.
     """
-    try:
-        from numpy._core import _multiarray_umath
-    except ImportError:  # numpy < 2
-        from numpy.core import _multiarray_umath
-    lib = ctypes.CDLL(_multiarray_umath.__file__)
-    for prefix, suffix in (("scipy_openblas_", "64_"), ("openblas_", "")):
+    lib = ctypes.CDLL(module.__file__)
+    for prefix, suffix in (("scipy_openblas_", "64_"), ("scipy_openblas_", ""), ("openblas_", "")):
         get = getattr(lib, f"{prefix}get_num_threads{suffix}", None)
         put = getattr(lib, f"{prefix}set_num_threads{suffix}", None)
         if get is not None and put is not None:
@@ -237,7 +240,8 @@ def trotter_step(
     carries the solved angles, the linear-system residual, and the fidelity
     against the exactly evolved and normalized step on the same input state.
     A term whose support is wider than cfg.domain_size raises
-    InvalidDomainError.
+    InvalidDomainError.  For a fit factor of serial size the whole step runs
+    on one OpenBLAS thread (see _serial_blas).
     """
     psi_in = state.state
     h_m = term.pauli
@@ -245,36 +249,37 @@ def trotter_step(
         raise InvalidDomainError(
             f"term on {len(term.support)} qubits exceeds domain_size {cfg.domain_size}"
         )
-    hpsi = _apply_generator(h_m, psi_in)
-    c = _c_from(psi_in.amplitudes, hpsi, cfg.delta_t)
-
     odd_y = psi_in.is_real and h_m.has_real_matrix
     idx, ph, gain = sigma_basis(tuple(sorted(term.support)), odd_y, psi_in.n)
     amp = psi_in.amplitudes
-    rows = ph * amp[idx]
-    a, residual = _solve_gram_factor(rows, _b_from(rows, hpsi, c), LSTSQ_REL_TOL)
+    # The fit factor V = [Re rows, Im rows] has 2 * idx.size entries.
+    with _serial_blas(2 * idx.size):
+        hpsi = _apply_generator(h_m, psi_in)
+        c = _c_from(amp, hpsi, cfg.delta_t)
+        rows = ph * amp[idx]
+        a, residual = _solve_gram_factor(rows, _b_from(rows, hpsi, c), LSTSQ_REL_TOL)
 
-    # A real state on an odd-Y basis rotates in real arithmetic, with the
-    # same roundings as the complex loop; psi is made complex again before the
-    # norm and the division, whose roundings would differ on a real array.
-    psi = amp.copy() if amp.imag.any() else amp.real.copy()
-    for theta, g, ix in zip((a * cfg.delta_t).tolist(), gain, idx):
-        if theta == 0.0:
-            continue
-        psi = math.cos(theta) * psi + math.sin(theta) * (g * psi[ix])
-    psi = psi.astype(complex, copy=False)
-    nrm = float(np.linalg.norm(psi))
-    psi_out = StateVector(psi / nrm)
+        # A real state on an odd-Y basis rotates in real arithmetic, with the
+        # same roundings as the complex loop; psi is made complex again before the
+        # norm and the division, whose roundings would differ on a real array.
+        psi = amp.copy() if amp.imag.any() else amp.real.copy()
+        for theta, g, ix in zip((a * cfg.delta_t).tolist(), gain, idx):
+            if theta == 0.0:
+                continue
+            psi = math.cos(theta) * psi + math.sin(theta) * (g * psi[ix])
+        psi = psi.astype(complex, copy=False)
+        nrm = float(np.linalg.norm(psi))
+        psi_out = StateVector(psi / nrm)
 
-    from .exact import exact_step
+        from .exact import exact_step
 
-    exact_out, _ = exact_step(psi_in, h_m, cfg.delta_t)
-    report = StepReport(
-        c=c,
-        a=a,
-        residual=residual,
-        step_fidelity=fidelity(psi_out, exact_out),
-    )
+        exact_out, _ = exact_step(psi_in, h_m, cfg.delta_t)
+        report = StepReport(
+            c=c,
+            a=a,
+            residual=residual,
+            step_fidelity=fidelity(psi_out, exact_out),
+        )
     return ScaledState(psi_out, state.scale * c * nrm), report
 
 

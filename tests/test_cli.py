@@ -1,5 +1,6 @@
 """Command-line harness: artifacts, exit codes, and determinism."""
 
+import multiprocessing
 import os
 import pickle
 import subprocess
@@ -8,12 +9,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.linalg import _fblas
 
 import qnute
 import qnute.cli
 from oracles import tridiagonal_dense
 from qnute.cli import _fmt, _sweep_one, build_parser, main
 from qnute.errors import NumericalError, QnuteError, StepSizeError, UsageError
+from qnute.evolution import _openblas_threads
 from qnute.hamiltonian import BSParams, Grid, bs_coefficients
 from qnute.market import OptionContract, format_contract_spec, payoff_samples
 from qnute.runconfig import parse_config
@@ -135,6 +138,17 @@ class TestPrice:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "o" / "prices.csv").exists()
 
+    def test_one_qubit_register_exits_2_before_building(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(
+            "qnute.market.build_bs_pauli", lambda *_: pytest.fail("the generator was built")
+        )
+        cfg = write_config(tmp_path, PRICE_CONFIG.replace("grid.n = 3", "grid.n = 1"))
+        assert main(["price", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "config error: grid.n: linear boundary mode requires n >= 2 qubits, got 1"
+        ]
+        assert not (tmp_path / "o" / "prices.csv").exists()
+
     def test_env_var_overrides_out(self, tmp_path, monkeypatch):
         cfg = write_config(tmp_path, PRICE_CONFIG.replace("N_T = 20", "N_T = 0"))
         env_dir = tmp_path / "env_out"
@@ -195,6 +209,20 @@ class TestFidelitySweep:
         assert main(["fidelity-sweep", "--config", cfg, "--out", str(out)]) == 2
         assert capsys.readouterr().err.splitlines() == [
             "config error: dense realization of 15 qubits exceeds the 14-qubit guard"
+        ]
+        assert not (out / "fidelity.csv").exists()
+
+    def test_one_qubit_cell_exits_2_before_any_worker(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(qnute.cli, "_sweep_one", lambda *_: pytest.fail("a cell ran"))
+        monkeypatch.setattr(
+            qnute.cli, "ProcessPoolExecutor", lambda *_, **__: pytest.fail("a worker started")
+        )
+        text = SWEEP_CONFIG.replace("sweep.n = 2", "sweep.n = 1,5").replace("D = 2", "D = 1,2")
+        out = tmp_path / "out"
+        assert main(["fidelity-sweep", "--config", write_config(tmp_path, text), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "warning: skipping D=2 > n=1 for call:75",
+            "config error: sweep.n: linear boundary mode requires n >= 2 qubits, got 1",
         ]
         assert not (out / "fidelity.csv").exists()
 
@@ -310,6 +338,13 @@ class TestGoldenBytes:
         want = (GOLDEN / "sweep" / "fidelity.csv").read_bytes()
         assert (tmp_path / "fidelity.csv").read_bytes() == want
 
+    def test_windowed_sweep_under_spawn(self, tmp_path, monkeypatch):
+        # Spawned workers start from a fresh import, so the pool's entry point
+        # and initializer must pickle by name.
+        get_context = multiprocessing.get_context
+        monkeypatch.setattr(multiprocessing, "get_context", lambda *_: get_context("spawn"))
+        self.test_windowed_sweep(tmp_path)
+
     @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")
     def test_windowed_sweep_on_one_cpu(self, tmp_path):
         cpu = min(os.sched_getaffinity(0))
@@ -324,6 +359,68 @@ class TestGoldenBytes:
         assert proc.returncode == 0, proc.stderr
         want = (GOLDEN / "sweep" / "fidelity.csv").read_bytes()
         assert (tmp_path / "fidelity.csv").read_bytes() == want
+
+
+@pytest.fixture
+def scipy_blas_threads():
+    """scipy's OpenBLAS (get, set) pair set to 2 threads, restored afterwards."""
+    threads = _openblas_threads(_fblas)
+    if threads is None:
+        pytest.skip("scipy does not link OpenBLAS")
+    get, put = threads
+    prior = get()
+    put(2)
+    yield get, put
+    put(prior)
+
+
+# A forked worker inherits the test's patches.
+needs_fork = pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(), reason="needs fork"
+)
+
+
+class TestSweepWorkers:
+    """Each pool worker runs scipy's OpenBLAS, behind the per-step expm, on one thread."""
+
+    def test_scipy_lookup_is_not_numpys(self, scipy_blas_threads):
+        get, put = scipy_blas_threads
+        numpy_threads = _openblas_threads()
+        if numpy_threads is None:
+            pytest.skip("numpy does not link OpenBLAS")
+        numpy_get, numpy_put = numpy_threads
+        prior = numpy_get()
+        try:
+            for scipys, numpys in ((1, 2), (2, 1)):
+                put(scipys)
+                numpy_put(numpys)
+                assert (get(), numpy_get()) == (scipys, numpys)
+        finally:
+            numpy_put(prior)
+
+    @needs_fork
+    def test_worker_runs_scipy_blas_on_one_thread(self, tmp_path, monkeypatch, scipy_blas_threads):
+        # The worker also inherits the parent's 2 threads.
+        get, _ = scipy_blas_threads
+        monkeypatch.setattr(qnute.cli, "_sweep_one", lambda *_: (float(get()), 0.0))
+        cfg = write_config(tmp_path, SWEEP_CONFIG.replace("sweep.n = 2", "sweep.n = 2,3"))
+        assert main(["fidelity-sweep", "--config", cfg, "--out", str(tmp_path)]) == 0
+        _, rows = read_csv(tmp_path / "fidelity.csv")
+        assert [row[3] for row in rows] == ["1", "1"]
+        assert get() == 2
+
+    @needs_fork
+    def test_golden_bytes_without_openblas(self, tmp_path, monkeypatch):
+        # Each worker's initializer leaves a file, then finds no OpenBLAS.
+        def no_openblas(module):
+            (tmp_path / f"lookup-{os.getpid()}-{module.__name__}").touch()
+
+        monkeypatch.setattr(qnute.cli, "_openblas_threads", no_openblas)
+        out = tmp_path / "out"
+        assert main(["fidelity-sweep", "--config", str(GOLDEN / "sweep" / "run.cfg"), "--out", str(out)]) == 0
+        assert (out / "fidelity.csv").read_bytes() == (GOLDEN / "sweep" / "fidelity.csv").read_bytes()
+        lookups = {path.name.rsplit("-", 1)[1] for path in tmp_path.glob("lookup-*")}
+        assert lookups == {"scipy.linalg._fblas"}
 
 
 def _child_env():

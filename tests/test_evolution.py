@@ -9,6 +9,8 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qnute.evolution
+import qnute.exact
 from oracles import (
     dense_of_terms,
     fit_strings,
@@ -31,6 +33,7 @@ from qnute.evolution import (
     SERIAL_BLAS_MAX_ENTRIES,
     SERIAL_BLAS_MIN_ENTRIES,
     QnuteConfig,
+    _apply_generator,
     _b_from,
     _c_from,
     _openblas_threads,
@@ -41,6 +44,7 @@ from qnute.evolution import (
     trajectory_rows,
     trotter_step,
 )
+from qnute.exact import exact_step
 from qnute.hamiltonian import BSParams, Grid, HamiltonianTerm, build_bs_pauli, split_terms
 from qnute.pauli import PauliSum, decompose_dense
 from qnute.statevector import (
@@ -378,6 +382,46 @@ class TestSerialBlas:
             with _serial_blas(entries):
                 assert get() == 2
             assert get() == 2
+
+    @staticmethod
+    def spy_on_step(monkeypatch, get):
+        """Thread counts seen by the step's generator matvec and exact-step diagnostic."""
+        seen = {}
+
+        def spy(name, fn):
+            def wrapped(*args, **kwargs):
+                seen.setdefault(name, []).append(get())
+                return fn(*args, **kwargs)
+
+            return wrapped
+
+        monkeypatch.setattr(qnute.evolution, "_apply_generator", spy("generator", _apply_generator))
+        monkeypatch.setattr(qnute.exact, "exact_step", spy("exact", exact_step))
+        return seen
+
+    @pytest.mark.parametrize("n, threads", [(4, 1), (3, 2)])
+    def test_whole_step_keyed_on_the_fit_factor(self, blas_threads, monkeypatch, n, threads):
+        # n = D = 4 odd-Y: V is 120 x 32 (3840 entries, serial); n = D = 3: 28 x 16.
+        get, _ = blas_threads
+        initial, terms, cfg = bs_setup(n)
+        idx, _, _ = sigma_basis(tuple(range(n)), True, n)
+        assert (SERIAL_BLAS_MIN_ENTRIES <= 2 * idx.size) == (threads == 1)
+        seen = self.spy_on_step(monkeypatch, get)
+        trotter_step(initial, terms[0], cfg)
+        assert seen == {"generator": [threads], "exact": [threads]}
+        assert get() == 2
+
+    def test_step_restores_the_count_when_the_solve_raises(self, blas_threads, monkeypatch):
+        get, _ = blas_threads
+        initial, terms, cfg = bs_setup(4)
+        seen = self.spy_on_step(monkeypatch, get)
+        with mock.patch(
+            "qnute.evolution._solve_gram_factor", side_effect=SingularSystemError("no fit")
+        ):
+            with pytest.raises(SingularSystemError, match="no fit"):
+                trotter_step(initial, terms[0], cfg)
+        assert seen == {"generator": [1]}
+        assert get() == 2
 
     def test_no_op_without_openblas(self, monkeypatch):
         monkeypatch.setattr("qnute.evolution._openblas_threads", lambda: None)
