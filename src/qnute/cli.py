@@ -15,10 +15,9 @@ from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
-from scipy.linalg import _fblas
 
 from .errors import CapacityError, ConfigError, NumericalError, UnsupportedSizeError, UsageError
-from .evolution import QnuteConfig, _openblas_threads, check_basis_size, evolve, trajectory_rows
+from .evolution import QnuteConfig, check_basis_size, evolve, trajectory_rows
 from .exact import exact_trajectory, fidelity_stats, reference_pde_solution
 from .hamiltonian import build_bs_pauli, split_terms
 from .market import analytic_price, format_contract_spec, payoff_samples, price_run
@@ -122,20 +121,6 @@ def _sweep_cell(cfg: RunConfig, contract, n: int, domain: int):
     return _sweep_one(cfg, contract, n, domain)
 
 
-def _one_scipy_blas_thread() -> None:
-    """Pool initializer, pickled by name: scipy's OpenBLAS on one thread.
-
-    A worker's only scipy BLAS calls are the expm of exact.step_propagator,
-    each of which would otherwise wake a helper thread that spins beside the
-    other workers.  numpy's OpenBLAS is left alone: setting it would start
-    its thread pool, which sweep-sized fits never start.
-    """
-    threads = _openblas_threads(_fblas)
-    if threads is not None:
-        _, put = threads
-        put(1)
-
-
 def _cpu_count() -> int:
     try:
         return len(os.sched_getaffinity(0))
@@ -167,8 +152,8 @@ def cmd_fidelity_sweep(cfg: RunConfig, out_dir: Path) -> int:
     for _, _, n, domain in cells:
         _check_capacity("sweep.n", n, domain)
 
-    # Cells are independent runs. Fork workers inherit the imported numpy and
-    # scipy; the largest registers go first so they do not finish last.
+    # Cells are independent runs. Fork workers inherit the imported numpy;
+    # the largest registers go first so they do not finish last.
     context = multiprocessing.get_context(
         "fork" if "fork" in multiprocessing.get_all_start_methods() else None
     )
@@ -176,7 +161,6 @@ def cmd_fidelity_sweep(cfg: RunConfig, out_dir: Path) -> int:
     pool = ProcessPoolExecutor(
         max_workers=min(_cpu_count(), len(cells)) or 1,
         mp_context=context,
-        initializer=_one_scipy_blas_thread,
     )
     try:
         futures = {i: pool.submit(_sweep_cell, cfg, *cells[i][1:]) for i in order}

@@ -23,6 +23,14 @@ DENSE_QUBIT_GUARD = 14
 # Canonicalization drops terms with |coefficient| below this.
 COEFF_CUTOFF = 1e-14
 
+# dense_matrix builds the gather tables of at most this many bytes of strings
+# at once (an index and a phase, 24 bytes, per string and amplitude).
+_DENSE_CHUNK_BYTES = 1 << 24
+
+# Symbol code of each ASCII byte of a string (I, X, Y, Z = 0, 1, 2, 3).
+_SYMBOL_CODES = np.zeros(256, dtype=np.int8)
+_SYMBOL_CODES[np.frombuffer(SYMBOLS.encode("ascii"), dtype=np.uint8)] = np.arange(4)
+
 # Single-qubit products: (a, b) -> (phase, a*b) with phase in {1, -1, i, -i}.
 _MUL: dict[tuple[str, str], tuple[complex, str]] = {}
 for _s in SYMBOLS:
@@ -239,9 +247,15 @@ def dense_matrix(s: PauliSum, n: int) -> np.ndarray:
         )
     dim = 1 << n
     m = np.zeros((dim, dim), dtype=complex)
-    for c, string in s.terms:
-        idx, ph = string_action(string)
-        m[np.arange(dim), idx] += c * ph
+    coeffs = np.array([c for c, _ in s.terms])
+    text = "".join(string for _, string in s.terms).encode("ascii")
+    codes = _SYMBOL_CODES[np.frombuffer(text, dtype=np.uint8)].reshape(len(s), n)
+    rows = np.arange(dim)
+    chunk = max(1, _DENSE_CHUNK_BYTES // (24 * dim))
+    for start in range(0, len(s), chunk):
+        idx, ph = gather_tables(codes[start : start + chunk])
+        # add.at adds the strings in order, so each entry sums as one string at a time would.
+        np.add.at(m, (rows, idx), coeffs[start : start + chunk, None] * ph)
     return m
 
 

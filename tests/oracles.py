@@ -94,6 +94,21 @@ def string_gather(symbols: str) -> tuple[np.ndarray, np.ndarray]:
     return src, phase[src]
 
 
+def dense_per_string(terms, n: int) -> np.ndarray:
+    """Dense matrix of (coefficient, symbols) pairs, one string's gather at a time.
+
+    The loop the package's dense_matrix used before it gathered many strings
+    at once; the sums are formed in the same order, so the two agree bit for
+    bit.
+    """
+    dim = 1 << n
+    m = np.zeros((dim, dim), dtype=complex)
+    for c, symbols in terms:
+        idx, ph = string_gather(symbols)
+        m[np.arange(dim), idx] += c * ph
+    return m
+
+
 def fit_tables(window, odd_y: bool, n: int):
     """Gather indices, phases and rotation gains of the fit basis, string by string."""
     strings = fit_strings(window, odd_y, n)
@@ -122,6 +137,15 @@ def solve_coefficients(S: np.ndarray, b: np.ndarray, rel_tol: float):
     Uk = U[:, keep]
     a = Uk @ ((Uk.T @ b) / w[keep])
     return a, float(np.linalg.norm(A @ a - b))
+
+
+def b_from_conj_rows(rows: np.ndarray, hpsi: np.ndarray, c: float) -> np.ndarray:
+    """The fit's right-hand side b[I] = (-2/c) Im <psi| sigma_I h |psi>, conjugating the rows.
+
+    The stepper's original form; it copies the conjugate of the whole fit
+    factor.
+    """
+    return (-2.0 / c) * (np.conj(rows) @ hpsi).imag
 
 
 def rotate_complex(amplitudes: np.ndarray, idx, ph, thetas) -> tuple[np.ndarray, float]:

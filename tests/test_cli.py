@@ -9,14 +9,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.linalg import _fblas
 
 import qnute
 import qnute.cli
+import qnute.evolution
 from oracles import tridiagonal_dense
 from qnute.cli import _fmt, _sweep_one, build_parser, main
 from qnute.errors import NumericalError, QnuteError, StepSizeError, UsageError
-from qnute.evolution import _openblas_threads
 from qnute.hamiltonian import BSParams, Grid, bs_coefficients
 from qnute.market import OptionContract, format_contract_spec, payoff_samples
 from qnute.runconfig import parse_config
@@ -340,7 +339,7 @@ class TestGoldenBytes:
 
     def test_windowed_sweep_under_spawn(self, tmp_path, monkeypatch):
         # Spawned workers start from a fresh import, so the pool's entry point
-        # and initializer must pickle by name.
+        # must pickle by name.
         get_context = multiprocessing.get_context
         monkeypatch.setattr(multiprocessing, "get_context", lambda *_: get_context("spawn"))
         self.test_windowed_sweep(tmp_path)
@@ -361,66 +360,60 @@ class TestGoldenBytes:
         assert (tmp_path / "fidelity.csv").read_bytes() == want
 
 
-@pytest.fixture
-def scipy_blas_threads():
-    """scipy's OpenBLAS (get, set) pair set to 2 threads, restored afterwards."""
-    threads = _openblas_threads(_fblas)
-    if threads is None:
-        pytest.skip("scipy does not link OpenBLAS")
-    get, put = threads
-    prior = get()
-    put(2)
-    yield get, put
-    put(prior)
-
-
 # A forked worker inherits the test's patches.
 needs_fork = pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(), reason="needs fork"
 )
 
+# Runs every golden config in one interpreter that cannot import scipy, then
+# checks that nothing imported it.
+WITHOUT_SCIPY = """
+import sys
+
+class NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ImportError(f"{name} is not installed")
+
+sys.meta_path.insert(0, NoScipy())
+from qnute.cli import main
+
+golden, out = sys.argv[1:]
+for name, command in (("price", "price"), ("price-n6", "price"), ("sweep", "fidelity-sweep")):
+    assert main([command, "--config", f"{golden}/{name}/run.cfg", "--out", f"{out}/{name}"]) == 0
+assert "scipy" not in sys.modules
+"""
+
 
 class TestSweepWorkers:
-    """Each pool worker runs scipy's OpenBLAS, behind the per-step expm, on one thread."""
+    """The commands and their workers need no scipy and set no BLAS thread count."""
 
-    def test_scipy_lookup_is_not_numpys(self, scipy_blas_threads):
-        get, put = scipy_blas_threads
-        numpy_threads = _openblas_threads()
-        if numpy_threads is None:
-            pytest.skip("numpy does not link OpenBLAS")
-        numpy_get, numpy_put = numpy_threads
-        prior = numpy_get()
-        try:
-            for scipys, numpys in ((1, 2), (2, 1)):
-                put(scipys)
-                numpy_put(numpys)
-                assert (get(), numpy_get()) == (scipys, numpys)
-        finally:
-            numpy_put(prior)
-
-    @needs_fork
-    def test_worker_runs_scipy_blas_on_one_thread(self, tmp_path, monkeypatch, scipy_blas_threads):
-        # The worker also inherits the parent's 2 threads.
-        get, _ = scipy_blas_threads
-        monkeypatch.setattr(qnute.cli, "_sweep_one", lambda *_: (float(get()), 0.0))
-        cfg = write_config(tmp_path, SWEEP_CONFIG.replace("sweep.n = 2", "sweep.n = 2,3"))
-        assert main(["fidelity-sweep", "--config", cfg, "--out", str(tmp_path)]) == 0
-        _, rows = read_csv(tmp_path / "fidelity.csv")
-        assert [row[3] for row in rows] == ["1", "1"]
-        assert get() == 2
+    def test_commands_run_without_scipy(self, tmp_path):
+        proc = subprocess.run(
+            [sys.executable, "-c", WITHOUT_SCIPY, str(GOLDEN), str(tmp_path)],
+            capture_output=True,
+            text=True,
+            env=_child_env(),
+        )
+        assert proc.returncode == 0, proc.stderr
+        for want in GOLDEN.glob("*/*.csv"):
+            got = tmp_path / want.parent.name / want.name
+            assert got.read_bytes() == want.read_bytes(), want
 
     @needs_fork
     def test_golden_bytes_without_openblas(self, tmp_path, monkeypatch):
-        # Each worker's initializer leaves a file, then finds no OpenBLAS.
-        def no_openblas(module):
-            (tmp_path / f"lookup-{os.getpid()}-{module.__name__}").touch()
+        # Every OpenBLAS lookup leaves a file and finds no library.  The n = D = 6
+        # price looks it up in this process; sweep-sized fits never do, so no
+        # worker does.
+        def no_openblas():
+            (tmp_path / f"lookup-{os.getpid()}").touch()
 
-        monkeypatch.setattr(qnute.cli, "_openblas_threads", no_openblas)
-        out = tmp_path / "out"
+        monkeypatch.setattr(qnute.evolution, "_openblas_threads", no_openblas)
+        TestGoldenBytes.check_price(GOLDEN / "price-n6", tmp_path / "price")
+        out = tmp_path / "sweep"
         assert main(["fidelity-sweep", "--config", str(GOLDEN / "sweep" / "run.cfg"), "--out", str(out)]) == 0
         assert (out / "fidelity.csv").read_bytes() == (GOLDEN / "sweep" / "fidelity.csv").read_bytes()
-        lookups = {path.name.rsplit("-", 1)[1] for path in tmp_path.glob("lookup-*")}
-        assert lookups == {"scipy.linalg._fblas"}
+        assert [path.name for path in tmp_path.glob("lookup-*")] == [f"lookup-{os.getpid()}"]
 
 
 def _child_env():

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 import qnute.evolution
 import qnute.exact
 from oracles import (
+    b_from_conj_rows,
     dense_of_terms,
     fit_strings,
     fit_tables,
@@ -291,6 +292,26 @@ class TestMeasureB:
             sandwich = np.vdot(psi.amplitudes, kron_of(s) @ h_dense @ psi.amplitudes)
             assert got[i] == pytest.approx((-2.0 / c) * sandwich.imag)
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(1, 300),
+        st.integers(1, 8),
+        st.floats(0.1, 10.0),
+        st.booleans(),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_bitwise_equal_to_conj_rows_form(self, size, n, c, real, seed):
+        # A real state on an odd-Y basis has purely imaginary rows.
+        rng = np.random.default_rng(seed)
+        rows = rng.normal(size=(size, 1 << n)) + 1j * rng.normal(size=(size, 1 << n))
+        hpsi = rng.normal(size=1 << n) + 0j
+        if real:
+            rows = 1j * rows.imag
+        else:
+            hpsi += 1j * rng.normal(size=1 << n)
+        want = b_from_conj_rows(rows, hpsi, c)
+        assert _b_from(rows, hpsi, c).tobytes() == want.tobytes()
+
 
 class TestSolveCoefficients:
     """The stepper's solve, which takes the rows sigma_I |psi> (S = conj(rows) rows^T)."""
@@ -485,6 +506,20 @@ class TestRotationBits:
 
 
 class TestTrotterStep:
+    def test_reused_buffers_keep_the_step_bits(self):
+        # A step after one on another state fits and rotates as a step on fresh buffers.
+        initial, terms, cfg = bs_setup(4)
+        other = ScaledState(random_state(np.random.default_rng(12), 4, real=True), 1.0)
+        trotter_step(other, terms[0], cfg)
+        reused, reused_report = trotter_step(initial, terms[0], cfg)
+        qnute.evolution._step_buffer.cache_clear()
+        fresh, fresh_report = trotter_step(initial, terms[0], cfg)
+        assert reused.state.amplitudes.tobytes() == fresh.state.amplitudes.tobytes()
+        assert reused.scale == fresh.scale
+        assert reused_report.a.tobytes() == fresh_report.a.tobytes()
+        # One rows buffer and one fit-factor buffer for the one basis shape.
+        assert qnute.evolution._step_buffer.cache_info().currsize == 2
+
     def test_zero_generator_is_identity(self):
         rng = np.random.default_rng(9)
         psi = random_state(rng, 2)

@@ -2,11 +2,16 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import qnute.exact
 from oracles import decode_nonnegative, dense_of_terms, random_pauli_sum_terms, taylor_expm_apply
 from qnute.errors import CapacityError, DimensionMismatchError
-from qnute.evolution import QnuteConfig
+from qnute.evolution import QnuteConfig, _openblas_threads, cached_dense
 from qnute.exact import (
+    _expm,
     exact_step,
     exact_trajectory,
     fidelity_stats,
@@ -24,6 +29,39 @@ PAPER_PARAMS = BSParams(r=0.04, sigma=0.2)
 def random_state(rng, n):
     v = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
     return StateVector(v / np.linalg.norm(v))
+
+
+def relative_error(got, want):
+    return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
+
+
+class TestExpm:
+    """The Pade-13 propagator against scipy.linalg.expm."""
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_split_terms_match_scipy(self, n):
+        gen = build_bs_pauli(Grid(0.0, 150.0, n), PAPER_PARAMS, "linear")
+        for domain in sorted({2, 3, n} & set(range(2, n + 1))):
+            for term in split_terms(gen, n, domain):
+                for dt in (0.006, 0.06):
+                    a = cached_dense(term.pauli, n) * dt
+                    assert relative_error(_expm(a), scipy.linalg.expm(a)) <= 1e-13
+
+    # 1-norms from 0 to 50 take 0 to 4 squarings.  Each squaring doubles the
+    # relative error, so the bound grows with the norm from a few roundings.
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 8), st.floats(0.0, 50.0), st.integers(0, 2**32 - 1))
+    def test_random_complex_matrices_match_scipy(self, dim, norm, seed):
+        rng = np.random.default_rng(seed)
+        a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        a *= norm / np.linalg.norm(a, 1)
+        tol = 64 * np.finfo(float).eps * (1.0 + norm)
+        assert relative_error(_expm(a), scipy.linalg.expm(a)) <= tol
+
+    @pytest.mark.parametrize("dim", [1, 2, 16])
+    def test_zero_matrix_gives_identity(self, dim):
+        got = _expm(np.zeros((dim, dim), dtype=complex))
+        assert got.dtype == complex and np.array_equal(got, np.eye(dim))
 
 
 class TestExactStep:
@@ -168,6 +206,34 @@ class TestReferencePdeSolution:
         got = reference_pde_solution(contract, grid, PAPER_PARAMS, cfg)
         want = -grid.points() + 200.0 * np.exp(-PAPER_PARAMS.r * maturity)
         assert np.max(np.abs(got - want)) < 1e-6
+
+    def test_matvecs_run_on_one_blas_thread(self, monkeypatch):
+        # n = 6: 4096-entry propagators, a serial size (see _serial_blas).
+        threads = _openblas_threads()
+        if threads is None:
+            pytest.skip("numpy does not link OpenBLAS")
+        get, put = threads
+        seen = []
+
+        class Spy:
+            def __init__(self, prop):
+                self.prop = prop
+
+            def __matmul__(self, u):
+                seen.append(get())
+                return self.prop @ u
+
+        propagator = qnute.exact.step_propagator
+        monkeypatch.setattr(qnute.exact, "step_propagator", lambda *args: Spy(propagator(*args)))
+        prior = get()
+        put(2)
+        try:
+            cfg = QnuteConfig(delta_t=0.006, num_steps=3, domain_size=6)
+            reference_pde_solution(OptionContract("put", (75.0,)), Grid(0.0, 150.0, 6), PAPER_PARAMS, cfg)
+            assert seen == [1, 1, 1]
+            assert get() == 2
+        finally:
+            put(prior)
 
     def test_round_trip_consistency_at_start(self):
         grid = Grid(0.0, 150.0, 3)

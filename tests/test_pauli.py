@@ -1,12 +1,23 @@
 """Pauli string and Pauli sum algebra against literal dense matrices."""
 
 import itertools
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import dense_of_terms, kron_of, parse_pauli_terms, random_pauli_sum_terms
+from oracles import (
+    dense_of_terms,
+    dense_per_string,
+    kron_of,
+    parse_pauli_terms,
+    random_pauli_sum_terms,
+)
 from qnute.errors import CapacityError, DimensionMismatchError
+from qnute.hamiltonian import BSParams, Grid, build_bs_pauli
 from qnute.pauli import (
     LadderOp,
     PauliString,
@@ -169,6 +180,35 @@ class TestDenseMatrix:
         for n in (1, 2, 3):
             terms = random_pauli_sum_terms(rng, n, 4)
             assert np.allclose(dense_matrix(PauliSum(terms), n), dense_of_terms(terms))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(1, 5),
+        st.integers(0, 40),
+        st.integers(1, 50),
+        st.booleans(),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_bitwise_equal_to_per_string_loop(self, n, num_terms, chunk, real, seed):
+        # chunk strings per gather: 1 is the old loop's grouping, 50 one chunk.
+        s = PauliSum(random_pauli_sum_terms(np.random.default_rng(seed), n, num_terms, real))
+        with mock.patch("qnute.pauli._DENSE_CHUNK_BYTES", chunk * 24 << n):
+            got = dense_matrix(s, n)
+        assert got.tobytes() == dense_per_string(s.terms, n).tobytes()
+
+    def test_chunks_bound_the_tables(self):
+        # 2464 strings at n = 9: gathered at once their tables would take 30 MB.
+        gen = build_bs_pauli(Grid(0.0, 150.0, 9), BSParams(0.04, 0.2), "linear")
+        chunk_bytes = 1 << 20
+        with mock.patch("qnute.pauli._DENSE_CHUNK_BYTES", chunk_bytes):
+            tracemalloc.start()
+            try:
+                m = dense_matrix(gen, 9)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert peak < m.nbytes + 8 * chunk_bytes
+        assert m.tobytes() == dense_per_string(gen.terms, 9).tobytes()
 
 
 class TestDecomposeDense:
