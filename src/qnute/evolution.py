@@ -8,7 +8,10 @@ change is tracked by the scalar factor c = sqrt(1 + 2 dt Re<h_m>).
 The system is solved without forming S: with the rows sigma_I |psi> stacked
 as V = [Re rows, Im rows], S + S^T = 2 V V^T, so the SVD of V gives its
 eigenvalues 2 s^2, and those below LSTSQ_REL_TOL times the largest are
-dropped from the minimal-norm solution.
+dropped from the minimal-norm solution.  A fit on the whole register of a
+real state needs no SVD: its odd-Y strings span every real antisymmetric
+matrix, so S + S^T is 2^n times a projector (Motta et al., Nat. Phys. 16,
+205 (2020)) and the solution is a projection of b (see _solve_gram_factor).
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import numpy as np
 
 from .errors import CapacityError, InvalidDomainError, SingularSystemError, StepSizeError
 from .hamiltonian import HamiltonianTerm
-from .pauli import PauliSum, dense_matrix, gather_tables
+from .pauli import PauliSum, dense_matrix, gather_tables, lexicographic_codes
 from .statevector import ScaledState, StateVector, fidelity
 
 try:
@@ -44,10 +47,13 @@ BASIS_BYTES_LIMIT = 1 << 30
 
 # Sizes, in entries, of the fit factors V whose step (generator matvec, fit
 # solve and exact-step diagnostic) runs on one numpy OpenBLAS thread.  The SVD
-# sets the range: on a 2-core host one thread is faster in it (2016 x 128:
-# 22 vs 42 ms) and threads pay off above it (32640 x 512: 2.8 vs 2.0 s).
-# Below it the SVD never starts a BLAS thread, so pinning would only make a
-# forked sweep worker start OpenBLAS's thread pool, which spins ~0.1 s.
+# set the range when every fit took it: on a 2-core host one thread was faster
+# in it (2016 x 128, the odd-Y fit at n = D = 6: 22 vs 42 ms) and threads paid
+# off above it (32640 x 512, n = D = 8: 2.8 vs 2.0 s).  Those two full-register
+# real fits are now solved in closed form without an SVD; windowed and
+# full-basis fits of the same sizes still take it.  Below the range the SVD
+# never starts a BLAS thread, so pinning would only make a forked sweep worker
+# start OpenBLAS's thread pool, which spins ~0.1 s.
 SERIAL_BLAS_MIN_ENTRIES = 1 << 11
 SERIAL_BLAS_MAX_ENTRIES = 1 << 20
 
@@ -124,7 +130,7 @@ def sigma_basis(
         raise InvalidDomainError(f"domain {domain} is not contiguous")
     width = len(domain)
     size = check_basis_size(width, odd_y, n)
-    digits = (np.arange(1, 4**width)[:, None] >> np.arange(2 * width - 2, -1, -2)) & 3
+    digits = lexicographic_codes(np.arange(1, 4**width), width)
     if odd_y:
         digits = digits[(digits == 2).sum(axis=1) % 2 == 1]
     codes = np.zeros((size, n), dtype=np.int8)
@@ -157,15 +163,14 @@ def _b_from(rows: np.ndarray, hpsi: np.ndarray, c: float) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _step_buffer(shape: tuple[int, int], dtype: type) -> np.ndarray:
-    """Work array of a fit step, one per factor shape and dtype, reused by every step.
+def _step_buffer(shape: tuple[int, int], dtype: type, use: str) -> np.ndarray:
+    """Work array of a fit step, one per use, shape and dtype, reused by every step.
 
-    The gathered rows and the fit factor V are written into these instead of
-    into fresh factor-sized arrays.  A run holds one pair per basis shape it
-    fits; each step held arrays of these sizes at its peak anyway.  Reuse
-    keeps glibc from mapping fresh pages for them step after step: without
-    it, 100 steps of price at n = D = 6 took 83.6k minor page faults instead
-    of 13.9k.
+    The gathered rows, the fit factor V and the rotations' sin-times-gain
+    table are written into these instead of into fresh factor-sized arrays.
+    A run holds one set per basis shape it fits.  Reuse keeps glibc from
+    mapping fresh pages for them step after step: without it, 100 steps of
+    price at n = D = 6 took 83.6k minor page faults instead of 13.9k.
     """
     return np.empty(shape, dtype)
 
@@ -214,18 +219,40 @@ def _serial_blas(entries: int):
 def _solve_gram_factor(
     rows: np.ndarray, b: np.ndarray, rel_tol: float
 ) -> tuple[np.ndarray, float]:
-    """Minimal-norm solution of (S + S^T) a = b from the rows sigma_I |psi>.
+    """Minimal-norm solution of (S + S^T) a = b from the rows sigma_I |psi> of a unit state.
 
     With V = [Re rows, Im rows] the system matrix is S + S^T = 2 V V^T, so its
     eigenpairs are the left singular vectors of V with eigenvalues 2 s^2.
     Eigenvalues below rel_tol times the largest are discarded; if none survive
     for a nonzero b, or V has no SVD, the system is reported singular.  A
     mid-sized V is decomposed on one OpenBLAS thread (see _serial_blas).
+
+    Rows that are the whole odd-Y basis of the register on a real state skip
+    the SVD.  The shape shows the basis (dim (dim - 1) / 2 strings for dim
+    amplitudes; no narrower window has as many) and an exactly zero real part
+    shows the real state (a nearly-real one takes the SVD).  Those strings are
+    i dim^(1/2) times an orthonormal basis of the real antisymmetric matrices,
+    so with Vi = rows.imag and a unit psi, Vi^T Vi = (dim / 2) (I - psi psi^T)
+    and Vi Vi^T = (dim / 2) P for the projector P onto the range of Vi.  Then
+    S + S^T = 2 Vi Vi^T = dim P: every nonzero eigenvalue is dim, the rest are
+    exactly zero, and the minimal-norm solution is P b / dim =
+    Vi (Vi^T b) 2 / dim^2: two matvecs, with no work array.
+    Non-finite rows raise SingularSystemError on this path too.
     """
     if np.linalg.norm(b) == 0.0:
         return np.zeros(rows.shape[0]), 0.0
+    dim = rows.shape[1]
+    if 2 * rows.shape[0] == dim * (dim - 1) and not rows.real.any():
+        # rows = i Vi, so Vi^T y = Im(rows^T y) and Vi x = Im(rows x): BLAS
+        # products on the contiguous rows, where the strided view Vi has none.
+        with np.errstate(invalid="ignore", over="ignore"):
+            a = (rows @ (rows.T @ b).imag).imag * (2.0 / dim**2)
+            residual = float(np.linalg.norm(2.0 * (rows @ (rows.T @ a).imag).imag - b))
+        if not math.isfinite(residual):
+            raise SingularSystemError("the fit system is not finite")
+        return a, residual
     V = np.concatenate(
-        [rows.real, rows.imag], axis=1, out=_step_buffer((rows.shape[0], 2 * rows.shape[1]), float)
+        [rows.real, rows.imag], axis=1, out=_step_buffer((rows.shape[0], 2 * dim), float, "V")
     )
     try:
         with _serial_blas(V.size):
@@ -258,9 +285,9 @@ def trotter_step(
     against the exactly evolved and normalized step on the same input state.
     A term whose support is wider than cfg.domain_size raises
     InvalidDomainError.  For a fit factor of serial size the whole step runs
-    on one OpenBLAS thread (see _serial_blas).  The rows and V go into work
-    arrays shared by all steps of the process (see _step_buffer), so two
-    threads must not run steps at once.
+    on one OpenBLAS thread (see _serial_blas).  The rows, V and the rotations'
+    sin(theta) * gain table go into work arrays shared by all steps of the
+    process (see _step_buffer), so two threads must not run steps at once.
     """
     psi_in = state.state
     h_m = term.pauli
@@ -276,18 +303,28 @@ def trotter_step(
         hpsi = _apply_generator(h_m, psi_in)
         c = _c_from(amp, hpsi, cfg.delta_t)
         # idx is in range; "clip" writes into the buffer directly, "raise" via a copy.
-        rows = np.take(amp, idx, out=_step_buffer(idx.shape, complex), mode="clip")
+        rows = np.take(amp, idx, out=_step_buffer(idx.shape, complex, "rows"), mode="clip")
         np.multiply(ph, rows, out=rows)
         a, residual = _solve_gram_factor(rows, _b_from(rows, hpsi, c), LSTSQ_REL_TOL)
 
         # A real state on an odd-Y basis rotates in real arithmetic, with the
         # same roundings as the complex loop; psi is made complex again before the
         # norm and the division, whose roundings would differ on a real array.
-        psi = amp.copy() if amp.imag.any() else amp.real.copy()
-        for theta, g, ix in zip((a * cfg.delta_t).tolist(), gain, idx):
+        # Each rotation adds (sin(theta) gain) psi[ix] to cos(theta) psi in place;
+        # every gain is +-1 or +-i, so this rounds as sin(theta) (gain psi[ix]).
+        # math.sin keeps the angles' bits independent of numpy's vector sin.
+        thetas = (a * cfg.delta_t).tolist()
+        sg = _step_buffer(idx.shape, gain.dtype, "sin_gain")
+        np.multiply(np.array([math.sin(t) for t in thetas])[:, None], gain, out=sg)
+        real = not (amp.imag.any() or np.iscomplexobj(gain))
+        psi = amp.real.copy() if real else amp.copy()
+        for theta, sg_k, ix in zip(thetas, sg, idx):
             if theta == 0.0:
                 continue
-            psi = math.cos(theta) * psi + math.sin(theta) * (g * psi[ix])
+            t = psi[ix]
+            t *= sg_k
+            psi *= math.cos(theta)
+            psi += t
         psi = psi.astype(complex, copy=False)
         nrm = float(np.linalg.norm(psi))
         psi_out = StateVector(psi / nrm)

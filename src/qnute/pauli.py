@@ -7,7 +7,6 @@ Index 0 of a string is the leftmost (most significant) tensor factor, so
 
 from __future__ import annotations
 
-import itertools
 from enum import Enum
 from functools import lru_cache
 
@@ -95,6 +94,15 @@ def gather_tables(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             if rows.size:
                 ph[rows] *= unit * (1 - 2 * ((idx[rows] >> (n - 1 - q)) & 1))
     return idx, ph
+
+
+def lexicographic_codes(numbers: np.ndarray, width: int) -> np.ndarray:
+    """Symbol codes of the width-qubit strings at the given lexicographic positions.
+
+    Position k's codes are the base-4 digits of k, first qubit most
+    significant, since I, X, Y, Z sort in code order.
+    """
+    return (numbers[:, None] >> np.arange(2 * width - 2, -1, -2)) & 3
 
 
 def string_action(s: PauliString) -> tuple[np.ndarray, np.ndarray]:
@@ -270,14 +278,17 @@ def decompose_dense(m: np.ndarray) -> PauliSum:
         raise DimensionMismatchError(f"matrix dimension {dim} is not a power of two")
     check_dense_size(n)
     rows = np.arange(dim)
+    letters = np.array(list(SYMBOLS))
     terms = []
-    for symbols in itertools.product(SYMBOLS, repeat=n):
-        string = PauliString("".join(symbols))
-        idx, ph = string_action(string)
+    chunk = max(1, _DENSE_CHUNK_BYTES // (24 * dim))
+    for start in range(0, 4**n, chunk):
+        codes = lexicographic_codes(np.arange(start, min(start + chunk, 4**n)), n)
+        idx, ph = gather_tables(codes)
         # Tr(P m) picks one entry per row because P has a single entry per row.
-        coeff = np.sum(ph * m[idx, rows]) / dim
-        if abs(coeff) > COEFF_CUTOFF:
-            terms.append((coeff, string))
+        coeffs = np.sum(ph * m[idx, rows], axis=1) / dim
+        for code, coeff in zip(codes, coeffs.tolist()):
+            if abs(coeff) > COEFF_CUTOFF:
+                terms.append((coeff, PauliString("".join(letters[code]))))
     return PauliSum(terms)
 
 

@@ -109,6 +109,25 @@ def dense_per_string(terms, n: int) -> np.ndarray:
     return m
 
 
+def decompose_per_string(m: np.ndarray):
+    """(coefficient, symbols) pairs of m in the Pauli basis, one string at a time.
+
+    The loop the package's decompose_dense ran before it gathered many
+    strings at once: Tr(P m) / dim for every string in lexicographic order,
+    kept when its magnitude exceeds 1e-14.
+    """
+    dim = m.shape[0]
+    n = dim.bit_length() - 1
+    rows = np.arange(dim)
+    terms = []
+    for symbols in itertools.product("IXYZ", repeat=n):
+        idx, ph = string_gather("".join(symbols))
+        coeff = np.sum(ph * m[idx, rows]) / dim
+        if abs(coeff) > 1e-14:
+            terms.append((coeff, "".join(symbols)))
+    return terms
+
+
 def fit_tables(window, odd_y: bool, n: int):
     """Gather indices, phases and rotation gains of the fit basis, string by string."""
     strings = fit_strings(window, odd_y, n)

@@ -360,6 +360,89 @@ class TestSolveCoefficients:
             assert r_eigh == pytest.approx(r_fac, abs=1e-8)
 
 
+def real_matrix_terms(rng, n, num_terms):
+    """Random (coefficient, symbols) pairs whose sum has a real matrix."""
+    return [
+        (1j * c if symbols.count("Y") % 2 else c, symbols)
+        for c, symbols in random_pauli_sum_terms(rng, n, num_terms, real_coeffs=True)
+    ]
+
+
+class TestClosedFormSolve:
+    """Full-register odd-Y fits on a real state, solved without the SVD."""
+
+    @staticmethod
+    def svd_calls(monkeypatch):
+        svd, calls = np.linalg.svd, []
+
+        def counting_svd(*args, **kwargs):
+            calls.append(args[0].shape)
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        return calls
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.integers(1, 6), st.booleans(), st.integers(0, 2**32 - 1))
+    def test_angles_match_the_eigh_oracle(self, n, bs_term, seed):
+        rng = np.random.default_rng(seed)
+        psi = random_state(rng, n, real=True)
+        terms = list(_bs_term(n).pauli.terms) if bs_term and n > 1 else real_matrix_terms(rng, n, 6)
+        window = tuple(range(n))
+        b = measure_b(psi, window, True, terms, 1.0)
+        a, residual = _solve_gram_factor(basis_rows(psi, window, True), b, LSTSQ_REL_TOL)
+        S = measure_S(psi, fit_strings(window, True, n))
+        want, want_residual = solve_coefficients(S, b, LSTSQ_REL_TOL)
+        assert np.linalg.norm(a - want) <= 1e-12 * np.linalg.norm(want)
+        assert residual <= 1e-12 * np.linalg.norm(b) and want_residual <= 1e-12 * np.linalg.norm(b)
+
+    @pytest.mark.parametrize("n", [1, 3, 6])
+    def test_full_register_real_step_skips_the_svd(self, monkeypatch, n):
+        calls = self.svd_calls(monkeypatch)
+        if n == 1:  # the basis is Y alone
+            term = HamiltonianTerm(PauliSum([(-1.0, "I"), (-1.0, "Z")]), frozenset({0}))
+            initial = ScaledState(StateVector(np.array([1.0, 1.0]) / np.sqrt(2.0)), 1.0)
+            cfg = QnuteConfig(delta_t=0.01, num_steps=1, domain_size=1)
+        else:
+            initial, (term,), cfg = bs_setup(n)
+        _, report = trotter_step(initial, term, cfg)
+        assert calls == [] and report.a.shape == ((4**n - 2**n) // 2,)
+
+    def test_windowed_rows_take_the_svd(self, monkeypatch):
+        calls = self.svd_calls(monkeypatch)
+        initial, terms, cfg = bs_setup(4, domain_size=2)
+        trotter_step(initial, terms[0], cfg)
+        assert calls == [(6, 32)]  # the 6 odd-Y strings of two qubits, V = [Re, Im]
+
+    @pytest.mark.parametrize("real_state", [True, False])
+    def test_full_basis_rows_take_the_svd(self, monkeypatch, real_state):
+        calls = self.svd_calls(monkeypatch)
+        rng = np.random.default_rng(13)
+        term = HamiltonianTerm(PauliSum(random_pauli_sum_terms(rng, 3, 4)), frozenset(range(3)))
+        cfg = QnuteConfig(delta_t=0.001, num_steps=1, domain_size=3)
+        trotter_step(ScaledState(random_state(rng, 3, real=real_state), 1.0), term, cfg)
+        assert calls == [(63, 16)]
+
+    def test_nearly_real_rows_take_the_svd(self, monkeypatch):
+        calls = self.svd_calls(monkeypatch)
+        rng = np.random.default_rng(14)
+        v = random_state(rng, 3, real=True).amplitudes
+        psi = StateVector(v + 1j * rng.uniform(-REAL_STATE_TOL, REAL_STATE_TOL, size=v.size))
+        assert psi.is_real and np.any(psi.amplitudes.imag)
+        _, terms, cfg = bs_setup(3)
+        trotter_step(ScaledState(psi, 1.0), terms[0], cfg)
+        assert calls == [(28, 16)]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rows_are_singular(self, monkeypatch, bad):
+        calls = self.svd_calls(monkeypatch)
+        rows = basis_rows(random_state(np.random.default_rng(15), 3, real=True), (0, 1, 2), True)
+        rows.imag[5, 2] = bad
+        with pytest.raises(SingularSystemError, match="not finite"):
+            _solve_gram_factor(rows, np.ones(rows.shape[0]), LSTSQ_REL_TOL)
+        assert calls == []
+
+
 @pytest.fixture
 def blas_threads():
     """numpy's OpenBLAS (get, set) pair set to 2 threads, restored afterwards."""
@@ -508,7 +591,8 @@ class TestRotationBits:
 class TestTrotterStep:
     def test_reused_buffers_keep_the_step_bits(self):
         # A step after one on another state fits and rotates as a step on fresh buffers.
-        initial, terms, cfg = bs_setup(4)
+        # A windowed term, so that the fit goes through V and the SVD.
+        initial, terms, cfg = bs_setup(4, domain_size=2)
         other = ScaledState(random_state(np.random.default_rng(12), 4, real=True), 1.0)
         trotter_step(other, terms[0], cfg)
         reused, reused_report = trotter_step(initial, terms[0], cfg)
@@ -517,8 +601,8 @@ class TestTrotterStep:
         assert reused.state.amplitudes.tobytes() == fresh.state.amplitudes.tobytes()
         assert reused.scale == fresh.scale
         assert reused_report.a.tobytes() == fresh_report.a.tobytes()
-        # One rows buffer and one fit-factor buffer for the one basis shape.
-        assert qnute.evolution._step_buffer.cache_info().currsize == 2
+        # The rows, the fit factor and the sin-times-gain table of the one basis shape.
+        assert qnute.evolution._step_buffer.cache_info().currsize == 3
 
     def test_zero_generator_is_identity(self):
         rng = np.random.default_rng(9)

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    decompose_per_string,
     dense_of_terms,
     dense_per_string,
     kron_of,
@@ -236,6 +237,29 @@ class TestDecomposeDense:
         s = PauliSum(random_pauli_sum_terms(rng, n, 5))
         assert sums_close(decompose_dense(dense_matrix(s, n)), s)
 
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(1, 5),
+        st.integers(1, 300),
+        st.booleans(),
+        st.floats(0.0, 1.0),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_bitwise_equal_to_per_string_loop(self, n, chunk, real, density, seed):
+        # chunk strings per gather: 1 is the old loop's grouping, 300 covers n <= 4 at once.
+        rng = np.random.default_rng(seed)
+        m = rng.normal(size=(1 << n, 1 << n))
+        if not real:
+            m = m + 1j * rng.normal(size=m.shape)
+        m = m * (rng.uniform(size=m.shape) < density)
+        with mock.patch("qnute.pauli._DENSE_CHUNK_BYTES", chunk * 24 << n):
+            got = decompose_dense(m)
+        want = decompose_per_string(m.astype(complex))
+        assert [s for _, s in got.terms] == [s for _, s in want]
+        got_coeffs = np.array([c for c, _ in got.terms], dtype=complex)
+        want_coeffs = np.array([c for c, _ in want], dtype=complex)
+        assert got_coeffs.tobytes() == want_coeffs.tobytes()
 
 class TestPauliSum:
     def test_canonicalization_merges_and_sorts(self):
