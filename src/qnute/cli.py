@@ -8,13 +8,20 @@ boundary-protocol failure).
 from __future__ import annotations
 
 import argparse
+import ctypes
 import multiprocessing
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
+
+try:
+    from numpy._core import _multiarray_umath
+except ImportError:  # numpy < 2
+    from numpy.core import _multiarray_umath
 
 from .errors import CapacityError, ConfigError, NumericalError, UnsupportedSizeError, UsageError
 from .evolution import QnuteConfig, check_basis_size, evolve, trajectory_rows
@@ -26,6 +33,41 @@ from .runconfig import RunConfig, parse_config
 from .statevector import encode_samples
 
 DECOMPOSE_QUBIT_LIMIT = 10
+
+
+@lru_cache(maxsize=None)
+def _openblas_threads():
+    """numpy's OpenBLAS (get, set) thread-count functions, or None.
+
+    They are looked up through numpy's core extension module, whose
+    dependencies dlsym also searches.  Under another BLAS the lookup returns
+    None.
+    """
+    lib = ctypes.CDLL(_multiarray_umath.__file__)
+    for prefix, suffix in (("scipy_openblas_", "64_"), ("scipy_openblas_", ""), ("openblas_", "")):
+        get = getattr(lib, f"{prefix}get_num_threads{suffix}", None)
+        put = getattr(lib, f"{prefix}set_num_threads{suffix}", None)
+        if get is not None and put is not None:
+            get.argtypes, get.restype = [], ctypes.c_int
+            put.argtypes, put.restype = [ctypes.c_int], None
+            return get, put
+    return None
+
+
+def _set_blas_threads(count: int | None) -> int | None:
+    """Set numpy's OpenBLAS thread count and return the prior one (None: no OpenBLAS).
+
+    An equal count is not set again: in a forked process that would start
+    OpenBLAS's thread pool, which spins for about 0.1 s.
+    """
+    threads = _openblas_threads()
+    if threads is None or count is None:
+        return None
+    get, put = threads
+    prior = get()
+    if prior != count:
+        put(count)
+    return prior
 
 
 def _fmt(value: float) -> str:
@@ -115,9 +157,11 @@ def _sweep_one(cfg: RunConfig, contract, n: int, domain: int):
 def _sweep_cell(cfg: RunConfig, contract, n: int, domain: int):
     """Pool entry point, pickled by name.
 
-    It looks ``_sweep_one`` up when it runs, so a wrapped or patched
+    A forked worker inherits main's one BLAS thread; a spawned one is set to
+    it here.  It looks ``_sweep_one`` up when it runs, so a wrapped or patched
     ``_sweep_one``, which need not pickle, is what a forked worker calls.
     """
+    _set_blas_threads(1)
     return _sweep_one(cfg, contract, n, domain)
 
 
@@ -216,7 +260,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command on one OpenBLAS thread, so its bytes do not depend on the core count."""
     args = build_parser().parse_args(argv)
+    prior = _set_blas_threads(1)
     try:
         config_path = Path(args.config)
         if not config_path.is_file():
@@ -231,6 +277,8 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
+    finally:
+        _set_blas_threads(prior)
 
 
 def entrypoint() -> None:

@@ -16,9 +16,7 @@ matrix, so S + S^T is 2^n times a projector (Motta et al., Nat. Phys. 16,
 
 from __future__ import annotations
 
-import ctypes
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -28,11 +26,6 @@ from .errors import CapacityError, InvalidDomainError, SingularSystemError, Step
 from .hamiltonian import HamiltonianTerm
 from .pauli import PauliSum, dense_matrix, gather_tables, lexicographic_codes
 from .statevector import ScaledState, StateVector, fidelity
-
-try:
-    from numpy._core import _multiarray_umath
-except ImportError:  # numpy < 2
-    from numpy.core import _multiarray_umath
 
 # The c radicand must clear this before taking the square root.
 C_RADICAND_FLOOR = 1e-12
@@ -44,18 +37,6 @@ LSTSQ_REL_TOL = 1e-8
 # index, a complex phase and a rotation gain, 32 bytes odd-Y and 40 bytes
 # full); larger bases are refused.
 BASIS_BYTES_LIMIT = 1 << 30
-
-# Sizes, in entries, of the fit factors V whose step (generator matvec, fit
-# solve and exact-step diagnostic) runs on one numpy OpenBLAS thread.  The SVD
-# set the range when every fit took it: on a 2-core host one thread was faster
-# in it (2016 x 128, the odd-Y fit at n = D = 6: 22 vs 42 ms) and threads paid
-# off above it (32640 x 512, n = D = 8: 2.8 vs 2.0 s).  Those two full-register
-# real fits are now solved in closed form without an SVD; windowed and
-# full-basis fits of the same sizes still take it.  Below the range the SVD
-# never starts a BLAS thread, so pinning would only make a forked sweep worker
-# start OpenBLAS's thread pool, which spins ~0.1 s.
-SERIAL_BLAS_MIN_ENTRIES = 1 << 11
-SERIAL_BLAS_MAX_ENTRIES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -175,47 +156,6 @@ def _step_buffer(shape: tuple[int, int], dtype: type, use: str) -> np.ndarray:
     return np.empty(shape, dtype)
 
 
-@lru_cache(maxsize=None)
-def _openblas_threads():
-    """numpy's OpenBLAS (get, set) thread-count functions, or None.
-
-    They are looked up through numpy's core extension module, whose
-    dependencies dlsym also searches.  Under another BLAS the lookup returns
-    None.
-    """
-    lib = ctypes.CDLL(_multiarray_umath.__file__)
-    for prefix, suffix in (("scipy_openblas_", "64_"), ("scipy_openblas_", ""), ("openblas_", "")):
-        get = getattr(lib, f"{prefix}get_num_threads{suffix}", None)
-        put = getattr(lib, f"{prefix}set_num_threads{suffix}", None)
-        if get is not None and put is not None:
-            get.argtypes, get.restype = [], ctypes.c_int
-            put.argtypes, put.restype = [ctypes.c_int], None
-            return get, put
-    return None
-
-
-@contextmanager
-def _serial_blas(entries: int):
-    """Run the block on one OpenBLAS thread for a matrix of serial size.
-
-    Serial sizes run from SERIAL_BLAS_MIN_ENTRIES to SERIAL_BLAS_MAX_ENTRIES.
-    The prior thread count is restored on exit.  The count is process-wide, so
-    BLAS calls made meanwhile by other threads of the process run serial too.
-    """
-    serial = SERIAL_BLAS_MIN_ENTRIES <= entries <= SERIAL_BLAS_MAX_ENTRIES
-    threads = _openblas_threads() if serial else None
-    if threads is None:
-        yield
-        return
-    get, put = threads
-    prior = get()
-    put(1)
-    try:
-        yield
-    finally:
-        put(prior)
-
-
 def _solve_gram_factor(
     rows: np.ndarray, b: np.ndarray, rel_tol: float
 ) -> tuple[np.ndarray, float]:
@@ -224,8 +164,7 @@ def _solve_gram_factor(
     With V = [Re rows, Im rows] the system matrix is S + S^T = 2 V V^T, so its
     eigenpairs are the left singular vectors of V with eigenvalues 2 s^2.
     Eigenvalues below rel_tol times the largest are discarded; if none survive
-    for a nonzero b, or V has no SVD, the system is reported singular.  A
-    mid-sized V is decomposed on one OpenBLAS thread (see _serial_blas).
+    for a nonzero b, or V has no SVD, the system is reported singular.
 
     Rows that are the whole odd-Y basis of the register on a real state skip
     the SVD.  The shape shows the basis (dim (dim - 1) / 2 strings for dim
@@ -255,8 +194,7 @@ def _solve_gram_factor(
         [rows.real, rows.imag], axis=1, out=_step_buffer((rows.shape[0], 2 * dim), float, "V")
     )
     try:
-        with _serial_blas(V.size):
-            U, sv, _ = np.linalg.svd(V, full_matrices=False)
+        U, sv, _ = np.linalg.svd(V, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise SingularSystemError(f"the fit factor has no SVD: {exc}") from None
     w = 2.0 * sv**2
@@ -284,10 +222,9 @@ def trotter_step(
     carries the solved angles, the linear-system residual, and the fidelity
     against the exactly evolved and normalized step on the same input state.
     A term whose support is wider than cfg.domain_size raises
-    InvalidDomainError.  For a fit factor of serial size the whole step runs
-    on one OpenBLAS thread (see _serial_blas).  The rows, V and the rotations'
-    sin(theta) * gain table go into work arrays shared by all steps of the
-    process (see _step_buffer), so two threads must not run steps at once.
+    InvalidDomainError.  The rows, V and the rotations' sin(theta) * gain
+    table go into work arrays shared by all steps of the process (see
+    _step_buffer), so two threads must not run steps at once.
     """
     psi_in = state.state
     h_m = term.pauli
@@ -298,46 +235,44 @@ def trotter_step(
     odd_y = psi_in.is_real and h_m.has_real_matrix
     idx, ph, gain = sigma_basis(tuple(sorted(term.support)), odd_y, psi_in.n)
     amp = psi_in.amplitudes
-    # The fit factor V = [Re rows, Im rows] has 2 * idx.size entries.
-    with _serial_blas(2 * idx.size):
-        hpsi = _apply_generator(h_m, psi_in)
-        c = _c_from(amp, hpsi, cfg.delta_t)
-        # idx is in range; "clip" writes into the buffer directly, "raise" via a copy.
-        rows = np.take(amp, idx, out=_step_buffer(idx.shape, complex, "rows"), mode="clip")
-        np.multiply(ph, rows, out=rows)
-        a, residual = _solve_gram_factor(rows, _b_from(rows, hpsi, c), LSTSQ_REL_TOL)
+    hpsi = _apply_generator(h_m, psi_in)
+    c = _c_from(amp, hpsi, cfg.delta_t)
+    # idx is in range; "clip" writes into the buffer directly, "raise" via a copy.
+    rows = np.take(amp, idx, out=_step_buffer(idx.shape, complex, "rows"), mode="clip")
+    np.multiply(ph, rows, out=rows)
+    a, residual = _solve_gram_factor(rows, _b_from(rows, hpsi, c), LSTSQ_REL_TOL)
 
-        # A real state on an odd-Y basis rotates in real arithmetic, with the
-        # same roundings as the complex loop; psi is made complex again before the
-        # norm and the division, whose roundings would differ on a real array.
-        # Each rotation adds (sin(theta) gain) psi[ix] to cos(theta) psi in place;
-        # every gain is +-1 or +-i, so this rounds as sin(theta) (gain psi[ix]).
-        # math.sin keeps the angles' bits independent of numpy's vector sin.
-        thetas = (a * cfg.delta_t).tolist()
-        sg = _step_buffer(idx.shape, gain.dtype, "sin_gain")
-        np.multiply(np.array([math.sin(t) for t in thetas])[:, None], gain, out=sg)
-        real = not (amp.imag.any() or np.iscomplexobj(gain))
-        psi = amp.real.copy() if real else amp.copy()
-        for theta, sg_k, ix in zip(thetas, sg, idx):
-            if theta == 0.0:
-                continue
-            t = psi[ix]
-            t *= sg_k
-            psi *= math.cos(theta)
-            psi += t
-        psi = psi.astype(complex, copy=False)
-        nrm = float(np.linalg.norm(psi))
-        psi_out = StateVector(psi / nrm)
+    # A real state on an odd-Y basis rotates in real arithmetic, with the
+    # same roundings as the complex loop; psi is made complex again before the
+    # norm and the division, whose roundings would differ on a real array.
+    # Each rotation adds (sin(theta) gain) psi[ix] to cos(theta) psi in place;
+    # every gain is +-1 or +-i, so this rounds as sin(theta) (gain psi[ix]).
+    # math.sin keeps the angles' bits independent of numpy's vector sin.
+    thetas = (a * cfg.delta_t).tolist()
+    sg = _step_buffer(idx.shape, gain.dtype, "sin_gain")
+    np.multiply(np.array([math.sin(t) for t in thetas])[:, None], gain, out=sg)
+    real = not (amp.imag.any() or np.iscomplexobj(gain))
+    psi = amp.real.copy() if real else amp.copy()
+    for theta, sg_k, ix in zip(thetas, sg, idx):
+        if theta == 0.0:
+            continue
+        t = psi[ix]
+        t *= sg_k
+        psi *= math.cos(theta)
+        psi += t
+    psi = psi.astype(complex, copy=False)
+    nrm = float(np.linalg.norm(psi))
+    psi_out = StateVector(psi / nrm)
 
-        from .exact import exact_step
+    from .exact import exact_step
 
-        exact_out, _ = exact_step(psi_in, h_m, cfg.delta_t)
-        report = StepReport(
-            c=c,
-            a=a,
-            residual=residual,
-            step_fidelity=fidelity(psi_out, exact_out),
-        )
+    exact_out, _ = exact_step(psi_in, h_m, cfg.delta_t)
+    report = StepReport(
+        c=c,
+        a=a,
+        residual=residual,
+        step_fidelity=fidelity(psi_out, exact_out),
+    )
     return ScaledState(psi_out, state.scale * c * nrm), report
 
 

@@ -8,8 +8,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DimensionMismatchError
-from .evolution import QnuteConfig, Trajectory, _serial_blas, cached_dense
+from .errors import DimensionMismatchError, StepSizeError
+from .evolution import QnuteConfig, Trajectory, cached_dense
 from .hamiltonian import (
     LINEAR,
     BSParams,
@@ -49,12 +49,15 @@ def _expm(a: np.ndarray) -> np.ndarray:
     a is divided by 2^s, the least power that brings its 1-norm to theta_13
     or below; the approximant (v - u)^-1 (v + u), with u and v the odd and
     even parts of the Pade numerator, takes one solve; the result is squared
-    s times.  The zero matrix gives the identity exactly.
+    s times.  The zero matrix gives the identity exactly, and a matrix
+    whose 1-norm is not finite gives NaN.
     """
     eye = np.eye(a.shape[0], dtype=a.dtype)
     norm = float(np.linalg.norm(a, 1))
     if norm == 0.0:
         return eye
+    if not math.isfinite(norm):
+        return np.full_like(a, math.nan)
     s = math.ceil(math.log2(norm / _THETA13)) if norm > _THETA13 else 0
     a = a / 2.0**s
     b = _PADE13
@@ -73,8 +76,12 @@ def _expm(a: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def step_propagator(h_m: PauliSum, n: int, delta_t: float) -> np.ndarray:
-    """Dense exp(h_m * delta_t) via Pade-13 scaling and squaring."""
-    return _expm(cached_dense(h_m, n) * delta_t)
+    """Dense exp(h_m * delta_t) via Pade-13; StepSizeError if it overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        prop = _expm(cached_dense(h_m, n) * delta_t)
+    if not np.isfinite(prop).all():
+        raise StepSizeError(f"exp(h_m dt) overflows at dt = {delta_t:.3e}; reduce the time step")
+    return prop
 
 
 def exact_step(
@@ -120,16 +127,13 @@ def reference_pde_solution(contract, grid: Grid, p: BSParams, cfg: QnuteConfig) 
 
     Uses the linear-boundary generator with the same Trotter product and time
     step as the fitted evolution, without any encoding or rescaling, so the
-    result isolates unitary-fitting error from finite-difference error.  The
-    propagator matvecs of a serial-sized register run on one OpenBLAS thread
-    (see qnute.evolution._serial_blas).
+    result isolates unitary-fitting error from finite-difference error.
     """
     u = payoff_samples(contract, grid).astype(complex)
     gen = build_bs_pauli(grid, p, LINEAR)
     terms = split_terms(gen, grid.n, cfg.domain_size)
     propagators = [step_propagator(t.pauli, grid.n, cfg.delta_t) for t in terms]
-    with _serial_blas(1 << 2 * grid.n):
-        for _ in range(cfg.num_steps):
-            for prop in propagators:
-                u = prop @ u
+    for _ in range(cfg.num_steps):
+        for prop in propagators:
+            u = prop @ u
     return u.real

@@ -8,6 +8,7 @@ from dataclasses import dataclass, replace
 from .errors import ConfigError
 from .hamiltonian import CENTRAL, LINEAR, BSParams, Grid
 from .market import OptionContract, format_contract_spec, parse_contract_spec
+from .pauli import DENSE_QUBIT_GUARD
 
 
 @dataclass(frozen=True)
@@ -108,6 +109,11 @@ def _validate(cfg: RunConfig) -> RunConfig:
         raise ConfigError(f"grid.n: must be at least 1, got {cfg.n}")
     if not cfg.xN > cfg.x0 >= 0.0:
         raise ConfigError(f"grid.x0/grid.xN: need xN > x0 >= 0, got [{cfg.x0}, {cfg.xN}]")
+    # The generator squares the grid points; the encoding sums up to 2^guard squares.
+    if not math.isfinite(cfg.xN * cfg.xN * 2.0**DENSE_QUBIT_GUARD):
+        raise ConfigError(
+            f"grid.x0/grid.xN: the squares of 2^{DENSE_QUBIT_GUARD} points up to {cfg.xN} overflow"
+        )
     if cfg.r < 0.0:
         raise ConfigError(f"params.r: must be non-negative, got {cfg.r}")
     if cfg.sigma < 0.0:

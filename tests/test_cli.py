@@ -148,6 +148,24 @@ class TestPrice:
         ]
         assert not (tmp_path / "o" / "prices.csv").exists()
 
+    def test_overflowing_propagator_exits_3(self, tmp_path, capsys):
+        # One step of 1e20 years: exp(h_m dt) overflows before any price is written.
+        text = PRICE_CONFIG.replace("T = 3", "T = 1e20").replace("N_T = 20", "N_T = 1")
+        cfg = write_config(tmp_path, text)
+        assert main(["price", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+        assert "exp(h_m dt) overflows at dt = 1.000e+20" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "prices.csv").exists()
+
+    @pytest.mark.parametrize("command", ["price", "decompose"])
+    def test_overflowing_grid_exits_2_before_building(self, tmp_path, monkeypatch, capsys, command):
+        for module in ("qnute.market", "qnute.cli"):
+            monkeypatch.setattr(
+                f"{module}.build_bs_pauli", lambda *_: pytest.fail("the generator was built")
+            )
+        cfg = write_config(tmp_path, PRICE_CONFIG + "grid.x0 = 1e308\ngrid.xN = 1.7e308\n")
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert "config error: grid.x0/grid.xN: the squares of" in capsys.readouterr().err
+
     def test_env_var_overrides_out(self, tmp_path, monkeypatch):
         cfg = write_config(tmp_path, PRICE_CONFIG.replace("N_T = 20", "N_T = 0"))
         env_dir = tmp_path / "env_out"
@@ -386,7 +404,7 @@ assert "scipy" not in sys.modules
 
 
 class TestSweepWorkers:
-    """The commands and their workers need no scipy and set no BLAS thread count."""
+    """The commands and their workers need no scipy and run without OpenBLAS."""
 
     def test_commands_run_without_scipy(self, tmp_path):
         proc = subprocess.run(
@@ -402,18 +420,77 @@ class TestSweepWorkers:
 
     @needs_fork
     def test_golden_bytes_without_openblas(self, tmp_path, monkeypatch):
-        # Every OpenBLAS lookup leaves a file and finds no library.  The n = D = 6
-        # price looks it up in this process; sweep-sized fits never do, so no
-        # worker does.
+        # Every OpenBLAS lookup leaves a file and finds no library.  main looks
+        # it up in this process and every sweep worker in its own.
         def no_openblas():
             (tmp_path / f"lookup-{os.getpid()}").touch()
 
-        monkeypatch.setattr(qnute.evolution, "_openblas_threads", no_openblas)
+        monkeypatch.setattr(qnute.cli, "_openblas_threads", no_openblas)
         TestGoldenBytes.check_price(GOLDEN / "price-n6", tmp_path / "price")
         out = tmp_path / "sweep"
         assert main(["fidelity-sweep", "--config", str(GOLDEN / "sweep" / "run.cfg"), "--out", str(out)]) == 0
         assert (out / "fidelity.csv").read_bytes() == (GOLDEN / "sweep" / "fidelity.csv").read_bytes()
-        assert [path.name for path in tmp_path.glob("lookup-*")] == [f"lookup-{os.getpid()}"]
+        lookups = {path.name for path in tmp_path.glob("lookup-*")}
+        assert f"lookup-{os.getpid()}" in lookups and len(lookups) >= 2
+
+
+class TestBlasThreads:
+    """main runs a command on one OpenBLAS thread and restores the caller's count."""
+
+    @staticmethod
+    def spy(monkeypatch, module, name, record):
+        fn = getattr(module, name)
+
+        def wrapped(*args, **kwargs):
+            record(name)
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapped)
+
+    def test_price_steps_and_reference_on_one_thread(self, blas_threads, monkeypatch, tmp_path):
+        get, _ = blas_threads
+        seen = set()
+
+        def record(name):
+            seen.add((name, get()))
+
+        self.spy(monkeypatch, qnute.evolution, "trotter_step", record)
+        self.spy(monkeypatch, qnute.cli, "reference_pde_solution", record)
+        cfg = write_config(tmp_path, PRICE_CONFIG)
+        assert main(["price", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+        assert seen == {("trotter_step", 1), ("reference_pde_solution", 1)}
+        assert get() == 2
+
+    @needs_fork
+    def test_forked_sweep_cell_on_one_thread(self, blas_threads, monkeypatch, tmp_path):
+        # The worker reports through files: each step leaves one per thread count.
+        get, _ = blas_threads
+        seen = tmp_path / "seen"
+        seen.mkdir()
+
+        def record(name):
+            (seen / f"{name}-{get()}").touch()
+
+        self.spy(monkeypatch, qnute.evolution, "trotter_step", record)
+        cfg = write_config(tmp_path, SWEEP_CONFIG.replace("sweep.n = 2", "sweep.n = 3"))
+        assert main(["fidelity-sweep", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+        assert [path.name for path in seen.iterdir()] == ["trotter_step-1"]
+        assert get() == 2
+
+    @pytest.mark.parametrize(
+        "config, code",
+        [
+            (PRICE_CONFIG, 0),
+            (PRICE_CONFIG + "grid.xN = 1e300\n", 2),
+            (PRICE_CONFIG.replace("call:75", "call:200"), 3),
+        ],
+        ids=["exit-0", "exit-2", "exit-3"],
+    )
+    def test_prior_count_restored(self, blas_threads, tmp_path, config, code):
+        get, _ = blas_threads
+        cfg = write_config(tmp_path, config)
+        assert main(["price", "--config", cfg, "--out", str(tmp_path / "o")]) == code
+        assert get() == 2
 
 
 def _child_env():

@@ -22,6 +22,7 @@ from oracles import (
     rotate_complex,
     solve_coefficients,
 )
+from qnute.cli import _set_blas_threads
 from qnute.errors import (
     CapacityError,
     DimensionMismatchError,
@@ -31,14 +32,10 @@ from qnute.errors import (
 )
 from qnute.evolution import (
     LSTSQ_REL_TOL,
-    SERIAL_BLAS_MAX_ENTRIES,
-    SERIAL_BLAS_MIN_ENTRIES,
     QnuteConfig,
     _apply_generator,
     _b_from,
     _c_from,
-    _openblas_threads,
-    _serial_blas,
     _solve_gram_factor,
     evolve,
     sigma_basis,
@@ -443,94 +440,33 @@ class TestClosedFormSolve:
         assert calls == []
 
 
-@pytest.fixture
-def blas_threads():
-    """numpy's OpenBLAS (get, set) pair set to 2 threads, restored afterwards."""
-    threads = _openblas_threads()
-    if threads is None:
-        pytest.skip("numpy does not link OpenBLAS")
-    get, put = threads
-    prior = get()
-    put(2)
-    yield get, put
-    put(prior)
+def test_step_leaves_the_callers_blas_thread_count_alone(blas_threads, monkeypatch):
+    # The library sets no thread count: qnute.cli.main sets one for a command.
+    get, _ = blas_threads
+    seen = {}
+
+    def spy(name, fn):
+        def wrapped(*args, **kwargs):
+            seen.setdefault(name, []).append(get())
+            return fn(*args, **kwargs)
+
+        return wrapped
+
+    monkeypatch.setattr(qnute.evolution, "_apply_generator", spy("generator", _apply_generator))
+    monkeypatch.setattr(qnute.exact, "exact_step", spy("exact", exact_step))
+    initial, terms, cfg = bs_setup(4)
+    trotter_step(initial, terms[0], cfg)
+    assert seen == {"generator": [2], "exact": [2]}
+    assert get() == 2
 
 
 class TestSerialBlas:
-    def test_one_thread_inside_and_restored(self, blas_threads):
-        get, _ = blas_threads
-        for entries in (SERIAL_BLAS_MIN_ENTRIES, SERIAL_BLAS_MAX_ENTRIES):
-            with _serial_blas(entries):
-                assert get() == 1
-            assert get() == 2
-
-    def test_restored_when_the_svd_raises(self, blas_threads, monkeypatch):
-        get, _ = blas_threads
-        svd, seen = np.linalg.svd, []
-
-        def counting_svd(*args, **kwargs):
-            seen.append(get())
-            return svd(*args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "svd", counting_svd)
-        nan_rows = np.ones((32, 64), dtype=complex)  # V has 32 x 128 entries
-        nan_rows[1, 0] = np.nan
-        with pytest.raises(SingularSystemError, match="SVD"):
-            _solve_gram_factor(nan_rows, np.ones(32), 1e-8)
-        assert seen == [1]
-        assert get() == 2
-
-    def test_small_and_large_factors_keep_the_thread_count(self, blas_threads):
-        get, _ = blas_threads
-        for entries in (SERIAL_BLAS_MIN_ENTRIES - 1, SERIAL_BLAS_MAX_ENTRIES + 1):
-            with _serial_blas(entries):
-                assert get() == 2
-            assert get() == 2
-
-    @staticmethod
-    def spy_on_step(monkeypatch, get):
-        """Thread counts seen by the step's generator matvec and exact-step diagnostic."""
-        seen = {}
-
-        def spy(name, fn):
-            def wrapped(*args, **kwargs):
-                seen.setdefault(name, []).append(get())
-                return fn(*args, **kwargs)
-
-            return wrapped
-
-        monkeypatch.setattr(qnute.evolution, "_apply_generator", spy("generator", _apply_generator))
-        monkeypatch.setattr(qnute.exact, "exact_step", spy("exact", exact_step))
-        return seen
-
-    @pytest.mark.parametrize("n, threads", [(4, 1), (3, 2)])
-    def test_whole_step_keyed_on_the_fit_factor(self, blas_threads, monkeypatch, n, threads):
-        # n = D = 4 odd-Y: V is 120 x 32 (3840 entries, serial); n = D = 3: 28 x 16.
-        get, _ = blas_threads
-        initial, terms, cfg = bs_setup(n)
-        idx, _, _ = sigma_basis(tuple(range(n)), True, n)
-        assert (SERIAL_BLAS_MIN_ENTRIES <= 2 * idx.size) == (threads == 1)
-        seen = self.spy_on_step(monkeypatch, get)
-        trotter_step(initial, terms[0], cfg)
-        assert seen == {"generator": [threads], "exact": [threads]}
-        assert get() == 2
-
-    def test_step_restores_the_count_when_the_solve_raises(self, blas_threads, monkeypatch):
-        get, _ = blas_threads
-        initial, terms, cfg = bs_setup(4)
-        seen = self.spy_on_step(monkeypatch, get)
-        with mock.patch(
-            "qnute.evolution._solve_gram_factor", side_effect=SingularSystemError("no fit")
-        ):
-            with pytest.raises(SingularSystemError, match="no fit"):
-                trotter_step(initial, terms[0], cfg)
-        assert seen == {"generator": [1]}
-        assert get() == 2
+    """The one-thread pin qnute.cli sets around a command, under a numpy without OpenBLAS."""
 
     def test_no_op_without_openblas(self, monkeypatch):
-        monkeypatch.setattr("qnute.evolution._openblas_threads", lambda: None)
-        with _serial_blas(SERIAL_BLAS_MIN_ENTRIES):
-            pass
+        monkeypatch.setattr("qnute.cli._openblas_threads", lambda: None)
+        assert _set_blas_threads(1) is None
+        assert _set_blas_threads(None) is None
         a, _ = _solve_gram_factor(np.eye(3, dtype=complex), np.array([2.0, 0.0, 0.0]), 1e-8)
         assert np.allclose(a, [1.0, 0.0, 0.0])
 

@@ -6,10 +6,9 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import qnute.exact
 from oracles import decode_nonnegative, dense_of_terms, random_pauli_sum_terms, taylor_expm_apply
-from qnute.errors import CapacityError, DimensionMismatchError
-from qnute.evolution import QnuteConfig, _openblas_threads, cached_dense
+from qnute.errors import CapacityError, DimensionMismatchError, StepSizeError
+from qnute.evolution import QnuteConfig, cached_dense
 from qnute.exact import (
     _expm,
     exact_step,
@@ -58,6 +57,9 @@ class TestExpm:
         tol = 64 * np.finfo(float).eps * (1.0 + norm)
         assert relative_error(_expm(a), scipy.linalg.expm(a)) <= tol
 
+    def test_non_finite_norm_gives_nan(self):
+        assert np.isnan(_expm(np.array([[np.inf, 0.0], [0.0, 1.0]]))).all()
+
     @pytest.mark.parametrize("dim", [1, 2, 16])
     def test_zero_matrix_gives_identity(self, dim):
         got = _expm(np.zeros((dim, dim), dtype=complex))
@@ -95,6 +97,14 @@ class TestExactStep:
     def test_capacity_guard(self):
         with pytest.raises(CapacityError):
             step_propagator(PauliSum([(1.0, "I" * 15)]), 15, 0.1)
+
+    # exp(800) overflows in the squarings; 1e308 overflows the 1-norm itself.
+    @pytest.mark.parametrize("dt", [800.0, 1e308])
+    def test_overflowing_propagator_is_a_step_size_error(self, dt):
+        h = PauliSum([(1.0, "I"), (0.5, "X")])
+        with pytest.raises(StepSizeError, match="overflows"):
+            step_propagator(h, 1, dt)
+        assert np.isfinite(step_propagator(h, 1, 0.1)).all()
 
 
 class TestExactTrajectory:
@@ -206,34 +216,6 @@ class TestReferencePdeSolution:
         got = reference_pde_solution(contract, grid, PAPER_PARAMS, cfg)
         want = -grid.points() + 200.0 * np.exp(-PAPER_PARAMS.r * maturity)
         assert np.max(np.abs(got - want)) < 1e-6
-
-    def test_matvecs_run_on_one_blas_thread(self, monkeypatch):
-        # n = 6: 4096-entry propagators, a serial size (see _serial_blas).
-        threads = _openblas_threads()
-        if threads is None:
-            pytest.skip("numpy does not link OpenBLAS")
-        get, put = threads
-        seen = []
-
-        class Spy:
-            def __init__(self, prop):
-                self.prop = prop
-
-            def __matmul__(self, u):
-                seen.append(get())
-                return self.prop @ u
-
-        propagator = qnute.exact.step_propagator
-        monkeypatch.setattr(qnute.exact, "step_propagator", lambda *args: Spy(propagator(*args)))
-        prior = get()
-        put(2)
-        try:
-            cfg = QnuteConfig(delta_t=0.006, num_steps=3, domain_size=6)
-            reference_pde_solution(OptionContract("put", (75.0,)), Grid(0.0, 150.0, 6), PAPER_PARAMS, cfg)
-            assert seen == [1, 1, 1]
-            assert get() == 2
-        finally:
-            put(prior)
 
     def test_round_trip_consistency_at_start(self):
         grid = Grid(0.0, 150.0, 3)
