@@ -35,8 +35,14 @@ LSTSQ_REL_TOL = 1e-8
 
 # Largest gather tables a basis may keep (per basis string and amplitude: an
 # index, a complex phase and a rotation gain, 32 bytes odd-Y and 40 bytes
-# full); larger bases are refused.
+# full, plus the block tables of a whole-register odd-Y basis, see
+# rotation_blocks); larger bases are refused.
 BASIS_BYTES_LIMIT = 1 << 30
+
+# Whole-register real fits apply their rotations this many at a time, as one
+# gather and one matvec over the 2^ROTATION_BLOCK ordered subproducts.  Of
+# 3..6, 4 took the least time on the n = 6 price (2016 strings, 64 amplitudes).
+ROTATION_BLOCK = 4
 
 
 @dataclass(frozen=True)
@@ -74,15 +80,28 @@ class Trajectory:
     reports: list[StepReport]
 
 
+def _block_dtype(n: int) -> np.dtype:
+    """Smallest unsigned dtype of a signed gather index into the doubled 2^(n+1) state."""
+    return np.min_scalar_type((2 << n) - 1)
+
+
 def check_basis_size(width: int, odd_y: bool, n: int) -> int:
-    """String count of a width-qubit fit basis; CapacityError if over BASIS_BYTES_LIMIT."""
+    """String count of a width-qubit fit basis; CapacityError if over BASIS_BYTES_LIMIT.
+
+    A whole-register odd-Y basis also counts its rotation_blocks table.
+    """
     size = (4**width - 2**width) // 2 if odd_y else 4**width - 1
-    nbytes = size * (1 << n) * (32 if odd_y else 40)
-    if nbytes > BASIS_BYTES_LIMIT:
+    gather_bytes = size * (1 << n) * (32 if odd_y else 40)
+    block_bytes = 0
+    if odd_y and width == n:
+        blocks = -(-size // ROTATION_BLOCK)
+        block_bytes = blocks * (1 << ROTATION_BLOCK) * (1 << n) * _block_dtype(n).itemsize
+    if gather_bytes + block_bytes > BASIS_BYTES_LIMIT:
         raise CapacityError(
             f"a {width}-qubit {'odd-y' if odd_y else 'full'} basis on {n} qubits has "
-            f"{size} strings whose gather tables need {nbytes} bytes, over the "
-            f"{BASIS_BYTES_LIMIT}-byte limit"
+            f"{size} strings whose gather tables need {gather_bytes} bytes"
+            + (f" and block tables {block_bytes} more" if block_bytes else "")
+            + f", over the {BASIS_BYTES_LIMIT}-byte limit"
         )
     return size
 
@@ -111,13 +130,72 @@ def sigma_basis(
         raise InvalidDomainError(f"domain {domain} is not contiguous")
     width = len(domain)
     size = check_basis_size(width, odd_y, n)
-    digits = lexicographic_codes(np.arange(1, 4**width), width)
-    if odd_y:
-        digits = digits[(digits == 2).sum(axis=1) % 2 == 1]
     codes = np.zeros((size, n), dtype=np.int8)
-    codes[:, domain[0] : domain[-1] + 1] = digits
+    codes[:, domain[0] : domain[-1] + 1] = _window_codes(width, odd_y)
     idx, ph = gather_tables(codes)
     return idx, ph, (ph.imag.copy() if odd_y else -1j * ph)
+
+
+def _window_codes(width: int, odd_y: bool) -> np.ndarray:
+    """Symbol codes of a width-qubit fit basis in row order (see sigma_basis)."""
+    digits = lexicographic_codes(np.arange(1, 4**width), width)
+    return digits[(digits == 2).sum(axis=1) % 2 == 1] if odd_y else digits
+
+
+def _parity(v: np.ndarray) -> np.ndarray:
+    """Bit parity of each entry of an unsigned array, folded in place."""
+    shift = 4 * v.itemsize
+    while shift:
+        v ^= v >> shift
+        shift //= 2
+    v &= 1
+    return v
+
+
+@lru_cache(maxsize=None)
+def rotation_blocks(n: int) -> np.ndarray:
+    """Signed gather tables of the whole-register odd-Y rotations, ROTATION_BLOCK per block.
+
+    On a real state the rotation of odd-Y string k is R_k = cos(t_k) + sin(t_k) G_k,
+    with (G_k v)[j] = g_k (-1)^parity(z_k & (j ^ x_k)) v[j ^ x_k] for the string's
+    X/Y mask x_k, Y/Z mask z_k and g_k = Im(i^(Y count)) (the gain of
+    sigma_basis).  A block's ordered product R_(K-1) ... R_0 is then the sum of
+    its 2^K ordered subproducts G_S, S a bit set over the block, each weighted
+    by the product of sin(t_k) over S and cos(t_k) outside it.  Each G_S is again
+    a signed shift, (G_S v)[j] = C_S (-1)^parity(Z_S & j) v[j ^ X_S], with X_S
+    and Z_S the XOR of the masks in S; adding the last string t to S' gives
+    C_S = C_S' g_t (-1)^parity(Z_S & x_t).  Row S of block b holds j ^ X_S, plus
+    2^n where the sign is negative: an index into the doubled state [v, -v].
+    The basis is padded to whole blocks with identity strings (angle 0).
+    Entries are the smallest unsigned dtype that holds 2^(n+1) - 1, built
+    without index-sized temporaries; check_basis_size counts their bytes.
+    """
+    size = check_basis_size(n, True, n)
+    dt = _block_dtype(n)
+    blocks, dim = -(-size // ROTATION_BLOCK), 1 << n
+    codes = np.zeros((blocks * ROTATION_BLOCK, n), dtype=np.int8)
+    codes[:size] = _window_codes(n, True)
+    bit_values = (1 << np.arange(n - 1, -1, -1)).astype(dt)
+
+    def by_string(bits: np.ndarray) -> np.ndarray:  # row t: string t of every block
+        return bits.astype(dt).reshape(blocks, ROTATION_BLOCK).T
+
+    x = by_string(((codes == 1) | (codes == 2)).astype(dt) @ bit_values)
+    z = by_string(((codes == 2) | (codes == 3)).astype(dt) @ bit_values)
+    g_neg = by_string((codes == 2).sum(axis=1) % 4 == 3)
+    # Row S = S' + {t} is row S' with j ^ X_S' turned into j ^ X_S and its
+    # sign bit flipped by parity(z_t & j), g_t and parity(Z_S & x_t).
+    table = np.empty((blocks, 1 << ROTATION_BLOCK, dim), dtype=dt)
+    table[:, 0] = j = np.arange(dim, dtype=dt)
+    zs = np.zeros((1 << ROTATION_BLOCK, blocks), dtype=dt)
+    for t in range(ROTATION_BLOCK):
+        step = (_parity(z[t][:, None] & j) << n) ^ x[t][:, None]
+        for s in range(1 << t, 2 << t):
+            rest = s ^ (1 << t)
+            zs[s] = zs[rest] ^ z[t]
+            np.bitwise_xor(table[:, rest], step, out=table[:, s])
+            table[:, s] ^= ((g_neg[t] ^ _parity(zs[s] & x[t])) << n)[:, None]
+    return table
 
 
 @lru_cache(maxsize=None)
@@ -144,11 +222,12 @@ def _b_from(rows: np.ndarray, hpsi: np.ndarray, c: float) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _step_buffer(shape: tuple[int, int], dtype: type, use: str) -> np.ndarray:
+def _step_buffer(shape: tuple[int, ...], dtype: type, use: str) -> np.ndarray:
     """Work array of a fit step, one per use, shape and dtype, reused by every step.
 
-    The gathered rows, the fit factor V and the rotations' sin-times-gain
-    table are written into these instead of into fresh factor-sized arrays.
+    The gathered rows, the fit factor V, the rotations' sin-times-gain table
+    and the block rotations' doubled state and gathered subproducts are
+    written into these instead of into fresh arrays.
     A run holds one set per basis shape it fits.  Reuse keeps glibc from
     mapping fresh pages for them step after step: without it, 100 steps of
     price at n = D = 6 took 83.6k minor page faults instead of 13.9k.
@@ -157,7 +236,7 @@ def _step_buffer(shape: tuple[int, int], dtype: type, use: str) -> np.ndarray:
 
 
 def _solve_gram_factor(
-    rows: np.ndarray, b: np.ndarray, rel_tol: float
+    rows: np.ndarray, b: np.ndarray, rel_tol: float, whole_register: bool = False
 ) -> tuple[np.ndarray, float]:
     """Minimal-norm solution of (S + S^T) a = b from the rows sigma_I |psi> of a unit state.
 
@@ -166,10 +245,9 @@ def _solve_gram_factor(
     Eigenvalues below rel_tol times the largest are discarded; if none survive
     for a nonzero b, or V has no SVD, the system is reported singular.
 
-    Rows that are the whole odd-Y basis of the register on a real state skip
-    the SVD.  The shape shows the basis (dim (dim - 1) / 2 strings for dim
-    amplitudes; no narrower window has as many) and an exactly zero real part
-    shows the real state (a nearly-real one takes the SVD).  Those strings are
+    Rows that are the whole odd-Y basis of the register on an exactly real
+    state (whole_register, decided by trotter_step; a nearly-real state takes
+    the SVD) skip the SVD.  Those strings are
     i dim^(1/2) times an orthonormal basis of the real antisymmetric matrices,
     so with Vi = rows.imag and a unit psi, Vi^T Vi = (dim / 2) (I - psi psi^T)
     and Vi Vi^T = (dim / 2) P for the projector P onto the range of Vi.  Then
@@ -181,7 +259,7 @@ def _solve_gram_factor(
     if np.linalg.norm(b) == 0.0:
         return np.zeros(rows.shape[0]), 0.0
     dim = rows.shape[1]
-    if 2 * rows.shape[0] == dim * (dim - 1) and not rows.real.any():
+    if whole_register:
         # rows = i Vi, so Vi^T y = Im(rows^T y) and Vi x = Im(rows x): BLAS
         # products on the contiguous rows, where the strided view Vi has none.
         with np.errstate(invalid="ignore", over="ignore"):
@@ -210,45 +288,47 @@ def _solve_gram_factor(
     return a, residual
 
 
-def trotter_step(
-    state: ScaledState, term: HamiltonianTerm, cfg: QnuteConfig
-) -> tuple[ScaledState, StepReport]:
-    """Fit and apply the rotation product for one factor exp(h_m * dt).
+def _rotate_blocks(psi: np.ndarray, thetas: list[float], n: int) -> np.ndarray:
+    """The ordered rotations of a whole-register real fit on the real psi, a block at a time.
 
-    The rotations act on the term's own qubit window, over odd-Y strings when
-    the state and h_m are both real (the rotations then stay real) and over
-    all strings otherwise.  They are applied in ascending basis order, the
-    state is renormalized, and the scale is multiplied by c.  The report
-    carries the solved angles, the linear-system residual, and the fidelity
-    against the exactly evolved and normalized step on the same input state.
-    A term whose support is wider than cfg.domain_size raises
-    InvalidDomainError.  The rows, V and the rotations' sin(theta) * gain
-    table go into work arrays shared by all steps of the process (see
-    _step_buffer), so two threads must not run steps at once.
+    Each block of rotation_blocks(n) maps v to sum_S w_S G_S v: one gather
+    from the doubled state [v, -v] and one matvec with the block's 2^K
+    weights, which are products of the angles' sines and cosines.
     """
-    psi_in = state.state
-    h_m = term.pauli
-    if len(term.support) > cfg.domain_size:
-        raise InvalidDomainError(
-            f"term on {len(term.support)} qubits exceeds domain_size {cfg.domain_size}"
-        )
-    odd_y = psi_in.is_real and h_m.has_real_matrix
-    idx, ph, gain = sigma_basis(tuple(sorted(term.support)), odd_y, psi_in.n)
-    amp = psi_in.amplitudes
-    hpsi = _apply_generator(h_m, psi_in)
-    c = _c_from(amp, hpsi, cfg.delta_t)
-    # idx is in range; "clip" writes into the buffer directly, "raise" via a copy.
-    rows = np.take(amp, idx, out=_step_buffer(idx.shape, complex, "rows"), mode="clip")
-    np.multiply(ph, rows, out=rows)
-    a, residual = _solve_gram_factor(rows, _b_from(rows, hpsi, c), LSTSQ_REL_TOL)
+    blocks = rotation_blocks(n)
+    thetas = thetas + [0.0] * (blocks.shape[0] * ROTATION_BLOCK - len(thetas))
+    cos = np.array([math.cos(t) for t in thetas]).reshape(-1, ROTATION_BLOCK)
+    sin = np.array([math.sin(t) for t in thetas]).reshape(-1, ROTATION_BLOCK)
+    # Column S of a block's weights, bit k of S set for string k: after
+    # string k, the sets without it come first.
+    weights = np.ones((cos.shape[0], 1))
+    for k in range(ROTATION_BLOCK):
+        c, s = cos[:, k : k + 1], sin[:, k : k + 1]
+        weights = np.concatenate([weights * c, weights * s], axis=1)
+    dim = psi.size
+    doubled = _step_buffer((2 * dim,), float, "doubled")
+    head, tail = doubled[:dim], doubled[dim:]
+    gathered = _step_buffer(blocks.shape[1:], float, "gathered")
+    head[:] = psi
+    np.negative(head, out=tail)
+    for table, w in zip(blocks, weights):
+        doubled.take(table, out=gathered, mode="clip")
+        np.dot(w, gathered, out=head)
+        np.negative(head, out=tail)
+    return head.copy()
 
-    # A real state on an odd-Y basis rotates in real arithmetic, with the
-    # same roundings as the complex loop; psi is made complex again before the
-    # norm and the division, whose roundings would differ on a real array.
-    # Each rotation adds (sin(theta) gain) psi[ix] to cos(theta) psi in place;
-    # every gain is +-1 or +-i, so this rounds as sin(theta) (gain psi[ix]).
-    # math.sin keeps the angles' bits independent of numpy's vector sin.
-    thetas = (a * cfg.delta_t).tolist()
+
+def _rotate_each(
+    amp: np.ndarray, thetas: list[float], idx: np.ndarray, gain: np.ndarray
+) -> np.ndarray:
+    """The ordered rotations of any other fit on amp, one string at a time.
+
+    A real state on an odd-Y basis rotates in real arithmetic, with the same
+    roundings as the complex loop; the caller makes psi complex again before
+    the norm and the division, whose roundings would differ on a real array.
+    Each rotation adds (sin(theta) gain) psi[ix] to cos(theta) psi in place;
+    every gain is +-1 or +-i, so this rounds as sin(theta) (gain psi[ix]).
+    """
     sg = _step_buffer(idx.shape, gain.dtype, "sin_gain")
     np.multiply(np.array([math.sin(t) for t in thetas])[:, None], gain, out=sg)
     real = not (amp.imag.any() or np.iscomplexobj(gain))
@@ -260,6 +340,52 @@ def trotter_step(
         t *= sg_k
         psi *= math.cos(theta)
         psi += t
+    return psi
+
+
+def trotter_step(
+    state: ScaledState, term: HamiltonianTerm, cfg: QnuteConfig
+) -> tuple[ScaledState, StepReport]:
+    """Fit and apply the rotation product for one factor exp(h_m * dt).
+
+    The rotations act on the term's own qubit window, over odd-Y strings when
+    the state and h_m are both real (the rotations then stay real) and over
+    all strings otherwise.  They are applied in ascending basis order, the
+    state is renormalized, and the scale is multiplied by c.  A whole-register
+    odd-Y fit on an exactly real state applies them ROTATION_BLOCK at a time
+    (see rotation_blocks), which differs from the one-by-one product only by
+    rounding; every other fit applies them one by one.  The report carries the
+    solved angles, the linear-system residual, and the fidelity against the
+    exactly evolved and normalized step on the same input state.  A term whose
+    support is wider than cfg.domain_size raises InvalidDomainError.  The
+    rows, V and the rotations' work arrays are shared by all steps of the
+    process (see _step_buffer), so two threads must not run steps at once.
+    """
+    psi_in = state.state
+    h_m = term.pauli
+    n = psi_in.n
+    if len(term.support) > cfg.domain_size:
+        raise InvalidDomainError(
+            f"term on {len(term.support)} qubits exceeds domain_size {cfg.domain_size}"
+        )
+    odd_y = psi_in.is_real and h_m.has_real_matrix
+    idx, ph, gain = sigma_basis(tuple(sorted(term.support)), odd_y, n)
+    amp = psi_in.amplitudes
+    whole_register = odd_y and len(term.support) == n and not amp.imag.any()
+    hpsi = _apply_generator(h_m, psi_in)
+    c = _c_from(amp, hpsi, cfg.delta_t)
+    # idx is in range; "clip" writes into the buffer directly, "raise" via a copy.
+    rows = np.take(amp, idx, out=_step_buffer(idx.shape, complex, "rows"), mode="clip")
+    np.multiply(ph, rows, out=rows)
+    a, residual = _solve_gram_factor(
+        rows, _b_from(rows, hpsi, c), LSTSQ_REL_TOL, whole_register
+    )
+    # math.sin and math.cos keep the angles' bits independent of numpy's vector ones.
+    thetas = (a * cfg.delta_t).tolist()
+    if whole_register:
+        psi = _rotate_blocks(amp.real, thetas, n)
+    else:
+        psi = _rotate_each(amp, thetas, idx, gain)
     psi = psi.astype(complex, copy=False)
     nrm = float(np.linalg.norm(psi))
     psi_out = StateVector(psi / nrm)

@@ -127,6 +127,13 @@ def _validate(cfg: RunConfig) -> RunConfig:
     for key, values in (("sweep.n", cfg.sweep_n), ("sweep.D", cfg.sweep_D)):
         if any(v < 1 for v in values):
             raise ConfigError(f"{key}: entries must be at least 1, got {values}")
+    # The generator divides by the squared grid step, which shrinks with n.
+    n = max((cfg.n, *cfg.sweep_n))
+    h = cfg.grid(n).h
+    if h * h == 0.0 or not math.isfinite(1.0 / (h * h)):
+        raise ConfigError(
+            f"grid.x0/grid.xN: the square of the grid step {h:.3e} at n = {n} underflows"
+        )
     if cfg.boundary not in (CENTRAL, LINEAR):
         raise ConfigError(
             f"hamiltonian.boundary: expected central or linear, got {cfg.boundary!r}"

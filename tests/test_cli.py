@@ -166,6 +166,20 @@ class TestPrice:
         assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         assert "config error: grid.x0/grid.xN: the squares of" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["price", "decompose"])
+    def test_underflowing_grid_step_exits_2_before_building(
+        self, tmp_path, monkeypatch, capsys, command
+    ):
+        # h = 1e-170 / 7 squares to 0: the generator would divide by zero.
+        for module in ("qnute.market", "qnute.cli"):
+            monkeypatch.setattr(
+                f"{module}.build_bs_pauli", lambda *_: pytest.fail("the generator was built")
+            )
+        cfg = write_config(tmp_path, PRICE_CONFIG + "grid.x0 = 0\ngrid.xN = 1e-170\n")
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "config error: grid.x0/grid.xN: the square of the grid step 1.429e-171" in err
+
     def test_env_var_overrides_out(self, tmp_path, monkeypatch):
         cfg = write_config(tmp_path, PRICE_CONFIG.replace("N_T = 20", "N_T = 0"))
         env_dir = tmp_path / "env_out"

@@ -32,12 +32,16 @@ from qnute.errors import (
 )
 from qnute.evolution import (
     LSTSQ_REL_TOL,
+    ROTATION_BLOCK,
     QnuteConfig,
     _apply_generator,
     _b_from,
     _c_from,
+    _rotate_blocks,
     _solve_gram_factor,
+    check_basis_size,
     evolve,
+    rotation_blocks,
     sigma_basis,
     trajectory_rows,
     trotter_step,
@@ -387,7 +391,9 @@ class TestClosedFormSolve:
         terms = list(_bs_term(n).pauli.terms) if bs_term and n > 1 else real_matrix_terms(rng, n, 6)
         window = tuple(range(n))
         b = measure_b(psi, window, True, terms, 1.0)
-        a, residual = _solve_gram_factor(basis_rows(psi, window, True), b, LSTSQ_REL_TOL)
+        a, residual = _solve_gram_factor(
+            basis_rows(psi, window, True), b, LSTSQ_REL_TOL, whole_register=True
+        )
         S = measure_S(psi, fit_strings(window, True, n))
         want, want_residual = solve_coefficients(S, b, LSTSQ_REL_TOL)
         assert np.linalg.norm(a - want) <= 1e-12 * np.linalg.norm(want)
@@ -436,7 +442,7 @@ class TestClosedFormSolve:
         rows = basis_rows(random_state(np.random.default_rng(15), 3, real=True), (0, 1, 2), True)
         rows.imag[5, 2] = bad
         with pytest.raises(SingularSystemError, match="not finite"):
-            _solve_gram_factor(rows, np.ones(rows.shape[0]), LSTSQ_REL_TOL)
+            _solve_gram_factor(rows, np.ones(rows.shape[0]), LSTSQ_REL_TOL, whole_register=True)
         assert calls == []
 
 
@@ -477,19 +483,27 @@ def _bs_term(n):
 
 
 class TestRotationBits:
-    """trotter_step's rotation loop against the complex-arithmetic oracle, bit for bit."""
+    """trotter_step's rotations against the complex-arithmetic oracle.
+
+    Bit for bit, except on whole-register real fits, whose rotations are
+    applied in blocks (see TestRotationBlocks) and agree to 1e-12.
+    """
 
     @staticmethod
-    def check(psi, term, odd_y, angles):
+    def check(psi, term, odd_y, angles, bitwise=True):
         n = psi.n
         cfg = QnuteConfig(delta_t=0.01, num_steps=1, domain_size=n)
         a = np.array(angles)
         with mock.patch("qnute.evolution._solve_gram_factor", return_value=(a, 0.0)):
             out, report = trotter_step(ScaledState(psi, 1.0), term, cfg)
-        idx, ph, _ = fit_tables(tuple(range(n)), odd_y, n)
+        idx, ph, _ = fit_tables(tuple(sorted(term.support)), odd_y, n)
         want, nrm = rotate_complex(psi.amplitudes, idx, ph, [x * cfg.delta_t for x in a])
-        assert np.array_equal(out.state.amplitudes, want)
-        assert out.scale == 1.0 * report.c * nrm
+        if bitwise:
+            assert np.array_equal(out.state.amplitudes, want)
+            assert out.scale == 1.0 * report.c * nrm
+        else:
+            assert np.max(np.abs(out.state.amplitudes - want)) <= 1e-12
+            assert out.scale == pytest.approx(report.c * nrm, rel=1e-12, abs=0.0)
 
     @staticmethod
     def draw(data, n, size):
@@ -502,7 +516,19 @@ class TestRotationBits:
     @given(st.integers(2, 3), st.data())
     def test_real_state_odd_y(self, n, data):
         rng, angles = self.draw(data, n, (4**n - 2**n) // 2)
-        self.check(random_state(rng, n, real=True), _bs_term(n), True, angles)
+        self.check(random_state(rng, n, real=True), _bs_term(n), True, angles, bitwise=False)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(2, 4), st.data())
+    def test_windowed_real_state_odd_y(self, n, data):
+        # The terms of a split narrower than the register rotate one by one.
+        width = data.draw(st.integers(1, n - 1), label="width")
+        terms = split_terms(build_bs_pauli(Grid(0.0, 150.0, n), PAPER_PARAMS, "linear"), n, width)
+        term = data.draw(st.sampled_from(terms), label="term")
+        k = len(term.support)
+        rng, angles = self.draw(data, n, (4**k - 2**k) // 2)
+        assert k < n and term.pauli.has_real_matrix
+        self.check(random_state(rng, n, real=True), term, True, angles)
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(2, 3), st.booleans(), st.data())
@@ -522,6 +548,72 @@ class TestRotationBits:
         psi = StateVector(v)
         assert psi.is_real and np.any(psi.amplitudes.imag)
         self.check(psi, _bs_term(n), True, angles)
+
+
+class TestRotationBlocks:
+    """Whole-register real rotations applied ROTATION_BLOCK at a time."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 6), st.integers(0, 2**32 - 1), st.data())
+    def test_matches_the_ordered_product(self, n, seed, data):
+        # Unit real states, angles 0 or up to 200 dt with dt = 0.01: the block
+        # sums differ from the one-by-one product by rounding, <= 1e-12.
+        size = (4**n - 2**n) // 2
+        angle = st.one_of(st.just(0.0), st.floats(-2.0, 2.0, allow_nan=False))
+        thetas = data.draw(st.lists(angle, min_size=size, max_size=size), label="thetas")
+        psi = random_state(np.random.default_rng(seed), n, real=True).amplitudes.real
+        got = _rotate_blocks(psi, thetas, n)
+        idx, ph, _ = fit_tables(tuple(range(n)), True, n)
+        want, nrm = rotate_complex(psi, idx, ph, thetas)
+        assert abs(np.linalg.norm(got) - nrm) <= 1e-12
+        assert np.max(np.abs(got / np.linalg.norm(got) - want)) <= 1e-12
+
+    @pytest.mark.parametrize("n", [1, 3, 6])
+    def test_block_rows_are_the_subproducts(self, n):
+        # Row S of block b acts as the ordered product of the block's G_k over S.
+        idx, _, gain = fit_tables(tuple(range(n)), True, n)
+        blocks, dim = rotation_blocks(n), 1 << n
+        assert blocks.dtype == np.uint8
+        assert blocks.shape == (-(-idx.shape[0] // ROTATION_BLOCK), 1 << ROTATION_BLOCK, dim)
+        v = np.random.default_rng(n).normal(size=dim)
+        doubled = np.concatenate([v, -v])
+        for b, block in enumerate(blocks):
+            for s, row in enumerate(block):
+                want = v
+                for k in range(ROTATION_BLOCK):
+                    string = b * ROTATION_BLOCK + k
+                    if s >> k & 1 and string < idx.shape[0]:
+                        want = gain[string] * want[idx[string]]
+                assert np.array_equal(doubled[row], want)
+
+    def test_block_tables_keep_only_their_bytes(self):
+        # The n = 6 tables, 504 blocks of 16 x 64 bytes, kept alone and built
+        # without index-sized temporaries.
+        rotation_blocks.cache_clear()
+        tracemalloc.start()
+        try:
+            table = rotation_blocks(6)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert table.nbytes == 504 * 16 * 64
+        assert kept <= 1.1 * table.nbytes and peak <= 2 * table.nbytes
+
+    @pytest.mark.parametrize("n", [3, 6])
+    def test_guard_counts_the_block_tables(self, monkeypatch, n):
+        tables = sigma_basis(tuple(range(n)), True, n)
+        allocated = sum(a.nbytes for a in tables) + rotation_blocks(n).nbytes
+        monkeypatch.setattr(qnute.evolution, "BASIS_BYTES_LIMIT", allocated)
+        assert check_basis_size(n, True, n) == tables[0].shape[0]
+        monkeypatch.setattr(qnute.evolution, "BASIS_BYTES_LIMIT", allocated - 1)
+        with pytest.raises(CapacityError, match=f"block tables {rotation_blocks(n).nbytes} more"):
+            check_basis_size(n, True, n)
+        # A window narrower than the register keeps no block tables.
+        assert check_basis_size(n - 1, True, n) == (4 ** (n - 1) - 2 ** (n - 1)) // 2
+
+    def test_guard_admits_eight_qubits(self):
+        # The odd-Y basis at n = D = 8: 267 MB of gather tables and 67 MB of blocks.
+        assert check_basis_size(8, True, 8) == 32640
 
 
 class TestTrotterStep:

@@ -107,6 +107,14 @@ class TestParse:
         with pytest.raises(ConfigError, match=f"{key}: entries must be at least 1"):
             parse_config(f"sweep.options = call:75\n{key} = {value}\n")
 
+    def test_underflowing_grid_step_uses_the_largest_n(self):
+        # h = 1e-152 / 7 squares to 2e-305 at n = 3; at n = 12 it squares to
+        # 6e-312, whose inverse overflows.
+        parse_config("grid.n = 3\ngrid.xN = 1e-152\n")
+        for text in ("grid.n = 12\n", "grid.n = 3\nsweep.options = call:75\nsweep.n = 3,12\n"):
+            with pytest.raises(ConfigError, match="grid.x0/grid.xN: the square of the grid step"):
+                parse_config("grid.xN = 1e-152\n" + text)
+
 
 class TestSerialize:
     def test_round_trip_is_canonical(self):
