@@ -12,6 +12,8 @@ dropped from the minimal-norm solution.  A fit on the whole register of a
 real state needs no SVD: its odd-Y strings span every real antisymmetric
 matrix, so S + S^T is 2^n times a projector (Motta et al., Nat. Phys. 16,
 205 (2020)) and the solution is a projection of b (see _solve_gram_factor).
+That fit reads its rows from the rotation block tables (rotation_blocks) and
+keeps no gather tables.
 """
 
 from __future__ import annotations
@@ -226,8 +228,8 @@ def _step_buffer(shape: tuple[int, ...], dtype: type, use: str) -> np.ndarray:
     """Work array of a fit step, one per use, shape and dtype, reused by every step.
 
     The gathered rows, the fit factor V, the rotations' sin-times-gain table
-    and the block rotations' doubled state and gathered subproducts are
-    written into these instead of into fresh arrays.
+    and the block rotations' doubled state, fit rows and gathered subproducts
+    are written into these instead of into fresh arrays.
     A run holds one set per basis shape it fits.  Reuse keeps glibc from
     mapping fresh pages for them step after step: without it, 100 steps of
     price at n = D = 6 took 83.6k minor page faults instead of 13.9k.
@@ -245,26 +247,25 @@ def _solve_gram_factor(
     Eigenvalues below rel_tol times the largest are discarded; if none survive
     for a nonzero b, or V has no SVD, the system is reported singular.
 
-    Rows that are the whole odd-Y basis of the register on an exactly real
-    state (whole_register, decided by trotter_step; a nearly-real state takes
-    the SVD) skip the SVD.  Those strings are
+    The whole odd-Y basis of the register on an exactly real state
+    (whole_register, decided by trotter_step; a nearly-real state takes the
+    SVD) skips the SVD, and rows is then the real Vi = Im(sigma_I |psi>), since
+    Re(sigma_I |psi>) is zero.  Those strings are
     i dim^(1/2) times an orthonormal basis of the real antisymmetric matrices,
-    so with Vi = rows.imag and a unit psi, Vi^T Vi = (dim / 2) (I - psi psi^T)
+    so with a unit psi, Vi^T Vi = (dim / 2) (I - psi psi^T)
     and Vi Vi^T = (dim / 2) P for the projector P onto the range of Vi.  Then
     S + S^T = 2 Vi Vi^T = dim P: every nonzero eigenvalue is dim, the rest are
     exactly zero, and the minimal-norm solution is P b / dim =
-    Vi (Vi^T b) 2 / dim^2: two matvecs, with no work array.
+    Vi (Vi^T b) 2 / dim^2: two real matvecs, with no work array.
     Non-finite rows raise SingularSystemError on this path too.
     """
     if np.linalg.norm(b) == 0.0:
         return np.zeros(rows.shape[0]), 0.0
     dim = rows.shape[1]
     if whole_register:
-        # rows = i Vi, so Vi^T y = Im(rows^T y) and Vi x = Im(rows x): BLAS
-        # products on the contiguous rows, where the strided view Vi has none.
         with np.errstate(invalid="ignore", over="ignore"):
-            a = (rows @ (rows.T @ b).imag).imag * (2.0 / dim**2)
-            residual = float(np.linalg.norm(2.0 * (rows @ (rows.T @ a).imag).imag - b))
+            a = (rows @ (rows.T @ b)) * (2.0 / dim**2)
+            residual = float(np.linalg.norm(2.0 * (rows @ (rows.T @ a)) - b))
         if not math.isfinite(residual):
             raise SingularSystemError("the fit system is not finite")
         return a, residual
@@ -288,34 +289,58 @@ def _solve_gram_factor(
     return a, residual
 
 
+def _doubled(psi: np.ndarray) -> np.ndarray:
+    """The work array [psi, -psi] of the real psi, which rotation_blocks' indices gather from."""
+    dim = psi.size
+    doubled = _step_buffer((2 * dim,), float, "doubled")
+    doubled[:dim] = psi
+    np.negative(psi, out=doubled[dim:])
+    return doubled
+
+
+def _block_rows(psi: np.ndarray, n: int) -> np.ndarray:
+    """Vi = Im(sigma_I |psi>) of the whole-register odd-Y basis on the real psi, one row each.
+
+    Row {t} of block b of rotation_blocks(n) is string ROTATION_BLOCK b + t's
+    signed gather, gain * psi[idx] = Im(sigma_I |psi>) bit for bit, so one
+    take from [psi, -psi] gives every row; the padding strings' rows are
+    dropped.
+    """
+    blocks = rotation_blocks(n)
+    singles = [1 << t for t in range(ROTATION_BLOCK)]
+    rows = _step_buffer((blocks.shape[0], ROTATION_BLOCK, psi.size), float, "block_rows")
+    # The indices are in range; "clip" writes into the buffer directly.
+    _doubled(psi).take(blocks[:, singles], out=rows, mode="clip")
+    return rows.reshape(-1, psi.size)[: check_basis_size(n, True, n)]
+
+
 def _rotate_blocks(psi: np.ndarray, thetas: list[float], n: int) -> np.ndarray:
     """The ordered rotations of a whole-register real fit on the real psi, a block at a time.
 
     Each block of rotation_blocks(n) maps v to sum_S w_S G_S v: one gather
     from the doubled state [v, -v] and one matvec with the block's 2^K
-    weights, which are products of the angles' sines and cosines.
+    weights, which are products of the angles' sines and cosines.  The
+    weights are stacked with their negation, so the matvec writes v and -v
+    back into the doubled state together.
     """
     blocks = rotation_blocks(n)
     thetas = thetas + [0.0] * (blocks.shape[0] * ROTATION_BLOCK - len(thetas))
-    cos = np.array([math.cos(t) for t in thetas]).reshape(-1, ROTATION_BLOCK)
-    sin = np.array([math.sin(t) for t in thetas]).reshape(-1, ROTATION_BLOCK)
+    cos = np.fromiter(map(math.cos, thetas), float, len(thetas)).reshape(-1, ROTATION_BLOCK)
+    sin = np.fromiter(map(math.sin, thetas), float, len(thetas)).reshape(-1, ROTATION_BLOCK)
     # Column S of a block's weights, bit k of S set for string k: after
-    # string k, the sets without it come first.
-    weights = np.ones((cos.shape[0], 1))
+    # string k, the sets without it come first.  Row 0 gives v, row 1 -v.
+    weights = np.array([[1.0], [-1.0]])
     for k in range(ROTATION_BLOCK):
-        c, s = cos[:, k : k + 1], sin[:, k : k + 1]
-        weights = np.concatenate([weights * c, weights * s], axis=1)
+        c, s = cos[:, k, None, None], sin[:, k, None, None]
+        weights = np.concatenate([weights * c, weights * s], axis=2)
     dim = psi.size
-    doubled = _step_buffer((2 * dim,), float, "doubled")
-    head, tail = doubled[:dim], doubled[dim:]
+    doubled = _doubled(psi)
+    halves = doubled.reshape(2, dim)
     gathered = _step_buffer(blocks.shape[1:], float, "gathered")
-    head[:] = psi
-    np.negative(head, out=tail)
     for table, w in zip(blocks, weights):
         doubled.take(table, out=gathered, mode="clip")
-        np.dot(w, gathered, out=head)
-        np.negative(head, out=tail)
-    return head.copy()
+        np.dot(w, gathered, out=halves)
+    return doubled[:dim].copy()
 
 
 def _rotate_each(
@@ -352,14 +377,16 @@ def trotter_step(
     the state and h_m are both real (the rotations then stay real) and over
     all strings otherwise.  They are applied in ascending basis order, the
     state is renormalized, and the scale is multiplied by c.  A whole-register
-    odd-Y fit on an exactly real state applies them ROTATION_BLOCK at a time
-    (see rotation_blocks), which differs from the one-by-one product only by
-    rounding; every other fit applies them one by one.  The report carries the
-    solved angles, the linear-system residual, and the fidelity against the
-    exactly evolved and normalized step on the same input state.  A term whose
-    support is wider than cfg.domain_size raises InvalidDomainError.  The
-    rows, V and the rotations' work arrays are shared by all steps of the
-    process (see _step_buffer), so two threads must not run steps at once.
+    odd-Y fit on an exactly real state reads its fit rows from the rotation
+    block tables (see rotation_blocks), builds no gather tables, and applies
+    the rotations ROTATION_BLOCK at a time, which differs from the one-by-one
+    product only by rounding; every other fit applies them one by one.  The
+    report carries the solved angles, the linear-system residual, and the
+    fidelity against the exactly evolved and normalized step on the same
+    input state.  A term whose support is wider than cfg.domain_size raises
+    InvalidDomainError.  The rows, V and the rotations' work arrays are
+    shared by all steps of the process (see _step_buffer), so two threads
+    must not run steps at once.
     """
     psi_in = state.state
     h_m = term.pauli
@@ -369,17 +396,20 @@ def trotter_step(
             f"term on {len(term.support)} qubits exceeds domain_size {cfg.domain_size}"
         )
     odd_y = psi_in.is_real and h_m.has_real_matrix
-    idx, ph, gain = sigma_basis(tuple(sorted(term.support)), odd_y, n)
     amp = psi_in.amplitudes
-    whole_register = odd_y and len(term.support) == n and not amp.imag.any()
+    whole_register = odd_y and term.support == frozenset(range(n)) and not amp.imag.any()
+    if whole_register:
+        rows = _block_rows(amp.real, n)
+    else:
+        idx, ph, gain = sigma_basis(tuple(sorted(term.support)), odd_y, n)
+        # idx is in range; "clip" writes into the buffer directly, "raise" via a copy.
+        rows = np.take(amp, idx, out=_step_buffer(idx.shape, complex, "rows"), mode="clip")
+        np.multiply(ph, rows, out=rows)
     hpsi = _apply_generator(h_m, psi_in)
     c = _c_from(amp, hpsi, cfg.delta_t)
-    # idx is in range; "clip" writes into the buffer directly, "raise" via a copy.
-    rows = np.take(amp, idx, out=_step_buffer(idx.shape, complex, "rows"), mode="clip")
-    np.multiply(ph, rows, out=rows)
-    a, residual = _solve_gram_factor(
-        rows, _b_from(rows, hpsi, c), LSTSQ_REL_TOL, whole_register
-    )
+    # On the real rows Vi, b = (2/c) Im(i Vi conj(h psi)) = (2/c) Vi Re(h psi).
+    b = (2.0 / c) * (rows @ hpsi.real) if whole_register else _b_from(rows, hpsi, c)
+    a, residual = _solve_gram_factor(rows, b, LSTSQ_REL_TOL, whole_register)
     # math.sin and math.cos keep the angles' bits independent of numpy's vector ones.
     thetas = (a * cfg.delta_t).tolist()
     if whole_register:

@@ -36,6 +36,7 @@ from qnute.evolution import (
     QnuteConfig,
     _apply_generator,
     _b_from,
+    _block_rows,
     _c_from,
     _rotate_blocks,
     _solve_gram_factor,
@@ -391,8 +392,9 @@ class TestClosedFormSolve:
         terms = list(_bs_term(n).pauli.terms) if bs_term and n > 1 else real_matrix_terms(rng, n, 6)
         window = tuple(range(n))
         b = measure_b(psi, window, True, terms, 1.0)
+        # The whole-register solve takes the real Vi = Im(sigma_I |psi>).
         a, residual = _solve_gram_factor(
-            basis_rows(psi, window, True), b, LSTSQ_REL_TOL, whole_register=True
+            basis_rows(psi, window, True).imag, b, LSTSQ_REL_TOL, whole_register=True
         )
         S = measure_S(psi, fit_strings(window, True, n))
         want, want_residual = solve_coefficients(S, b, LSTSQ_REL_TOL)
@@ -439,8 +441,9 @@ class TestClosedFormSolve:
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_rows_are_singular(self, monkeypatch, bad):
         calls = self.svd_calls(monkeypatch)
-        rows = basis_rows(random_state(np.random.default_rng(15), 3, real=True), (0, 1, 2), True)
-        rows.imag[5, 2] = bad
+        psi = random_state(np.random.default_rng(15), 3, real=True)
+        rows = basis_rows(psi, (0, 1, 2), True).imag
+        rows[5, 2] = bad
         with pytest.raises(SingularSystemError, match="not finite"):
             _solve_gram_factor(rows, np.ones(rows.shape[0]), LSTSQ_REL_TOL, whole_register=True)
         assert calls == []
@@ -585,6 +588,23 @@ class TestRotationBlocks:
                     if s >> k & 1 and string < idx.shape[0]:
                         want = gain[string] * want[idx[string]]
                 assert np.array_equal(doubled[row], want)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(1, 6), st.integers(0, 2**32 - 1))
+    def test_single_string_rows_are_the_fit_rows(self, n, seed):
+        # Row {t} of each block gathers Im(sigma_I |psi>) = gain * psi[idx] for string I.
+        psi = random_state(np.random.default_rng(seed), n, real=True).amplitudes.real
+        idx, _, gain = fit_tables(tuple(range(n)), True, n)
+        got = _block_rows(psi, n)
+        want = gain * psi[idx]
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    def test_whole_register_real_run_builds_no_gather_tables(self):
+        sigma_basis.cache_clear()
+        initial, terms, cfg = bs_setup(4, num_steps=3)
+        traj = evolve(initial, terms, cfg)
+        assert len(terms) == 1 and len(traj.reports) == 3
+        assert sigma_basis.cache_info().misses == 0
 
     def test_block_tables_keep_only_their_bytes(self):
         # The n = 6 tables, 504 blocks of 16 x 64 bytes, kept alone and built
