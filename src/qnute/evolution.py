@@ -5,15 +5,10 @@ a product of Pauli rotations whose angles solve the real symmetric system
 (S + S^T) a = b built from expectation values on the current state; the norm
 change is tracked by the scalar factor c = sqrt(1 + 2 dt Re<h_m>).
 
-The system is solved without forming S: with the rows sigma_I |psi> stacked
-as V = [Re rows, Im rows], S + S^T = 2 V V^T, so the SVD of V gives its
-eigenvalues 2 s^2, and those below LSTSQ_REL_TOL times the largest are
-dropped from the minimal-norm solution.  A fit on the whole register of a
-real state needs no SVD: its odd-Y strings span every real antisymmetric
-matrix, so S + S^T is 2^n times a projector (Motta et al., Nat. Phys. 16,
-205 (2020)) and the solution is a projection of b (see _solve_gram_factor).
-That fit reads its rows from the rotation block tables (rotation_blocks) and
-keeps no gather tables.
+The system is solved without forming S, by the SVD of the rows sigma_I |psi>
+(see _solve_gram_factor).  A whole-register fit of a real state needs neither
+the SVD (Motta et al., Nat. Phys. 16, 205 (2020)) nor its rows: it works on
+the prefix x suffix factors of its strings (see prefix_groups).
 """
 
 from __future__ import annotations
@@ -21,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,14 +33,8 @@ LSTSQ_REL_TOL = 1e-8
 
 # Largest gather tables a basis may keep (per basis string and amplitude: an
 # index, a complex phase and a rotation gain, 32 bytes odd-Y and 40 bytes
-# full, plus the block tables of a whole-register odd-Y basis, see
-# rotation_blocks); larger bases are refused.
+# full); larger bases are refused.
 BASIS_BYTES_LIMIT = 1 << 30
-
-# Whole-register real fits apply their rotations this many at a time, as one
-# gather and one matvec over the 2^ROTATION_BLOCK ordered subproducts.  Of
-# 3..6, 4 took the least time on the n = 6 price (2016 strings, 64 amplitudes).
-ROTATION_BLOCK = 4
 
 
 @dataclass(frozen=True)
@@ -82,28 +72,18 @@ class Trajectory:
     reports: list[StepReport]
 
 
-def _block_dtype(n: int) -> np.dtype:
-    """Smallest unsigned dtype of a signed gather index into the doubled 2^(n+1) state."""
-    return np.min_scalar_type((2 << n) - 1)
-
-
 def check_basis_size(width: int, odd_y: bool, n: int) -> int:
-    """String count of a width-qubit fit basis; CapacityError if over BASIS_BYTES_LIMIT.
+    """String count of a width-qubit fit basis; CapacityError if its gather tables are too big.
 
-    A whole-register odd-Y basis also counts its rotation_blocks table.
+    A whole-register odd-Y basis counts them too: a nearly-real state builds them.
     """
     size = (4**width - 2**width) // 2 if odd_y else 4**width - 1
     gather_bytes = size * (1 << n) * (32 if odd_y else 40)
-    block_bytes = 0
-    if odd_y and width == n:
-        blocks = -(-size // ROTATION_BLOCK)
-        block_bytes = blocks * (1 << ROTATION_BLOCK) * (1 << n) * _block_dtype(n).itemsize
-    if gather_bytes + block_bytes > BASIS_BYTES_LIMIT:
+    if gather_bytes > BASIS_BYTES_LIMIT:
         raise CapacityError(
             f"a {width}-qubit {'odd-y' if odd_y else 'full'} basis on {n} qubits has "
-            f"{size} strings whose gather tables need {gather_bytes} bytes"
-            + (f" and block tables {block_bytes} more" if block_bytes else "")
-            + f", over the {BASIS_BYTES_LIMIT}-byte limit"
+            f"{size} strings whose gather tables need {gather_bytes} bytes, "
+            f"over the {BASIS_BYTES_LIMIT}-byte limit"
         )
     return size
 
@@ -131,73 +111,65 @@ def sigma_basis(
     if domain != tuple(range(domain[0], domain[-1] + 1)):
         raise InvalidDomainError(f"domain {domain} is not contiguous")
     width = len(domain)
-    size = check_basis_size(width, odd_y, n)
-    codes = np.zeros((size, n), dtype=np.int8)
-    codes[:, domain[0] : domain[-1] + 1] = _window_codes(width, odd_y)
+    codes = np.zeros((check_basis_size(width, odd_y, n), n), dtype=np.int8)
+    digits = lexicographic_codes(np.arange(1, 4**width), width)
+    if odd_y:
+        digits = digits[(digits == 2).sum(axis=1) % 2 == 1]
+    codes[:, domain[0] : domain[-1] + 1] = digits
     idx, ph = gather_tables(codes)
     return idx, ph, (ph.imag.copy() if odd_y else -1j * ph)
 
 
-def _window_codes(width: int, odd_y: bool) -> np.ndarray:
-    """Symbol codes of a width-qubit fit basis in row order (see sigma_basis)."""
-    digits = lexicographic_codes(np.arange(1, 4**width), width)
-    return digits[(digits == 2).sum(axis=1) % 2 == 1] if odd_y else digits
+class PrefixGroups(NamedTuple):
+    """Tables of the whole-register odd-Y basis in prefix x suffix factors (see prefix_groups)."""
+
+    m: int  # suffix qubits
+    gathers: np.ndarray  # (4^(n-m), 2^(n-m), 2): the doubled rows of Psi[r], (S_p Psi)[r]
+    patterns: np.ndarray  # (4^m, 4^m): row q is T_q^T, flattened
+    strings: np.ndarray  # flat (prefix, suffix) positions of the odd-Y strings, ascending
+    batches: tuple  # per prefix Y parity: prefixes and suffix steps (see _group_weights)
 
 
-def _parity(v: np.ndarray) -> np.ndarray:
-    """Bit parity of each entry of an unsigned array, folded in place."""
-    shift = 4 * v.itemsize
-    while shift:
-        v ^= v >> shift
-        shift //= 2
-    v &= 1
-    return v
+def _signed_shifts(width: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Real shifts (R v)[j] = sign[j] v[idx[j]] of all width-qubit strings, and their Y counts.
+
+    The sign is the real phase of a string with an even Y count, else the imaginary one.
+    """
+    codes = lexicographic_codes(np.arange(4**width), width)
+    idx, ph = gather_tables(codes)
+    ny = (codes == 2).sum(axis=1)
+    return idx, np.where(ny[:, None] % 2, ph.imag, ph.real), ny
 
 
 @lru_cache(maxsize=None)
-def rotation_blocks(n: int) -> np.ndarray:
-    """Signed gather tables of the whole-register odd-Y rotations, ROTATION_BLOCK per block.
+def prefix_groups(n: int) -> PrefixGroups:
+    """The whole-register odd-Y basis of n qubits as (n - m)-qubit prefixes x m-qubit suffixes.
 
-    On a real state the rotation of odd-Y string k is R_k = cos(t_k) + sin(t_k) G_k,
-    with (G_k v)[j] = g_k (-1)^parity(z_k & (j ^ x_k)) v[j ^ x_k] for the string's
-    X/Y mask x_k, Y/Z mask z_k and g_k = Im(i^(Y count)) (the gain of
-    sigma_basis).  A block's ordered product R_(K-1) ... R_0 is then the sum of
-    its 2^K ordered subproducts G_S, S a bit set over the block, each weighted
-    by the product of sin(t_k) over S and cos(t_k) outside it.  Each G_S is again
-    a signed shift, (G_S v)[j] = C_S (-1)^parity(Z_S & j) v[j ^ X_S], with X_S
-    and Z_S the XOR of the masks in S; adding the last string t to S' gives
-    C_S = C_S' g_t (-1)^parity(Z_S & x_t).  Row S of block b holds j ^ X_S, plus
-    2^n where the sign is negative: an index into the doubled state [v, -v].
-    The basis is padded to whole blocks with identity strings (angle 0).
-    Entries are the smallest unsigned dtype that holds 2^(n+1) - 1, built
-    without index-sized temporaries; check_basis_size counts their bytes.
+    With Psi = psi.reshape(2^(n-m), 2^m) for a real psi, the rotation gain
+    of odd-Y string p (x) q (see sigma_basis) acts as S_p (x) T_q, the real
+    shifts of p and q, and S_p^2 = eps_p = (-1)^(Y count of p).  Row r of
+    S_p Psi is row gathers[p, r, 1] of the doubled rows [Psi[r], -Psi[r]].
+    Basis order is prefix-major, each prefix taking the suffixes of the
+    other Y parity.  m = max(1, (n + 1) // 3) gave the fastest steps for n = 3..8.
     """
-    size = check_basis_size(n, True, n)
-    dt = _block_dtype(n)
-    blocks, dim = -(-size // ROTATION_BLOCK), 1 << n
-    codes = np.zeros((blocks * ROTATION_BLOCK, n), dtype=np.int8)
-    codes[:size] = _window_codes(n, True)
-    bit_values = (1 << np.arange(n - 1, -1, -1)).astype(dt)
-
-    def by_string(bits: np.ndarray) -> np.ndarray:  # row t: string t of every block
-        return bits.astype(dt).reshape(blocks, ROTATION_BLOCK).T
-
-    x = by_string(((codes == 1) | (codes == 2)).astype(dt) @ bit_values)
-    z = by_string(((codes == 2) | (codes == 3)).astype(dt) @ bit_values)
-    g_neg = by_string((codes == 2).sum(axis=1) % 4 == 3)
-    # Row S = S' + {t} is row S' with j ^ X_S' turned into j ^ X_S and its
-    # sign bit flipped by parity(z_t & j), g_t and parity(Z_S & x_t).
-    table = np.empty((blocks, 1 << ROTATION_BLOCK, dim), dtype=dt)
-    table[:, 0] = j = np.arange(dim, dtype=dt)
-    zs = np.zeros((1 << ROTATION_BLOCK, blocks), dtype=dt)
-    for t in range(ROTATION_BLOCK):
-        step = (_parity(z[t][:, None] & j) << n) ^ x[t][:, None]
-        for s in range(1 << t, 2 << t):
-            rest = s ^ (1 << t)
-            zs[s] = zs[rest] ^ z[t]
-            np.bitwise_xor(table[:, rest], step, out=table[:, s])
-            table[:, s] ^= ((g_neg[t] ^ _parity(zs[s] & x[t])) << n)[:, None]
-    return table
+    m = max(1, (n + 1) // 3)
+    idx_p, sign_p, ny_p = _signed_shifts(n - m)
+    idx_q, sign_q, ny_q = _signed_shifts(m)
+    patterns = (np.eye(idx_q.shape[1])[idx_q] * sign_q[:, :, None]).transpose(0, 2, 1)
+    strings = np.flatnonzero((ny_p[:, None] + ny_q) % 2)
+    # The rows of [A; B] and their signs that make [eps T_q B; T_q A].
+    flips = np.concatenate([idx_q + idx_q.shape[1], idx_q], axis=1)
+    batches = []
+    for parity in (0, 1):
+        prefixes = np.flatnonzero(ny_p % 2 == parity)
+        suffixes = np.flatnonzero(ny_q % 2 != parity)
+        signs = np.concatenate([(1 - 2 * parity) * sign_q, sign_q], axis=1)[suffixes]
+        order = np.searchsorted(strings, prefixes * len(ny_q) + suffixes[:, None])
+        batches.append((prefixes, order, flips[suffixes], signs[:, :, None, None]))
+    rows = 2 * idx_p + (sign_p < 0)
+    gathers = np.stack([np.broadcast_to(2 * np.arange(rows.shape[1]), rows.shape), rows], axis=2)
+    patterns = patterns.reshape(len(patterns), -1)
+    return PrefixGroups(m, gathers, patterns, strings, tuple(batches))
 
 
 @lru_cache(maxsize=None)
@@ -228,8 +200,8 @@ def _step_buffer(shape: tuple[int, ...], dtype: type, use: str) -> np.ndarray:
     """Work array of a fit step, one per use, shape and dtype, reused by every step.
 
     The gathered rows, the fit factor V, the rotations' sin-times-gain table
-    and the block rotations' doubled state, fit rows and gathered subproducts
-    are written into these instead of into fresh arrays.
+    and, on a whole-register real fit, the doubled rows, the prefix factors
+    S_p Psi and the gathered row pairs go into these, not into fresh arrays.
     A run holds one set per basis shape it fits.  Reuse keeps glibc from
     mapping fresh pages for them step after step: without it, 100 steps of
     price at n = D = 6 took 83.6k minor page faults instead of 13.9k.
@@ -238,7 +210,7 @@ def _step_buffer(shape: tuple[int, ...], dtype: type, use: str) -> np.ndarray:
 
 
 def _solve_gram_factor(
-    rows: np.ndarray, b: np.ndarray, rel_tol: float, whole_register: bool = False
+    rows: np.ndarray, b: np.ndarray, rel_tol: float, groups: PrefixGroups | None = None
 ) -> tuple[np.ndarray, float]:
     """Minimal-norm solution of (S + S^T) a = b from the rows sigma_I |psi> of a unit state.
 
@@ -247,28 +219,29 @@ def _solve_gram_factor(
     Eigenvalues below rel_tol times the largest are discarded; if none survive
     for a nonzero b, or V has no SVD, the system is reported singular.
 
-    The whole odd-Y basis of the register on an exactly real state
-    (whole_register, decided by trotter_step; a nearly-real state takes the
-    SVD) skips the SVD, and rows is then the real Vi = Im(sigma_I |psi>), since
-    Re(sigma_I |psi>) is zero.  Those strings are
-    i dim^(1/2) times an orthonormal basis of the real antisymmetric matrices,
-    so with a unit psi, Vi^T Vi = (dim / 2) (I - psi psi^T)
+    The whole odd-Y basis of the register on an exactly real state (given
+    groups = prefix_groups(n) by trotter_step; a nearly-real state takes the
+    SVD) skips the SVD, and rows is then the factored form of the real
+    Vi = Im(sigma_I |psi>) (see _odd_y_factors), since Re(sigma_I |psi>) = 0.
+    Those strings are i dim^(1/2) times an orthonormal basis of the real
+    antisymmetric matrices, so with a unit psi, Vi^T Vi = (dim / 2) (I - psi psi^T)
     and Vi Vi^T = (dim / 2) P for the projector P onto the range of Vi.  Then
     S + S^T = 2 Vi Vi^T = dim P: every nonzero eigenvalue is dim, the rest are
-    exactly zero, and the minimal-norm solution is P b / dim =
-    Vi (Vi^T b) 2 / dim^2: two real matvecs, with no work array.
+    exactly zero, and the minimal-norm solution is P b / dim = Vi (Vi^T b) 2 / dim^2.
     Non-finite rows raise SingularSystemError on this path too.
     """
     if np.linalg.norm(b) == 0.0:
-        return np.zeros(rows.shape[0]), 0.0
-    dim = rows.shape[1]
-    if whole_register:
+        return np.zeros(b.shape[0]), 0.0
+    if groups is not None:
+        dim = rows.shape[0] * rows.shape[2]
         with np.errstate(invalid="ignore", over="ignore"):
-            a = (rows @ (rows.T @ b)) * (2.0 / dim**2)
-            residual = float(np.linalg.norm(2.0 * (rows @ (rows.T @ a)) - b))
+            a = _vi_dot(rows, _vi_t_dot(rows, b, groups), groups) * (2.0 / dim**2)
+            back = _vi_dot(rows, _vi_t_dot(rows, a, groups), groups)
+            residual = float(np.linalg.norm(2.0 * back - b))
         if not math.isfinite(residual):
             raise SingularSystemError("the fit system is not finite")
         return a, residual
+    dim = rows.shape[1]
     V = np.concatenate(
         [rows.real, rows.imag], axis=1, out=_step_buffer((rows.shape[0], 2 * dim), float, "V")
     )
@@ -289,58 +262,86 @@ def _solve_gram_factor(
     return a, residual
 
 
-def _doubled(psi: np.ndarray) -> np.ndarray:
-    """The work array [psi, -psi] of the real psi, which rotation_blocks' indices gather from."""
-    dim = psi.size
-    doubled = _step_buffer((2 * dim,), float, "doubled")
-    doubled[:dim] = psi
-    np.negative(psi, out=doubled[dim:])
+def _doubled(psi: np.ndarray, groups: PrefixGroups) -> np.ndarray:
+    """The work array of rows [Psi[r], -Psi[r]] of the real psi (see prefix_groups)."""
+    halves = psi.reshape(groups.gathers.shape[1], -1)
+    doubled = _step_buffer((len(halves), 2, halves.shape[1]), float, "doubled")
+    doubled[:, 0] = halves
+    np.negative(halves, out=doubled[:, 1])
     return doubled
 
 
-def _block_rows(psi: np.ndarray, n: int) -> np.ndarray:
-    """Vi = Im(sigma_I |psi>) of the whole-register odd-Y basis on the real psi, one row each.
+def _odd_y_factors(psi: np.ndarray, groups: PrefixGroups) -> np.ndarray:
+    """phi[:, p] = S_p Psi for every prefix p of the real psi, which stand in for the fit rows.
 
-    Row {t} of block b of rotation_blocks(n) is string ROTATION_BLOCK b + t's
-    signed gather, gain * psi[idx] = Im(sigma_I |psi>) bit for bit, so one
-    take from [psi, -psi] gives every row; the padding strings' rows are
-    dropped.
+    Row p (x) q of Vi = Im(sigma_I |psi>) is vec(S_p Psi T_q^T) (see _vi_dot).
     """
-    blocks = rotation_blocks(n)
-    singles = [1 << t for t in range(ROTATION_BLOCK)]
-    rows = _step_buffer((blocks.shape[0], ROTATION_BLOCK, psi.size), float, "block_rows")
+    rows = _doubled(psi, groups).reshape(-1, 1 << groups.m)
+    shifted = groups.gathers[:, :, 1].T
+    phi = _step_buffer(shifted.shape + rows.shape[1:], float, "phi")
     # The indices are in range; "clip" writes into the buffer directly.
-    _doubled(psi).take(blocks[:, singles], out=rows, mode="clip")
-    return rows.reshape(-1, psi.size)[: check_basis_size(n, True, n)]
+    return rows.take(shifted, axis=0, out=phi, mode="clip")
 
 
-def _rotate_blocks(psi: np.ndarray, thetas: list[float], n: int) -> np.ndarray:
-    """The ordered rotations of a whole-register real fit on the real psi, a block at a time.
+def _vi_dot(phi: np.ndarray, u: np.ndarray, groups: PrefixGroups) -> np.ndarray:
+    """Vi u: sum_kl T_q[k, l] C_p[l, k] per string p (x) q; C_p = (S_p Psi)^T U, U = u as Psi."""
+    phi = phi.reshape(len(phi), -1)
+    c = phi.T @ u.reshape(len(phi), -1)
+    sums = c.reshape(len(groups.gathers), -1) @ groups.patterns.T
+    return sums.reshape(-1)[groups.strings]
 
-    Each block of rotation_blocks(n) maps v to sum_S w_S G_S v: one gather
-    from the doubled state [v, -v] and one matvec with the block's 2^K
-    weights, which are products of the angles' sines and cosines.  The
-    weights are stacked with their negation, so the matvec writes v and -v
-    back into the doubled state together.
+
+def _vi_t_dot(phi: np.ndarray, a: np.ndarray, groups: PrefixGroups) -> np.ndarray:
+    """Vi^T a = vec(sum_p S_p Psi D_p^T), with D_p = sum_q a[p (x) q] T_q."""
+    grid = np.zeros((len(groups.gathers), len(groups.patterns)))
+    grid.reshape(-1)[groups.strings] = a
+    d = grid @ groups.patterns  # D_p^T
+    return (phi.reshape(len(phi), -1) @ d.reshape(-1, phi.shape[2])).reshape(-1)
+
+
+def _group_weights(thetas: list[float], groups: PrefixGroups) -> np.ndarray:
+    """Each prefix group's ordered rotations I (x) A_p + S_p (x) B_p, as _rotate_groups' weights.
+
+    Rotation p (x) q, cos t + sin t (S_p (x) T_q) on a real state, takes
+    A <- cos t A + sin t eps_p T_q B and B <- cos t B + sin t T_q A, from
+    A = I, B = 0; the prefixes of one Y parity share their suffixes and step
+    together.  The weights [[A^T, -A^T], [B^T, -B^T]] map the row
+    [Psi[r], (S_p Psi)[r]] to the new [Psi[r], -Psi[r]].
     """
-    blocks = rotation_blocks(n)
-    thetas = thetas + [0.0] * (blocks.shape[0] * ROTATION_BLOCK - len(thetas))
-    cos = np.fromiter(map(math.cos, thetas), float, len(thetas)).reshape(-1, ROTATION_BLOCK)
-    sin = np.fromiter(map(math.sin, thetas), float, len(thetas)).reshape(-1, ROTATION_BLOCK)
-    # Column S of a block's weights, bit k of S set for string k: after
-    # string k, the sets without it come first.  Row 0 gives v, row 1 -v.
-    weights = np.array([[1.0], [-1.0]])
-    for k in range(ROTATION_BLOCK):
-        c, s = cos[:, k, None, None], sin[:, k, None, None]
-        weights = np.concatenate([weights * c, weights * s], axis=2)
-    dim = psi.size
-    doubled = _doubled(psi)
-    halves = doubled.reshape(2, dim)
-    gathered = _step_buffer(blocks.shape[1:], float, "gathered")
-    for table, w in zip(blocks, weights):
-        doubled.take(table, out=gathered, mode="clip")
-        np.dot(w, gathered, out=halves)
-    return doubled[:dim].copy()
+    cos = np.fromiter(map(math.cos, thetas), float, len(thetas))
+    sin = np.fromiter(map(math.sin, thetas), float, len(thetas))
+    dim_q = 1 << groups.m
+    weights = np.empty((len(groups.gathers), 2, dim_q, 2, dim_q))
+    for prefixes, order, flips, signs in groups.batches:
+        # The rows of [A; B], with the prefixes along the last axis.
+        ab = np.zeros((2 * dim_q, dim_q, prefixes.size))
+        ab[:dim_q] = np.eye(dim_q)[:, :, None]
+        for c, s, flip in zip(cos[order], signs * sin[order][:, None, None], flips):
+            turned = ab.take(flip, axis=0)
+            turned *= s
+            ab *= c
+            ab += turned
+        weights[prefixes, :, :, 0] = ab.reshape(2, dim_q, dim_q, -1).transpose(3, 0, 2, 1)
+    np.negative(weights[:, :, :, 0], out=weights[:, :, :, 1])
+    return weights.reshape(len(weights), 2 * dim_q, 2 * dim_q)
+
+
+def _rotate_groups(psi: np.ndarray, thetas: list[float], groups: PrefixGroups) -> np.ndarray:
+    """The ordered rotations of a whole-register real fit on the real psi, a prefix group at once.
+
+    Group p maps Psi to Psi A_p^T + (S_p Psi) B_p^T: one gather from the
+    doubled rows and one matvec that writes them back (see _group_weights).
+    """
+    weights = _group_weights(thetas, groups)
+    doubled = _doubled(psi, groups)
+    rows = doubled.reshape(-1, doubled.shape[2])
+    out = doubled.reshape(len(doubled), -1)
+    gathered = _step_buffer(doubled.shape, float, "gathered")
+    pairs = gathered.reshape(out.shape)
+    for table, w in zip(groups.gathers, weights):
+        rows.take(table, axis=0, out=gathered, mode="clip")
+        np.dot(pairs, w, out=out)
+    return doubled[:, 0].flatten()
 
 
 def _rotate_each(
@@ -377,16 +378,15 @@ def trotter_step(
     the state and h_m are both real (the rotations then stay real) and over
     all strings otherwise.  They are applied in ascending basis order, the
     state is renormalized, and the scale is multiplied by c.  A whole-register
-    odd-Y fit on an exactly real state reads its fit rows from the rotation
-    block tables (see rotation_blocks), builds no gather tables, and applies
-    the rotations ROTATION_BLOCK at a time, which differs from the one-by-one
-    product only by rounding; every other fit applies them one by one.  The
-    report carries the solved angles, the linear-system residual, and the
-    fidelity against the exactly evolved and normalized step on the same
-    input state.  A term whose support is wider than cfg.domain_size raises
-    InvalidDomainError.  The rows, V and the rotations' work arrays are
-    shared by all steps of the process (see _step_buffer), so two threads
-    must not run steps at once.
+    odd-Y fit on an exactly real state builds no gather tables: it fits on
+    its strings' prefix x suffix factors (see prefix_groups) and applies the
+    rotations a prefix group at a time, which differs from the one-by-one
+    product (every other fit's) only by rounding.  The report carries the
+    solved angles, the linear-system residual, and the fidelity against the
+    exactly evolved and normalized step on the same input state.  A term
+    whose support is wider than cfg.domain_size raises InvalidDomainError.
+    The fit's and the rotations' work arrays are shared by all steps of the
+    process (see _step_buffer), so two threads must not run steps at once.
     """
     psi_in = state.state
     h_m = term.pauli
@@ -398,25 +398,24 @@ def trotter_step(
     odd_y = psi_in.is_real and h_m.has_real_matrix
     amp = psi_in.amplitudes
     whole_register = odd_y and term.support == frozenset(range(n)) and not amp.imag.any()
-    if whole_register:
-        rows = _block_rows(amp.real, n)
-    else:
+    if not whole_register:
         idx, ph, gain = sigma_basis(tuple(sorted(term.support)), odd_y, n)
         # idx is in range; "clip" writes into the buffer directly, "raise" via a copy.
         rows = np.take(amp, idx, out=_step_buffer(idx.shape, complex, "rows"), mode="clip")
         np.multiply(ph, rows, out=rows)
     hpsi = _apply_generator(h_m, psi_in)
     c = _c_from(amp, hpsi, cfg.delta_t)
-    # On the real rows Vi, b = (2/c) Im(i Vi conj(h psi)) = (2/c) Vi Re(h psi).
-    b = (2.0 / c) * (rows @ hpsi.real) if whole_register else _b_from(rows, hpsi, c)
-    a, residual = _solve_gram_factor(rows, b, LSTSQ_REL_TOL, whole_register)
     # math.sin and math.cos keep the angles' bits independent of numpy's vector ones.
-    thetas = (a * cfg.delta_t).tolist()
     if whole_register:
-        psi = _rotate_blocks(amp.real, thetas, n)
+        groups = prefix_groups(n)
+        rows = _odd_y_factors(amp.real, groups)
+        # On the real rows Vi, b = (2/c) Im(i Vi conj(h psi)) = (2/c) Vi Re(h psi).
+        b = (2.0 / c) * _vi_dot(rows, hpsi.real, groups)
+        a, residual = _solve_gram_factor(rows, b, LSTSQ_REL_TOL, groups)
+        psi = _rotate_groups(amp.real, (a * cfg.delta_t).tolist(), groups).astype(complex)
     else:
-        psi = _rotate_each(amp, thetas, idx, gain)
-    psi = psi.astype(complex, copy=False)
+        a, residual = _solve_gram_factor(rows, _b_from(rows, hpsi, c), LSTSQ_REL_TOL)
+        psi = _rotate_each(amp, (a * cfg.delta_t).tolist(), idx, gain).astype(complex, copy=False)
     nrm = float(np.linalg.norm(psi))
     psi_out = StateVector(psi / nrm)
 

@@ -102,7 +102,7 @@ def lexicographic_codes(numbers: np.ndarray, width: int) -> np.ndarray:
     Position k's codes are the base-4 digits of k, first qubit most
     significant, since I, X, Y, Z sort in code order.
     """
-    return (numbers[:, None] >> np.arange(2 * width - 2, -1, -2)) & 3
+    return (numbers[:, None] >> (2 * np.arange(width - 1, -1, -1))) & 3
 
 
 def string_action(s: PauliString) -> tuple[np.ndarray, np.ndarray]:

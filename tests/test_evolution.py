@@ -32,17 +32,19 @@ from qnute.errors import (
 )
 from qnute.evolution import (
     LSTSQ_REL_TOL,
-    ROTATION_BLOCK,
     QnuteConfig,
     _apply_generator,
     _b_from,
-    _block_rows,
     _c_from,
-    _rotate_blocks,
+    _group_weights,
+    _odd_y_factors,
+    _rotate_groups,
     _solve_gram_factor,
+    _vi_dot,
+    _vi_t_dot,
     check_basis_size,
     evolve,
-    rotation_blocks,
+    prefix_groups,
     sigma_basis,
     trajectory_rows,
     trotter_step,
@@ -392,10 +394,10 @@ class TestClosedFormSolve:
         terms = list(_bs_term(n).pauli.terms) if bs_term and n > 1 else real_matrix_terms(rng, n, 6)
         window = tuple(range(n))
         b = measure_b(psi, window, True, terms, 1.0)
-        # The whole-register solve takes the real Vi = Im(sigma_I |psi>).
-        a, residual = _solve_gram_factor(
-            basis_rows(psi, window, True).imag, b, LSTSQ_REL_TOL, whole_register=True
-        )
+        # The whole-register solve takes the prefix factors of the real Vi = Im(sigma_I |psi>).
+        groups = prefix_groups(n)
+        phi = _odd_y_factors(psi.amplitudes.real, groups)
+        a, residual = _solve_gram_factor(phi, b, LSTSQ_REL_TOL, groups)
         S = measure_S(psi, fit_strings(window, True, n))
         want, want_residual = solve_coefficients(S, b, LSTSQ_REL_TOL)
         assert np.linalg.norm(a - want) <= 1e-12 * np.linalg.norm(want)
@@ -441,11 +443,12 @@ class TestClosedFormSolve:
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_rows_are_singular(self, monkeypatch, bad):
         calls = self.svd_calls(monkeypatch)
-        psi = random_state(np.random.default_rng(15), 3, real=True)
-        rows = basis_rows(psi, (0, 1, 2), True).imag
-        rows[5, 2] = bad
+        psi = random_state(np.random.default_rng(15), 3, real=True).amplitudes.real.copy()
+        psi[2] = bad
+        groups = prefix_groups(3)
+        phi = _odd_y_factors(psi, groups)
         with pytest.raises(SingularSystemError, match="not finite"):
-            _solve_gram_factor(rows, np.ones(rows.shape[0]), LSTSQ_REL_TOL, whole_register=True)
+            _solve_gram_factor(phi, np.ones(28), LSTSQ_REL_TOL, groups)
         assert calls == []
 
 
@@ -489,7 +492,7 @@ class TestRotationBits:
     """trotter_step's rotations against the complex-arithmetic oracle.
 
     Bit for bit, except on whole-register real fits, whose rotations are
-    applied in blocks (see TestRotationBlocks) and agree to 1e-12.
+    applied a prefix group at a time (see TestRotationBlocks) and agree to 1e-12.
     """
 
     @staticmethod
@@ -553,19 +556,28 @@ class TestRotationBits:
         self.check(psi, _bs_term(n), True, angles)
 
 
+def group_strings(n):
+    """The whole-register odd-Y strings of each prefix, in basis order, from the oracle."""
+    m = prefix_groups(n).m
+    groups = {}
+    for i, symbols in enumerate(fit_strings(tuple(range(n)), True, n)):
+        groups.setdefault(symbols[: n - m], []).append(i)
+    return m, list(groups.values())
+
+
 class TestRotationBlocks:
-    """Whole-register real rotations applied ROTATION_BLOCK at a time."""
+    """Whole-register real rotations applied a prefix group at a time (see prefix_groups)."""
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(1, 6), st.integers(0, 2**32 - 1), st.data())
     def test_matches_the_ordered_product(self, n, seed, data):
-        # Unit real states, angles 0 or up to 200 dt with dt = 0.01: the block
-        # sums differ from the one-by-one product by rounding, <= 1e-12.
+        # Unit real states, angles 0 or up to 200 dt with dt = 0.01: the group
+        # products differ from the one-by-one product by rounding, <= 1e-12.
         size = (4**n - 2**n) // 2
         angle = st.one_of(st.just(0.0), st.floats(-2.0, 2.0, allow_nan=False))
         thetas = data.draw(st.lists(angle, min_size=size, max_size=size), label="thetas")
         psi = random_state(np.random.default_rng(seed), n, real=True).amplitudes.real
-        got = _rotate_blocks(psi, thetas, n)
+        got = _rotate_groups(psi, thetas, prefix_groups(n))
         idx, ph, _ = fit_tables(tuple(range(n)), True, n)
         want, nrm = rotate_complex(psi, idx, ph, thetas)
         assert abs(np.linalg.norm(got) - nrm) <= 1e-12
@@ -573,31 +585,55 @@ class TestRotationBlocks:
 
     @pytest.mark.parametrize("n", [1, 3, 6])
     def test_block_rows_are_the_subproducts(self, n):
-        # Row S of block b acts as the ordered product of the block's G_k over S.
-        idx, _, gain = fit_tables(tuple(range(n)), True, n)
-        blocks, dim = rotation_blocks(n), 1 << n
-        assert blocks.dtype == np.uint8
-        assert blocks.shape == (-(-idx.shape[0] // ROTATION_BLOCK), 1 << ROTATION_BLOCK, dim)
-        v = np.random.default_rng(n).normal(size=dim)
-        doubled = np.concatenate([v, -v])
-        for b, block in enumerate(blocks):
-            for s, row in enumerate(block):
-                want = v
-                for k in range(ROTATION_BLOCK):
-                    string = b * ROTATION_BLOCK + k
-                    if s >> k & 1 and string < idx.shape[0]:
-                        want = gain[string] * want[idx[string]]
-                assert np.array_equal(doubled[row], want)
+        # Each prefix's strings are consecutive, and its weights act on the
+        # rows [Psi[r], (S_p Psi)[r]] as the dense ordered product of their rotations.
+        m, members = group_strings(n)
+        groups = prefix_groups(n)
+        strings = fit_strings(tuple(range(n)), True, n)
+        thetas = np.random.default_rng(n).uniform(-2.0, 2.0, len(strings)).tolist()
+        weights = _group_weights(thetas, groups)
+        assert len(weights) == len(members) == 4 ** (n - m)
+        assert [i for group in members for i in group] == list(range(len(strings)))
+        v = np.random.default_rng(n + 1).normal(size=(1 << (n - m), 1 << m))
+        doubled = np.stack([v, -v], axis=1).reshape(-1, 1 << m)
+        for table, w, group in zip(groups.gathers, weights, members):
+            want = v.reshape(-1).astype(complex)
+            for i in group:  # exp(-i t sigma) = cos t - i sin t sigma, as sigma^2 = I
+                turned = kron_of(strings[i]) @ want
+                want = np.cos(thetas[i]) * want - 1j * np.sin(thetas[i]) * turned
+            got = doubled[table].reshape(len(table), -1) @ w
+            assert np.allclose(got[:, : 1 << m].reshape(-1), want, rtol=0.0, atol=1e-12)
+            assert np.array_equal(got[:, 1 << m :], -got[:, : 1 << m])
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_prefix_shifts_square_to_eps(self, n):
+        # S_p^2 = eps_p = (-1)^(Y count of p), read off the doubled-row indices.
+        m, members = group_strings(n)
+        groups = prefix_groups(n)
+        strings = fit_strings(tuple(range(n)), True, n)
+        v = np.random.default_rng(n).normal(size=(1 << (n - m), 1 << m))
+        doubled = np.stack([v, -v], axis=1).reshape(-1, 1 << m)
+        for rows, group in zip(groups.gathers[:, :, 1], members):
+            eps = (-1) ** strings[group[0]][: n - m].count("Y")
+            once = doubled[rows]
+            twice = np.stack([once, -once], axis=1).reshape(-1, 1 << m)[rows]
+            assert np.array_equal(twice, eps * v)
 
     @settings(max_examples=30, deadline=None)
-    @given(st.integers(1, 6), st.integers(0, 2**32 - 1))
+    @given(st.integers(1, 7), st.integers(0, 2**32 - 1))
     def test_single_string_rows_are_the_fit_rows(self, n, seed):
-        # Row {t} of each block gathers Im(sigma_I |psi>) = gain * psi[idx] for string I.
-        psi = random_state(np.random.default_rng(seed), n, real=True).amplitudes.real
+        # The factored Vi u and Vi^T a equal the matvecs with the rows gain * psi[idx].
+        rng = np.random.default_rng(seed)
+        psi = random_state(rng, n, real=True).amplitudes.real
         idx, _, gain = fit_tables(tuple(range(n)), True, n)
-        got = _block_rows(psi, n)
-        want = gain * psi[idx]
-        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        rows = gain * psi[idx]
+        groups = prefix_groups(n)
+        phi = _odd_y_factors(psi, groups)
+        u, a = rng.normal(size=rows.shape[1]), rng.normal(size=rows.shape[0])
+        pairs = [(_vi_dot(phi, u, groups), rows @ u), (_vi_t_dot(phi, a, groups), rows.T @ a)]
+        for got, want in pairs:
+            assert got.shape == want.shape
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
     def test_whole_register_real_run_builds_no_gather_tables(self):
         sigma_basis.cache_clear()
@@ -607,32 +643,32 @@ class TestRotationBlocks:
         assert sigma_basis.cache_info().misses == 0
 
     def test_block_tables_keep_only_their_bytes(self):
-        # The n = 6 tables, 504 blocks of 16 x 64 bytes, kept alone and built
-        # without index-sized temporaries.
-        rotation_blocks.cache_clear()
+        # The n = 8 prefix group tables, 1.1 MB, built with a peak under twice
+        # that; the rotation block tables they replace took 67 MB.
+        prefix_groups.cache_clear()
         tracemalloc.start()
         try:
-            table = rotation_blocks(6)
+            groups = prefix_groups(8)
             kept, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert table.nbytes == 504 * 16 * 64
-        assert kept <= 1.1 * table.nbytes and peak <= 2 * table.nbytes
+        arrays = [groups.gathers, groups.patterns, groups.strings]
+        arrays += [a for batch in groups.batches for a in batch]
+        nbytes = sum(a.nbytes for a in arrays)
+        assert nbytes <= 2e6 and kept <= 1.1 * nbytes and peak <= 2 * nbytes
 
     @pytest.mark.parametrize("n", [3, 6])
-    def test_guard_counts_the_block_tables(self, monkeypatch, n):
+    def test_guard_counts_the_gather_tables(self, monkeypatch, n):
         tables = sigma_basis(tuple(range(n)), True, n)
-        allocated = sum(a.nbytes for a in tables) + rotation_blocks(n).nbytes
+        allocated = sum(a.nbytes for a in tables)
         monkeypatch.setattr(qnute.evolution, "BASIS_BYTES_LIMIT", allocated)
         assert check_basis_size(n, True, n) == tables[0].shape[0]
         monkeypatch.setattr(qnute.evolution, "BASIS_BYTES_LIMIT", allocated - 1)
-        with pytest.raises(CapacityError, match=f"block tables {rotation_blocks(n).nbytes} more"):
+        with pytest.raises(CapacityError, match=f"gather tables need {allocated} bytes, over"):
             check_basis_size(n, True, n)
-        # A window narrower than the register keeps no block tables.
-        assert check_basis_size(n - 1, True, n) == (4 ** (n - 1) - 2 ** (n - 1)) // 2
 
     def test_guard_admits_eight_qubits(self):
-        # The odd-Y basis at n = D = 8: 267 MB of gather tables and 67 MB of blocks.
+        # The odd-Y basis at n = D = 8: 267 MB of gather tables.
         assert check_basis_size(8, True, 8) == 32640
 
 
