@@ -7,8 +7,9 @@ change is tracked by the scalar factor c = sqrt(1 + 2 dt Re<h_m>).
 
 The system is solved without forming S, by the SVD of the rows sigma_I |psi>
 (see _solve_gram_factor).  A whole-register fit of a real state needs neither
-the SVD (Motta et al., Nat. Phys. 16, 205 (2020)) nor its rows: it works on
-the prefix x suffix factors of its strings (see prefix_groups).
+a solve, since a = b / 2^n (Motta et al., Nat. Phys. 16, 205 (2020)), nor its
+rows: it works on the prefix x suffix factors of its strings (see
+prefix_groups and trotter_step).
 """
 
 from __future__ import annotations
@@ -31,9 +32,10 @@ C_RADICAND_FLOOR = 1e-12
 # Fit eigenvalues below this fraction of the largest are dropped.
 LSTSQ_REL_TOL = 1e-8
 
-# Largest gather tables a basis may keep (per basis string and amplitude: an
-# index, a complex phase and a rotation gain, 32 bytes odd-Y and 40 bytes
-# full); larger bases are refused.
+# Largest tables a fit basis may keep: its gather tables (per basis string and
+# amplitude: an index, a complex phase and a rotation gain, 32 bytes odd-Y and
+# 40 bytes full), or on a whole-register odd-Y basis its prefix x suffix
+# tables and work arrays; larger bases are refused.
 BASIS_BYTES_LIMIT = 1 << 30
 
 
@@ -72,17 +74,32 @@ class Trajectory:
     reports: list[StepReport]
 
 
-def check_basis_size(width: int, odd_y: bool, n: int) -> int:
-    """String count of a width-qubit fit basis; CapacityError if its gather tables are too big.
+def _suffix_qubits(n: int) -> int:
+    """The m of prefix_groups(n): max(1, (n + 1) // 3) gave the fastest steps for n = 3..8."""
+    return max(1, (n + 1) // 3)
 
-    A whole-register odd-Y basis counts them too: a nearly-real state builds them.
+
+def check_basis_size(width: int, odd_y: bool, n: int, gathered: bool = False) -> int:
+    """String count of a step's fit basis; CapacityError if what the step keeps for it is too big.
+
+    That is the basis's gather tables (see sigma_basis; gathered counts them
+    on any basis), except on a whole-register odd-Y basis, which has none.
+    There it is, with k = n - m prefix qubits (see prefix_groups), the
+    gathers (4^k 2^k 16 bytes), patterns (16^m 8) and strings (8 per
+    string), and the step's phi array (2^n 4^k 8) and group weights (4^n 32).
     """
     size = (4**width - 2**width) // 2 if odd_y else 4**width - 1
-    gather_bytes = size * (1 << n) * (32 if odd_y else 40)
-    if gather_bytes > BASIS_BYTES_LIMIT:
+    if odd_y and width == n and not gathered:
+        m = _suffix_qubits(n)
+        k = n - m
+        what = "prefix tables and work arrays"
+        need = 4**k * 2**k * 16 + 16**m * 8 + size * 8 + (1 << n) * 4**k * 8 + 4**n * 32
+    else:
+        what, need = "gather tables", size * (1 << n) * (32 if odd_y else 40)
+    if need > BASIS_BYTES_LIMIT:
         raise CapacityError(
             f"a {width}-qubit {'odd-y' if odd_y else 'full'} basis on {n} qubits has "
-            f"{size} strings whose gather tables need {gather_bytes} bytes, "
+            f"{size} strings whose {what} need {need} bytes, "
             f"over the {BASIS_BYTES_LIMIT}-byte limit"
         )
     return size
@@ -111,7 +128,7 @@ def sigma_basis(
     if domain != tuple(range(domain[0], domain[-1] + 1)):
         raise InvalidDomainError(f"domain {domain} is not contiguous")
     width = len(domain)
-    codes = np.zeros((check_basis_size(width, odd_y, n), n), dtype=np.int8)
+    codes = np.zeros((check_basis_size(width, odd_y, n, gathered=True), n), dtype=np.int8)
     digits = lexicographic_codes(np.arange(1, 4**width), width)
     if odd_y:
         digits = digits[(digits == 2).sum(axis=1) % 2 == 1]
@@ -150,9 +167,9 @@ def prefix_groups(n: int) -> PrefixGroups:
     shifts of p and q, and S_p^2 = eps_p = (-1)^(Y count of p).  Row r of
     S_p Psi is row gathers[p, r, 1] of the doubled rows [Psi[r], -Psi[r]].
     Basis order is prefix-major, each prefix taking the suffixes of the
-    other Y parity.  m = max(1, (n + 1) // 3) gave the fastest steps for n = 3..8.
+    other Y parity.
     """
-    m = max(1, (n + 1) // 3)
+    m = _suffix_qubits(n)
     idx_p, sign_p, ny_p = _signed_shifts(n - m)
     idx_q, sign_q, ny_q = _signed_shifts(m)
     patterns = (np.eye(idx_q.shape[1])[idx_q] * sign_q[:, :, None]).transpose(0, 2, 1)
@@ -177,8 +194,8 @@ def cached_dense(h_m: PauliSum, n: int) -> np.ndarray:
     return dense_matrix(h_m, n)
 
 
-def _apply_generator(h_m: PauliSum, state: StateVector) -> np.ndarray:
-    return cached_dense(h_m, state.n) @ state.amplitudes
+def _apply_generator(h_m: PauliSum, amp: np.ndarray, n: int) -> np.ndarray:
+    return cached_dense(h_m, n) @ amp
 
 
 def _c_from(psi: np.ndarray, hpsi: np.ndarray, delta_t: float) -> float:
@@ -209,38 +226,16 @@ def _step_buffer(shape: tuple[int, ...], dtype: type, use: str) -> np.ndarray:
     return np.empty(shape, dtype)
 
 
-def _solve_gram_factor(
-    rows: np.ndarray, b: np.ndarray, rel_tol: float, groups: PrefixGroups | None = None
-) -> tuple[np.ndarray, float]:
+def _solve_gram_factor(rows: np.ndarray, b: np.ndarray, rel_tol: float) -> tuple[np.ndarray, float]:
     """Minimal-norm solution of (S + S^T) a = b from the rows sigma_I |psi> of a unit state.
 
     With V = [Re rows, Im rows] the system matrix is S + S^T = 2 V V^T, so its
     eigenpairs are the left singular vectors of V with eigenvalues 2 s^2.
     Eigenvalues below rel_tol times the largest are discarded; if none survive
     for a nonzero b, or V has no SVD, the system is reported singular.
-
-    The whole odd-Y basis of the register on an exactly real state (given
-    groups = prefix_groups(n) by trotter_step; a nearly-real state takes the
-    SVD) skips the SVD, and rows is then the factored form of the real
-    Vi = Im(sigma_I |psi>) (see _odd_y_factors), since Re(sigma_I |psi>) = 0.
-    Those strings are i dim^(1/2) times an orthonormal basis of the real
-    antisymmetric matrices, so with a unit psi, Vi^T Vi = (dim / 2) (I - psi psi^T)
-    and Vi Vi^T = (dim / 2) P for the projector P onto the range of Vi.  Then
-    S + S^T = 2 Vi Vi^T = dim P: every nonzero eigenvalue is dim, the rest are
-    exactly zero, and the minimal-norm solution is P b / dim = Vi (Vi^T b) 2 / dim^2.
-    Non-finite rows raise SingularSystemError on this path too.
     """
     if np.linalg.norm(b) == 0.0:
         return np.zeros(b.shape[0]), 0.0
-    if groups is not None:
-        dim = rows.shape[0] * rows.shape[2]
-        with np.errstate(invalid="ignore", over="ignore"):
-            a = _vi_dot(rows, _vi_t_dot(rows, b, groups), groups) * (2.0 / dim**2)
-            back = _vi_dot(rows, _vi_t_dot(rows, a, groups), groups)
-            residual = float(np.linalg.norm(2.0 * back - b))
-        if not math.isfinite(residual):
-            raise SingularSystemError("the fit system is not finite")
-        return a, residual
     dim = rows.shape[1]
     V = np.concatenate(
         [rows.real, rows.imag], axis=1, out=_step_buffer((rows.shape[0], 2 * dim), float, "V")
@@ -289,14 +284,6 @@ def _vi_dot(phi: np.ndarray, u: np.ndarray, groups: PrefixGroups) -> np.ndarray:
     c = phi.T @ u.reshape(len(phi), -1)
     sums = c.reshape(len(groups.gathers), -1) @ groups.patterns.T
     return sums.reshape(-1)[groups.strings]
-
-
-def _vi_t_dot(phi: np.ndarray, a: np.ndarray, groups: PrefixGroups) -> np.ndarray:
-    """Vi^T a = vec(sum_p S_p Psi D_p^T), with D_p = sum_q a[p (x) q] T_q."""
-    grid = np.zeros((len(groups.gathers), len(groups.patterns)))
-    grid.reshape(-1)[groups.strings] = a
-    d = grid @ groups.patterns  # D_p^T
-    return (phi.reshape(len(phi), -1) @ d.reshape(-1, phi.shape[2])).reshape(-1)
 
 
 def _group_weights(thetas: list[float], groups: PrefixGroups) -> np.ndarray:
@@ -349,16 +336,16 @@ def _rotate_each(
 ) -> np.ndarray:
     """The ordered rotations of any other fit on amp, one string at a time.
 
-    A real state on an odd-Y basis rotates in real arithmetic, with the same
-    roundings as the complex loop; the caller makes psi complex again before
-    the norm and the division, whose roundings would differ on a real array.
-    Each rotation adds (sin(theta) gain) psi[ix] to cos(theta) psi in place;
-    every gain is +-1 or +-i, so this rounds as sin(theta) (gain psi[ix]).
+    An odd-Y basis (real gains) rotates amp.real in real arithmetic, with the
+    same roundings as the complex loop on a real state; the caller makes psi
+    complex again before the norm and the division, whose roundings would
+    differ on a real array.  Each rotation adds (sin(theta) gain) psi[ix] to
+    cos(theta) psi in place; every gain is +-1 or +-i, so this rounds as
+    sin(theta) (gain psi[ix]).
     """
     sg = _step_buffer(idx.shape, gain.dtype, "sin_gain")
     np.multiply(np.array([math.sin(t) for t in thetas])[:, None], gain, out=sg)
-    real = not (amp.imag.any() or np.iscomplexobj(gain))
-    psi = amp.real.copy() if real else amp.copy()
+    psi = amp.copy() if np.iscomplexobj(gain) else amp.real.copy()
     for theta, sg_k, ix in zip(thetas, sg, idx):
         if theta == 0.0:
             continue
@@ -375,18 +362,27 @@ def trotter_step(
     """Fit and apply the rotation product for one factor exp(h_m * dt).
 
     The rotations act on the term's own qubit window, over odd-Y strings when
-    the state and h_m are both real (the rotations then stay real) and over
-    all strings otherwise.  They are applied in ascending basis order, the
-    state is renormalized, and the scale is multiplied by c.  A whole-register
-    odd-Y fit on an exactly real state builds no gather tables: it fits on
-    its strings' prefix x suffix factors (see prefix_groups) and applies the
-    rotations a prefix group at a time, which differs from the one-by-one
-    product (every other fit's) only by rounding.  The report carries the
-    solved angles, the linear-system residual, and the fidelity against the
-    exactly evolved and normalized step on the same input state.  A term
-    whose support is wider than cfg.domain_size raises InvalidDomainError.
-    The fit's and the rotations' work arrays are shared by all steps of the
-    process (see _step_buffer), so two threads must not run steps at once.
+    the state (see StateVector.is_real) and h_m are both real, and over all
+    strings otherwise.  Odd-Y rotations act on the state's real part.  They
+    are applied in ascending basis order, the state is renormalized, and the
+    scale is multiplied by c.
+
+    A whole-register odd-Y fit steps on the real part alone and builds no
+    gather tables.  Its strings are i 2^(n/2) times an orthonormal basis of
+    the real antisymmetric matrices, so S + S^T = 2^n P, with P the
+    projector onto the range of the fit rows, which holds b.  The
+    minimal-norm angles are then a = b / 2^n exactly (Motta et al.), and the
+    residual is 0 by construction.  b comes from the strings' prefix x
+    suffix factors (see prefix_groups), and the rotations are applied a
+    prefix group at a time, which differs from the one-by-one product
+    (every other fit's) only by rounding.
+
+    The report carries the solved angles, the linear-system residual, and
+    the fidelity against the exactly evolved and normalized step on the same
+    input state.  A term whose support is wider than cfg.domain_size raises
+    InvalidDomainError.  The fit's and the rotations' work arrays are shared
+    by all steps of the process (see _step_buffer), so two threads must not
+    run steps at once.
     """
     psi_in = state.state
     h_m = term.pauli
@@ -396,23 +392,24 @@ def trotter_step(
             f"term on {len(term.support)} qubits exceeds domain_size {cfg.domain_size}"
         )
     odd_y = psi_in.is_real and h_m.has_real_matrix
-    amp = psi_in.amplitudes
-    whole_register = odd_y and term.support == frozenset(range(n)) and not amp.imag.any()
+    whole_register = odd_y and term.support == frozenset(range(n))
+    amp = psi_in.amplitudes.real if whole_register else psi_in.amplitudes
     if not whole_register:
         idx, ph, gain = sigma_basis(tuple(sorted(term.support)), odd_y, n)
         # idx is in range; "clip" writes into the buffer directly, "raise" via a copy.
         rows = np.take(amp, idx, out=_step_buffer(idx.shape, complex, "rows"), mode="clip")
         np.multiply(ph, rows, out=rows)
-    hpsi = _apply_generator(h_m, psi_in)
+    hpsi = _apply_generator(h_m, amp, n)
     c = _c_from(amp, hpsi, cfg.delta_t)
     # math.sin and math.cos keep the angles' bits independent of numpy's vector ones.
     if whole_register:
         groups = prefix_groups(n)
-        rows = _odd_y_factors(amp.real, groups)
-        # On the real rows Vi, b = (2/c) Im(i Vi conj(h psi)) = (2/c) Vi Re(h psi).
-        b = (2.0 / c) * _vi_dot(rows, hpsi.real, groups)
-        a, residual = _solve_gram_factor(rows, b, LSTSQ_REL_TOL, groups)
-        psi = _rotate_groups(amp.real, (a * cfg.delta_t).tolist(), groups).astype(complex)
+        # On the real rows Vi = Im(sigma_I |psi>), b = (2/c) Vi Re(h psi).
+        b = (2.0 / c) * _vi_dot(_odd_y_factors(amp, groups), hpsi.real, groups)
+        if not np.isfinite(b).all():
+            raise SingularSystemError("the fit system is not finite")
+        a, residual = b / (1 << n), 0.0
+        psi = _rotate_groups(amp, (a * cfg.delta_t).tolist(), groups).astype(complex)
     else:
         a, residual = _solve_gram_factor(rows, _b_from(rows, hpsi, c), LSTSQ_REL_TOL)
         psi = _rotate_each(amp, (a * cfg.delta_t).tolist(), idx, gain).astype(complex, copy=False)

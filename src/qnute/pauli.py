@@ -105,12 +105,6 @@ def lexicographic_codes(numbers: np.ndarray, width: int) -> np.ndarray:
     return (numbers[:, None] >> (2 * np.arange(width - 1, -1, -1))) & 3
 
 
-def string_action(s: PauliString) -> tuple[np.ndarray, np.ndarray]:
-    """Gather representation of w = matrix(s) @ v as w = phases * v[indices]."""
-    idx, ph = gather_tables(np.array([[SYMBOLS.index(ch) for ch in s]]))
-    return idx[0], ph[0]
-
-
 class PauliSum:
     """Canonicalized complex-weighted sum of equal-length Pauli strings.
 

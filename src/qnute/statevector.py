@@ -8,7 +8,8 @@ import numpy as np
 
 from .errors import DegenerateInputError, DimensionMismatchError
 
-# States whose imaginary parts stay below this are treated as real-valued.
+# States whose imaginary parts stay below this are real: a step on a real
+# generator fits them on odd-Y strings and rotates their real part alone.
 REAL_STATE_TOL = 1e-12
 
 

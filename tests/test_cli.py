@@ -111,21 +111,34 @@ class TestPrice:
         assert (out1 / "trajectory.csv").read_bytes() == (out2 / "trajectory.csv").read_bytes()
 
     def test_basis_capacity_guard_exits_2(self, tmp_path, monkeypatch, capsys):
-        # grid.n = 10 fits one odd-y basis over all 10 qubits: 523776 strings
-        # whose tables would need 17.2 GB; the guard raises before any is built.
+        # grid.n = 10, D = 9 fits odd-y bases over 9-qubit windows: 130816
+        # strings whose tables would need 4.3 GB; the guard raises before any is built.
         monkeypatch.setattr(
             "qnute.evolution.gather_tables",
             lambda _: pytest.fail("basis tables were built"),
         )
-        cfg = write_config(tmp_path, PRICE_CONFIG.replace("grid.n = 3", "grid.n = 10"))
+        text = PRICE_CONFIG.replace("grid.n = 3", "grid.n = 10") + "qnute.domain_size = 9\n"
+        cfg = write_config(tmp_path, text)
         assert main(["price", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
-        assert f"need {523776 * 1024 * 32} bytes" in capsys.readouterr().err
+        assert f"gather tables need {130816 * 1024 * 32} bytes" in capsys.readouterr().err
+
+    def test_whole_register_nine_qubits_runs(self, tmp_path, monkeypatch):
+        # n = D = 9 keeps 30 MB of prefix tables and work arrays, where its
+        # gather tables would have needed 2.1 GB; it builds none of them.
+        monkeypatch.setattr(
+            "qnute.evolution.sigma_basis", lambda *_: pytest.fail("basis tables were built")
+        )
+        text = PRICE_CONFIG.replace("grid.n = 3", "grid.n = 9").replace("T = 3", "T = 4e-5")
+        cfg = write_config(tmp_path, text.replace("N_T = 20", "N_T = 2"))
+        assert main(["price", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+        _, rows = read_csv(tmp_path / "o" / "trajectory.csv")
+        assert [row[4] for row in rows] == ["0", "0"]
 
     @pytest.mark.parametrize(
         "n, message",
         [
             (15, "dense realization of 15 qubits exceeds the 14-qubit guard"),
-            (12, f"need {(4**12 - 2**12) // 2 * 4096 * 32} bytes"),
+            (12, "need 3020406784 bytes"),
         ],
     )
     def test_oversized_run_exits_2_before_building(self, tmp_path, monkeypatch, capsys, n, message):

@@ -20,16 +20,17 @@ from oracles import (
 from qnute.errors import CapacityError, DimensionMismatchError
 from qnute.hamiltonian import BSParams, Grid, build_bs_pauli
 from qnute.pauli import (
+    SYMBOLS,
     LadderOp,
     PauliString,
     PauliSum,
     decompose_dense,
     dense_matrix,
     format_pauli_sum,
+    gather_tables,
     ladder_as_pauli,
     ladder_power,
     multiply_strings,
-    string_action,
 )
 
 
@@ -286,9 +287,10 @@ class TestPauliSum:
         s = PauliSum(terms)
         v = rng.normal(size=8) + 1j * rng.normal(size=8)
         got = np.zeros(8, dtype=complex)
-        for c, string in s.terms:
-            idx, ph = string_action(string)
-            got += c * ph * v[idx]
+        codes = np.array([[SYMBOLS.index(ch) for ch in string] for _, string in s.terms])
+        idx, ph = gather_tables(codes)
+        for (c, _), idx_k, ph_k in zip(s.terms, idx, ph):
+            got += c * ph_k * v[idx_k]
         assert np.allclose(got, dense_of_terms(terms) @ v)
 
     def test_hermiticity_detection(self):

@@ -1,7 +1,7 @@
 """Statevector encoding, expectation values, rotations, and fidelity.
 
 Expectation values go through the stepper's generator application and
-rotations through the gather arrays of ``string_action``, the two routes a
+rotations through the gather arrays of ``gather_tables``, the two routes a
 fitted step takes.
 """
 
@@ -12,7 +12,7 @@ import scipy.linalg
 from oracles import decode_nonnegative, dense_of_terms, random_pauli_sum_terms
 from qnute.errors import DegenerateInputError, DimensionMismatchError
 from qnute.evolution import _apply_generator
-from qnute.pauli import PauliString, PauliSum, string_action
+from qnute.pauli import SYMBOLS, PauliString, PauliSum, gather_tables
 from qnute.statevector import ScaledState, StateVector, encode_samples, fidelity
 
 
@@ -23,12 +23,12 @@ def random_state(rng, n):
 
 def expectation(state: StateVector, op: PauliSum) -> complex:
     """<psi|op|psi> from op|psi> as the stepper computes it."""
-    return complex(np.vdot(state.amplitudes, _apply_generator(op, state)))
+    return complex(np.vdot(state.amplitudes, _apply_generator(op, state.amplitudes, state.n)))
 
 
 def apply_pauli_rotation(state: StateVector, s: PauliString, angle: float) -> StateVector:
     """exp(-i angle s)|psi> = cos(angle)|psi> - i sin(angle) s|psi>, s from its gather arrays."""
-    idx, ph = string_action(s)
+    (idx,), (ph,) = gather_tables(np.array([[SYMBOLS.index(ch) for ch in s]]))
     psi = state.amplitudes
     return StateVector(np.cos(angle) * psi - 1j * np.sin(angle) * (ph * psi[idx]))
 
