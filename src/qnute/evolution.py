@@ -32,6 +32,11 @@ C_RADICAND_FLOOR = 1e-12
 # Fit eigenvalues below this fraction of the largest are dropped.
 LSTSQ_REL_TOL = 1e-8
 
+# Up to this size _sin_cos takes an angle's sine and cosine from their Taylor
+# polynomials (to x^7 and x^6) in Horner form, one numpy call per IEEE operation
+# so that nothing fuses: the same bits on every CPU, glibc's on every angle tested.
+TRIG_POLY_BOUND = 2.0**-10
+
 # Largest tables a fit basis may keep: its gather tables (per basis string and
 # amplitude: an index, a complex phase and a rotation gain, 32 bytes odd-Y and
 # 40 bytes full), or on a whole-register odd-Y basis its prefix x suffix
@@ -266,16 +271,15 @@ def _doubled(psi: np.ndarray, groups: PrefixGroups) -> np.ndarray:
     return doubled
 
 
-def _odd_y_factors(psi: np.ndarray, groups: PrefixGroups) -> np.ndarray:
-    """phi[:, p] = S_p Psi for every prefix p of the real psi, which stand in for the fit rows.
+def _odd_y_factors(doubled: np.ndarray, groups: PrefixGroups) -> np.ndarray:
+    """phi[:, p] = S_p Psi for every prefix p, from _doubled's rows; they stand in for fit rows.
 
     Row p (x) q of Vi = Im(sigma_I |psi>) is vec(S_p Psi T_q^T) (see _vi_dot).
     """
-    rows = _doubled(psi, groups).reshape(-1, 1 << groups.m)
     shifted = groups.gathers[:, :, 1].T
-    phi = _step_buffer(shifted.shape + rows.shape[1:], float, "phi")
+    phi = _step_buffer((*shifted.shape, 1 << groups.m), float, "phi")
     # The indices are in range; "clip" writes into the buffer directly.
-    return rows.take(shifted, axis=0, out=phi, mode="clip")
+    return doubled.reshape(-1, 1 << groups.m).take(shifted, axis=0, out=phi, mode="clip")
 
 
 def _vi_dot(phi: np.ndarray, u: np.ndarray, groups: PrefixGroups) -> np.ndarray:
@@ -286,7 +290,18 @@ def _vi_dot(phi: np.ndarray, u: np.ndarray, groups: PrefixGroups) -> np.ndarray:
     return sums.reshape(-1)[groups.strings]
 
 
-def _group_weights(thetas: list[float], groups: PrefixGroups) -> np.ndarray:
+def _sin_cos(thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """math.sin and math.cos of the angles bit for bit, with no libm call up to TRIG_POLY_BOUND."""
+    x = np.minimum(np.maximum(thetas, -TRIG_POLY_BOUND), TRIG_POLY_BOUND)
+    xx = x * x
+    sin = np.copysign(x + ((xx * (-1 / 5040) + 1 / 120) * xx - 1 / 6) * x * xx, x)
+    cos = 1.0 - ((xx * (1 / 720) - 1 / 24) * xx + 0.5) * xx
+    for i in np.flatnonzero(x != thetas):
+        sin[i], cos[i] = math.sin(thetas[i]), math.cos(thetas[i])
+    return sin, cos
+
+
+def _group_weights(thetas: np.ndarray, groups: PrefixGroups) -> np.ndarray:
     """Each prefix group's ordered rotations I (x) A_p + S_p (x) B_p, as _rotate_groups' weights.
 
     Rotation p (x) q, cos t + sin t (S_p (x) T_q) on a real state, takes
@@ -295,8 +310,7 @@ def _group_weights(thetas: list[float], groups: PrefixGroups) -> np.ndarray:
     together.  The weights [[A^T, -A^T], [B^T, -B^T]] map the row
     [Psi[r], (S_p Psi)[r]] to the new [Psi[r], -Psi[r]].
     """
-    cos = np.fromiter(map(math.cos, thetas), float, len(thetas))
-    sin = np.fromiter(map(math.sin, thetas), float, len(thetas))
+    sin, cos = _sin_cos(thetas)
     dim_q = 1 << groups.m
     weights = np.empty((len(groups.gathers), 2, dim_q, 2, dim_q))
     for prefixes, order, flips, signs in groups.batches:
@@ -313,21 +327,20 @@ def _group_weights(thetas: list[float], groups: PrefixGroups) -> np.ndarray:
     return weights.reshape(len(weights), 2 * dim_q, 2 * dim_q)
 
 
-def _rotate_groups(psi: np.ndarray, thetas: list[float], groups: PrefixGroups) -> np.ndarray:
-    """The ordered rotations of a whole-register real fit on the real psi, a prefix group at once.
+def _rotate_groups(doubled: np.ndarray, thetas: np.ndarray, groups: PrefixGroups) -> np.ndarray:
+    """The ordered rotations of a whole-register real fit on _doubled's rows, per prefix group.
 
     Group p maps Psi to Psi A_p^T + (S_p Psi) B_p^T: one gather from the
     doubled rows and one matvec that writes them back (see _group_weights).
     """
     weights = _group_weights(thetas, groups)
-    doubled = _doubled(psi, groups)
-    rows = doubled.reshape(-1, doubled.shape[2])
     out = doubled.reshape(len(doubled), -1)
     gathered = _step_buffer(doubled.shape, float, "gathered")
     pairs = gathered.reshape(out.shape)
+    take, dot = doubled.reshape(-1, doubled.shape[2]).take, np.dot
     for table, w in zip(groups.gathers, weights):
-        rows.take(table, axis=0, out=gathered, mode="clip")
-        np.dot(pairs, w, out=out)
+        take(table, 0, gathered, "clip")
+        dot(pairs, w, out)
     return doubled[:, 0].flatten()
 
 
@@ -401,15 +414,16 @@ def trotter_step(
         np.multiply(ph, rows, out=rows)
     hpsi = _apply_generator(h_m, amp, n)
     c = _c_from(amp, hpsi, cfg.delta_t)
-    # math.sin and math.cos keep the angles' bits independent of numpy's vector ones.
+    # _sin_cos and math give the angles libm's bits; numpy's vector sin and cos may not.
     if whole_register:
         groups = prefix_groups(n)
+        doubled = _doubled(amp, groups)
         # On the real rows Vi = Im(sigma_I |psi>), b = (2/c) Vi Re(h psi).
-        b = (2.0 / c) * _vi_dot(_odd_y_factors(amp, groups), hpsi.real, groups)
+        b = (2.0 / c) * _vi_dot(_odd_y_factors(doubled, groups), hpsi.real, groups)
         if not np.isfinite(b).all():
             raise SingularSystemError("the fit system is not finite")
         a, residual = b / (1 << n), 0.0
-        psi = _rotate_groups(amp, (a * cfg.delta_t).tolist(), groups).astype(complex)
+        psi = _rotate_groups(doubled, a * cfg.delta_t, groups).astype(complex)
     else:
         a, residual = _solve_gram_factor(rows, _b_from(rows, hpsi, c), LSTSQ_REL_TOL)
         psi = _rotate_each(amp, (a * cfg.delta_t).tolist(), idx, gain).astype(complex, copy=False)

@@ -1,5 +1,6 @@
 """The fitted Trotter stepper: bases, measurements, solver, steps, trajectories."""
 
+import math
 import tracemalloc
 from unittest import mock
 
@@ -32,13 +33,16 @@ from qnute.errors import (
 )
 from qnute.evolution import (
     LSTSQ_REL_TOL,
+    TRIG_POLY_BOUND,
     QnuteConfig,
     _apply_generator,
     _b_from,
     _c_from,
+    _doubled,
     _group_weights,
     _odd_y_factors,
     _rotate_groups,
+    _sin_cos,
     _solve_gram_factor,
     _vi_dot,
     check_basis_size,
@@ -590,7 +594,8 @@ class TestRotationBlocks:
         angle = st.one_of(st.just(0.0), st.floats(-2.0, 2.0, allow_nan=False))
         thetas = data.draw(st.lists(angle, min_size=size, max_size=size), label="thetas")
         psi = random_state(np.random.default_rng(seed), n, real=True).amplitudes.real
-        got = _rotate_groups(psi, thetas, prefix_groups(n))
+        groups = prefix_groups(n)
+        got = _rotate_groups(_doubled(psi, groups), np.array(thetas), groups)
         idx, ph, _ = fit_tables(tuple(range(n)), True, n)
         want, nrm = rotate_complex(psi, idx, ph, thetas)
         assert abs(np.linalg.norm(got) - nrm) <= 1e-12
@@ -603,7 +608,7 @@ class TestRotationBlocks:
         m, members = group_strings(n)
         groups = prefix_groups(n)
         strings = fit_strings(tuple(range(n)), True, n)
-        thetas = np.random.default_rng(n).uniform(-2.0, 2.0, len(strings)).tolist()
+        thetas = np.random.default_rng(n).uniform(-2.0, 2.0, len(strings))
         weights = _group_weights(thetas, groups)
         assert len(weights) == len(members) == 4 ** (n - m)
         assert [i for group in members for i in group] == list(range(len(strings)))
@@ -641,7 +646,7 @@ class TestRotationBlocks:
         idx, _, gain = fit_tables(tuple(range(n)), True, n)
         rows = gain * psi[idx]
         groups = prefix_groups(n)
-        phi = _odd_y_factors(psi, groups)
+        phi = _odd_y_factors(_doubled(psi, groups), groups)
         u = rng.normal(size=rows.shape[1])
         got, want = _vi_dot(phi, u, groups), rows @ u
         assert got.shape == want.shape
@@ -686,8 +691,9 @@ class TestRotationBlocks:
         groups = prefix_groups(n)
         psi = random_state(np.random.default_rng(n), n, real=True).amplitudes.real
         size = (4**n - 2**n) // 2
-        arrays = [groups.gathers, groups.patterns, groups.strings, _odd_y_factors(psi, groups)]
-        arrays.append(_group_weights([0.1] * size, groups))
+        phi = _odd_y_factors(_doubled(psi, groups), groups)
+        arrays = [groups.gathers, groups.patterns, groups.strings, phi]
+        arrays.append(_group_weights(np.full(size, 0.1), groups))
         allocated = sum(a.nbytes for a in arrays)
         monkeypatch.setattr(qnute.evolution, "BASIS_BYTES_LIMIT", allocated)
         assert check_basis_size(n, True, n) == size
@@ -707,6 +713,44 @@ class TestRotationBlocks:
             check_basis_size(9, True, 10)
         with pytest.raises(CapacityError, match="work arrays"):
             check_basis_size(12, True, 12)
+
+
+class TestSinCos:
+    """_sin_cos gives every angle the bits of math.sin and math.cos."""
+
+    @staticmethod
+    def check(thetas):
+        sin, cos = _sin_cos(thetas)
+        for got, f in ((sin, math.sin), (cos, math.cos)):
+            want = np.array([f(t) for t in thetas.tolist()])
+            # Raw bytes, so that -0.0 differs from 0.0.
+            assert thetas[got.view(np.uint64) != want.view(np.uint64)].tolist() == [], f.__name__
+
+    def test_log_uniform_small_angles(self):
+        # The polynomial branch, |t| log-uniform in [2^-40, 2^-10], both signs.
+        rng = np.random.default_rng(18)
+        size = 10**6
+        self.check(np.exp2(rng.uniform(-40.0, -10.0, size)) * rng.choice((-1.0, 1.0), size))
+
+    def test_edge_angles(self):
+        edges = [0.0, TRIG_POLY_BOUND, np.nextafter(TRIG_POLY_BOUND, 1.0)]
+        edges += [2.0**-26, 2.0**-27, 5e-324]
+        # glibc's cosine and sine of the first two differ from the polynomials
+        # cut before x^6 and x^7; of the last two, above 2^-8, from the full ones.
+        hard = ["0x1.c94d2c36b172ap-11", "0x1.dda330585cef2p-11"]
+        hard += ["0x1.f26ea8d6e5a7dp-8", "0x1.06dee73d684ecp-8"]
+        edges += [float.fromhex(h) for h in hard]
+        self.check(np.array(edges + [-t for t in edges]))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False) | st.floats(-1e-3, 1e-3)))
+    def test_finite_angles(self, thetas):
+        self.check(np.array(thetas, dtype=float))
+
+    def test_small_angles_call_no_libm(self, monkeypatch):
+        monkeypatch.setattr(qnute.evolution, "math", None)
+        sin, cos = _sin_cos(np.array([-TRIG_POLY_BOUND, -1e-7, -0.0, 0.0, 3e-9, TRIG_POLY_BOUND]))
+        assert np.all(np.abs(sin) <= TRIG_POLY_BOUND) and np.all(cos > 0.99)
 
 
 class TestTrotterStep:
