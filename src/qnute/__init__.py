@@ -15,6 +15,7 @@ from .errors import (
     UnsupportedSizeError,
 )
 from .evolution import (
+    FactorRecord,
     QnuteConfig,
     StepReport,
     Trajectory,

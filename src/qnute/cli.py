@@ -148,7 +148,8 @@ def _sweep_one(cfg: RunConfig, contract, n: int, domain: int):
     gen = build_bs_pauli(grid, params, "linear")
     terms = split_terms(gen, n, domain)
     initial = encode_samples(payoff_samples(contract, grid))
-    qnute_traj = evolve(initial, terms, qcfg)
+    # fidelity_stats reads the states alone, not the per-step diagnostic.
+    qnute_traj = evolve(initial, terms, qcfg, diagnose=False)
     exact_traj = exact_trajectory(initial, terms, qcfg)
     stats = fidelity_stats(qnute_traj, exact_traj)
     return stats.mean, stats.std

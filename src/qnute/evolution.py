@@ -71,12 +71,20 @@ class StepReport:
     step_fidelity: float
 
 
+class FactorRecord(NamedTuple):
+    """What a trajectory keeps of one factor's StepReport: the columns of trajectory.csv."""
+
+    c: float
+    residual: float
+    step_fidelity: float
+
+
 @dataclass(frozen=True)
 class Trajectory:
-    """States after each full time step plus per-factor fit reports."""
+    """States after each full time step plus one FactorRecord per factor."""
 
     states: list[ScaledState]
-    reports: list[StepReport]
+    reports: list[FactorRecord]
 
 
 def _suffix_qubits(n: int) -> int:
@@ -370,7 +378,7 @@ def _rotate_each(
 
 
 def trotter_step(
-    state: ScaledState, term: HamiltonianTerm, cfg: QnuteConfig
+    state: ScaledState, term: HamiltonianTerm, cfg: QnuteConfig, diagnose: bool = True
 ) -> tuple[ScaledState, StepReport]:
     """Fit and apply the rotation product for one factor exp(h_m * dt).
 
@@ -392,10 +400,11 @@ def trotter_step(
 
     The report carries the solved angles, the linear-system residual, and
     the fidelity against the exactly evolved and normalized step on the same
-    input state.  A term whose support is wider than cfg.domain_size raises
-    InvalidDomainError.  The fit's and the rotations' work arrays are shared
-    by all steps of the process (see _step_buffer), so two threads must not
-    run steps at once.
+    input state; with diagnose=False that exact step is skipped and the
+    fidelity is NaN.  A term whose support is wider than cfg.domain_size
+    raises InvalidDomainError.  The fit's and the rotations' work arrays are
+    shared by all steps of the process (see _step_buffer), so two threads
+    must not run steps at once.
     """
     psi_in = state.state
     h_m = term.pauli
@@ -430,29 +439,33 @@ def trotter_step(
     nrm = float(np.linalg.norm(psi))
     psi_out = StateVector(psi / nrm)
 
-    from .exact import exact_step
+    step_fidelity = math.nan
+    if diagnose:
+        from .exact import exact_step
 
-    exact_out, _ = exact_step(psi_in, h_m, cfg.delta_t)
-    report = StepReport(
-        c=c,
-        a=a,
-        residual=residual,
-        step_fidelity=fidelity(psi_out, exact_out),
-    )
+        exact_out, _ = exact_step(psi_in, h_m, cfg.delta_t)
+        step_fidelity = fidelity(psi_out, exact_out)
+    report = StepReport(c=c, a=a, residual=residual, step_fidelity=step_fidelity)
     return ScaledState(psi_out, state.scale * c * nrm), report
 
 
 def evolve(
-    initial: ScaledState, terms: list[HamiltonianTerm], cfg: QnuteConfig
+    initial: ScaledState, terms: list[HamiltonianTerm], cfg: QnuteConfig, diagnose: bool = True
 ) -> Trajectory:
-    """Run num_steps full time steps, applying every term per step in order."""
+    """Run num_steps full time steps, applying every term per step in order.
+
+    Each factor's angles are dropped after its step: the trajectory keeps
+    only its FactorRecord, so its memory beyond the states does not grow
+    with the fit basis.  diagnose=False skips every step's exact-step
+    fidelity (see trotter_step) for callers that read only the states.
+    """
     states = [initial]
-    reports: list[StepReport] = []
+    reports: list[FactorRecord] = []
     current = initial
     for _ in range(cfg.num_steps):
         for term in terms:
-            current, report = trotter_step(current, term, cfg)
-            reports.append(report)
+            current, report = trotter_step(current, term, cfg, diagnose)
+            reports.append(FactorRecord(report.c, report.residual, report.step_fidelity))
         states.append(current)
     return Trajectory(states, reports)
 

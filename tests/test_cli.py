@@ -13,10 +13,11 @@ import pytest
 import qnute
 import qnute.cli
 import qnute.evolution
+import qnute.exact
 from oracles import tridiagonal_dense
 from qnute.cli import _fmt, _sweep_one, build_parser, main
 from qnute.errors import NumericalError, QnuteError, StepSizeError, UsageError
-from qnute.hamiltonian import BSParams, Grid, bs_coefficients
+from qnute.hamiltonian import BSParams, Grid, bs_coefficients, build_bs_pauli, split_terms
 from qnute.market import OptionContract, format_contract_spec, payoff_samples
 from qnute.runconfig import parse_config
 
@@ -292,6 +293,23 @@ sweep.D = 3,2
         _, rows = read_csv(out / "fidelity.csv")
         assert len(rows) == 6
         assert rows == want
+
+    def test_cell_runs_no_step_diagnostic(self, monkeypatch):
+        # fidelity_stats reads the states alone, so a cell's exact steps are
+        # exact_trajectory's N_T per term, none for the fitted steps' fidelity.
+        text = "schedule.T = 0.3\nschedule.N_T = 10\nsweep.options = call:75\nsweep.n = 4\nsweep.D = 2\n"
+        cfg = parse_config(text)
+        calls = []
+        exact_step = qnute.exact.exact_step
+
+        def spy(*args):
+            calls.append(args)
+            return exact_step(*args)
+
+        monkeypatch.setattr(qnute.exact, "exact_step", spy)
+        _sweep_one(cfg, cfg.sweep_options[0], 4, 2)
+        terms = split_terms(build_bs_pauli(cfg.grid(4), cfg.params(), "linear"), 4, 2)
+        assert len(terms) > 1 and len(calls) == cfg.num_steps * len(terms)
 
     def test_failure_matches_serial_run(self, tmp_path, capsys):
         text = (GOLDEN / "sweep" / "run.cfg").read_text(encoding="utf-8")

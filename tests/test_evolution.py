@@ -34,6 +34,7 @@ from qnute.errors import (
 from qnute.evolution import (
     LSTSQ_REL_TOL,
     TRIG_POLY_BOUND,
+    FactorRecord,
     QnuteConfig,
     _apply_generator,
     _b_from,
@@ -834,6 +835,17 @@ class TestTrotterStep:
         _, report = trotter_step(initial, terms[0], cfg)
         assert report.step_fidelity >= 1.0 - 1e-6
 
+    @pytest.mark.parametrize("n, domain", [(4, 4), (4, 2)])
+    def test_undiagnosed_step_skips_the_exact_step(self, monkeypatch, n, domain):
+        initial, terms, cfg = bs_setup(n, domain_size=domain)
+        want, report = trotter_step(initial, terms[0], cfg)
+        monkeypatch.setattr(qnute.exact, "exact_step", lambda *_: pytest.fail("exact step ran"))
+        got, bare = trotter_step(initial, terms[0], cfg, diagnose=False)
+        assert got.state.amplitudes.tobytes() == want.state.amplitudes.tobytes()
+        assert got.scale == want.scale and math.isnan(bare.step_fidelity)
+        assert (bare.c, bare.residual) == (report.c, report.residual)
+        assert bare.a.tobytes() == report.a.tobytes()
+
     def test_windowed_terms_fit_on_their_own_support(self):
         initial, terms, cfg = bs_setup(4, domain_size=2)
         assert len(terms) > 1
@@ -923,6 +935,24 @@ class TestEvolve:
             )
             means[domain] = stats.mean
         assert means[4] >= means[2]
+
+    @pytest.mark.parametrize("n, domain", [(6, 6), (5, 3)])
+    def test_trajectory_keeps_no_angles(self, n, domain):
+        # Beyond its states a trajectory keeps three floats per factor, however
+        # large the fit: 2016 angles per factor at n = D = 6, up to 28 per
+        # window at D = 3.  Keeping the 28 angles alone would take 336 bytes.
+        initial, terms, cfg = bs_setup(n, num_steps=20, domain_size=domain, maturity=0.12)
+        evolve(initial, terms, cfg)  # fills the run's caches and work arrays
+        tracemalloc.start()
+        try:
+            traj = evolve(initial, terms, cfg)
+            traj.states.clear()
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(traj.reports) == cfg.num_steps * len(terms)
+        assert all(type(r) is FactorRecord for r in traj.reports)
+        assert kept <= 256 * len(traj.reports)
 
     def test_trajectory_rows(self):
         initial, terms, cfg = bs_setup(2, num_steps=4)
