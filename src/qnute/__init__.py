@@ -15,10 +15,8 @@ from .errors import (
     UnsupportedSizeError,
 )
 from .evolution import (
-    FactorRecord,
     QnuteConfig,
     StepReport,
-    Trajectory,
     evolve,
     sigma_basis,
     trotter_step,
@@ -26,7 +24,6 @@ from .evolution import (
 from .exact import (
     FidelityStats,
     exact_step,
-    exact_trajectory,
     fidelity_stats,
     reference_pde_solution,
 )

@@ -24,8 +24,8 @@ except ImportError:  # numpy < 2
     from numpy.core import _multiarray_umath
 
 from .errors import CapacityError, ConfigError, NumericalError, UnsupportedSizeError, UsageError
-from .evolution import QnuteConfig, check_basis_size, evolve, trajectory_rows
-from .exact import exact_trajectory, fidelity_stats, reference_pde_solution
+from .evolution import QnuteConfig, check_basis_size
+from .exact import fidelity_stats, reference_pde_solution
 from .hamiltonian import build_bs_pauli, split_terms
 from .market import analytic_price, format_contract_spec, payoff_samples, price_run
 from .pauli import check_dense_size, dense_matrix, format_pauli_sum
@@ -122,7 +122,7 @@ def cmd_price(cfg: RunConfig, out_dir: Path) -> int:
         run = price_run(cfg.contract, grid, params, qcfg)
         qnute_prices = run.prices
         reference = reference_pde_solution(cfg.contract, grid, params, qcfg)
-        rows = trajectory_rows(run.trajectory, qcfg.delta_t)
+        rows = run.rows
         delta_t = qcfg.delta_t
     tau = delta_t * cfg.num_steps if cfg.num_steps else 0.0
     analytic = [analytic_price(cfg.contract, float(x), tau, params) for x in points]
@@ -148,10 +148,7 @@ def _sweep_one(cfg: RunConfig, contract, n: int, domain: int):
     gen = build_bs_pauli(grid, params, "linear")
     terms = split_terms(gen, n, domain)
     initial = encode_samples(payoff_samples(contract, grid))
-    # fidelity_stats reads the states alone, not the per-step diagnostic.
-    qnute_traj = evolve(initial, terms, qcfg, diagnose=False)
-    exact_traj = exact_trajectory(initial, terms, qcfg)
-    stats = fidelity_stats(qnute_traj, exact_traj)
+    stats = fidelity_stats(initial, terms, qcfg)
     return stats.mean, stats.std
 
 

@@ -15,6 +15,7 @@ prefix_groups and trotter_step).
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -69,22 +70,6 @@ class StepReport:
     a: np.ndarray
     residual: float
     step_fidelity: float
-
-
-class FactorRecord(NamedTuple):
-    """What a trajectory keeps of one factor's StepReport: the columns of trajectory.csv."""
-
-    c: float
-    residual: float
-    step_fidelity: float
-
-
-@dataclass(frozen=True)
-class Trajectory:
-    """States after each full time step plus one FactorRecord per factor."""
-
-    states: list[ScaledState]
-    reports: list[FactorRecord]
 
 
 def _suffix_qubits(n: int) -> int:
@@ -225,20 +210,6 @@ def _b_from(rows: np.ndarray, hpsi: np.ndarray, c: float) -> np.ndarray:
     return (2.0 / c) * (rows @ np.conj(hpsi)).imag
 
 
-@lru_cache(maxsize=None)
-def _step_buffer(shape: tuple[int, ...], dtype: type, use: str) -> np.ndarray:
-    """Work array of a fit step, one per use, shape and dtype, reused by every step.
-
-    The gathered rows, the fit factor V, the rotations' sin-times-gain table
-    and, on a whole-register real fit, the doubled rows, the prefix factors
-    S_p Psi and the gathered row pairs go into these, not into fresh arrays.
-    A run holds one set per basis shape it fits.  Reuse keeps glibc from
-    mapping fresh pages for them step after step: without it, 100 steps of
-    price at n = D = 6 took 83.6k minor page faults instead of 13.9k.
-    """
-    return np.empty(shape, dtype)
-
-
 def _solve_gram_factor(rows: np.ndarray, b: np.ndarray, rel_tol: float) -> tuple[np.ndarray, float]:
     """Minimal-norm solution of (S + S^T) a = b from the rows sigma_I |psi> of a unit state.
 
@@ -249,10 +220,7 @@ def _solve_gram_factor(rows: np.ndarray, b: np.ndarray, rel_tol: float) -> tuple
     """
     if np.linalg.norm(b) == 0.0:
         return np.zeros(b.shape[0]), 0.0
-    dim = rows.shape[1]
-    V = np.concatenate(
-        [rows.real, rows.imag], axis=1, out=_step_buffer((rows.shape[0], 2 * dim), float, "V")
-    )
+    V = np.concatenate([rows.real, rows.imag], axis=1)
     try:
         U, sv, _ = np.linalg.svd(V, full_matrices=False)
     except np.linalg.LinAlgError as exc:
@@ -271,9 +239,9 @@ def _solve_gram_factor(rows: np.ndarray, b: np.ndarray, rel_tol: float) -> tuple
 
 
 def _doubled(psi: np.ndarray, groups: PrefixGroups) -> np.ndarray:
-    """The work array of rows [Psi[r], -Psi[r]] of the real psi (see prefix_groups)."""
+    """The rows [Psi[r], -Psi[r]] of the real psi (see prefix_groups)."""
     halves = psi.reshape(groups.gathers.shape[1], -1)
-    doubled = _step_buffer((len(halves), 2, halves.shape[1]), float, "doubled")
+    doubled = np.empty((len(halves), 2, halves.shape[1]))
     doubled[:, 0] = halves
     np.negative(halves, out=doubled[:, 1])
     return doubled
@@ -284,10 +252,8 @@ def _odd_y_factors(doubled: np.ndarray, groups: PrefixGroups) -> np.ndarray:
 
     Row p (x) q of Vi = Im(sigma_I |psi>) is vec(S_p Psi T_q^T) (see _vi_dot).
     """
-    shifted = groups.gathers[:, :, 1].T
-    phi = _step_buffer((*shifted.shape, 1 << groups.m), float, "phi")
-    # The indices are in range; "clip" writes into the buffer directly.
-    return doubled.reshape(-1, 1 << groups.m).take(shifted, axis=0, out=phi, mode="clip")
+    # The indices are in range; "clip" gathers faster than "raise" or fancy indexing.
+    return doubled.reshape(-1, 1 << groups.m).take(groups.gathers[:, :, 1].T, axis=0, mode="clip")
 
 
 def _vi_dot(phi: np.ndarray, u: np.ndarray, groups: PrefixGroups) -> np.ndarray:
@@ -343,7 +309,7 @@ def _rotate_groups(doubled: np.ndarray, thetas: np.ndarray, groups: PrefixGroups
     """
     weights = _group_weights(thetas, groups)
     out = doubled.reshape(len(doubled), -1)
-    gathered = _step_buffer(doubled.shape, float, "gathered")
+    gathered = np.empty(doubled.shape)
     pairs = gathered.reshape(out.shape)
     take, dot = doubled.reshape(-1, doubled.shape[2]).take, np.dot
     for table, w in zip(groups.gathers, weights):
@@ -364,8 +330,7 @@ def _rotate_each(
     cos(theta) psi in place; every gain is +-1 or +-i, so this rounds as
     sin(theta) (gain psi[ix]).
     """
-    sg = _step_buffer(idx.shape, gain.dtype, "sin_gain")
-    np.multiply(np.array([math.sin(t) for t in thetas])[:, None], gain, out=sg)
+    sg = np.array([math.sin(t) for t in thetas])[:, None] * gain
     psi = amp.copy() if np.iscomplexobj(gain) else amp.real.copy()
     for theta, sg_k, ix in zip(thetas, sg, idx):
         if theta == 0.0:
@@ -402,9 +367,7 @@ def trotter_step(
     the fidelity against the exactly evolved and normalized step on the same
     input state; with diagnose=False that exact step is skipped and the
     fidelity is NaN.  A term whose support is wider than cfg.domain_size
-    raises InvalidDomainError.  The fit's and the rotations' work arrays are
-    shared by all steps of the process (see _step_buffer), so two threads
-    must not run steps at once.
+    raises InvalidDomainError.
     """
     psi_in = state.state
     h_m = term.pauli
@@ -418,8 +381,8 @@ def trotter_step(
     amp = psi_in.amplitudes.real if whole_register else psi_in.amplitudes
     if not whole_register:
         idx, ph, gain = sigma_basis(tuple(sorted(term.support)), odd_y, n)
-        # idx is in range; "clip" writes into the buffer directly, "raise" via a copy.
-        rows = np.take(amp, idx, out=_step_buffer(idx.shape, complex, "rows"), mode="clip")
+        # idx is in range; "clip" gathers faster than "raise" or fancy indexing.
+        rows = np.take(amp, idx, mode="clip")
         np.multiply(ph, rows, out=rows)
     hpsi = _apply_generator(h_m, amp, n)
     c = _c_from(amp, hpsi, cfg.delta_t)
@@ -451,48 +414,19 @@ def trotter_step(
 
 def evolve(
     initial: ScaledState, terms: list[HamiltonianTerm], cfg: QnuteConfig, diagnose: bool = True
-) -> Trajectory:
+) -> Iterator[tuple[ScaledState, list[StepReport]]]:
     """Run num_steps full time steps, applying every term per step in order.
 
-    Each factor's angles are dropped after its step: the trajectory keeps
-    only its FactorRecord, so its memory beyond the states does not grow
-    with the fit basis.  diagnose=False skips every step's exact-step
-    fidelity (see trotter_step) for callers that read only the states.
+    Yields the state after each full step with that step's StepReports, one
+    per term, and keeps neither: a caller keeps what it reads.  As a
+    generator it raises only once iterated.  diagnose=False skips every
+    step's exact-step fidelity (see trotter_step) for callers that read only
+    the states.
     """
-    states = [initial]
-    reports: list[FactorRecord] = []
     current = initial
     for _ in range(cfg.num_steps):
+        reports = []
         for term in terms:
             current, report = trotter_step(current, term, cfg, diagnose)
-            reports.append(FactorRecord(report.c, report.residual, report.step_fidelity))
-        states.append(current)
-    return Trajectory(states, reports)
-
-
-def trajectory_rows(traj: Trajectory, delta_t: float) -> list[tuple]:
-    """Flatten a trajectory into (step, tau, c, cumulative_scale, residual, step_fidelity)."""
-    num_steps = len(traj.states) - 1
-    if num_steps == 0 or not traj.reports:
-        return []
-    per_step = len(traj.reports) // num_steps
-    rows = []
-    cumulative = traj.states[0].scale
-    for i, report in enumerate(traj.reports):
-        step = i // per_step + 1
-        if (i + 1) % per_step == 0:
-            # Step boundary: use the stored scale, which also folds norm drift.
-            cumulative = traj.states[step].scale
-        else:
-            cumulative = cumulative * report.c
-        rows.append(
-            (
-                step,
-                step * delta_t,
-                report.c,
-                cumulative,
-                report.residual,
-                report.step_fidelity,
-            )
-        )
-    return rows
+            reports.append(report)
+        yield current, reports

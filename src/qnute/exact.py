@@ -8,8 +8,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DimensionMismatchError, StepSizeError
-from .evolution import QnuteConfig, Trajectory, cached_dense
+from .errors import StepSizeError
+from .evolution import QnuteConfig, cached_dense, evolve
 from .hamiltonian import (
     LINEAR,
     BSParams,
@@ -93,32 +93,22 @@ def exact_step(
     return StateVector(evolved / norm), norm
 
 
-def exact_trajectory(
+def fidelity_stats(
     initial: ScaledState, terms: list[HamiltonianTerm], cfg: QnuteConfig
-) -> Trajectory:
-    """Exactly evolved Trotter-product trajectory with cumulative true norms."""
-    states = [initial]
-    current = initial
-    for _ in range(cfg.num_steps):
+) -> FidelityStats:
+    """Per-time-step fidelities of the fitted against the exact Trotter product.
+
+    Both evolutions step in lockstep from initial and keep only their current
+    states; the initial state is excluded.  The fitted steps skip their per-step diagnostic (diagnose=False),
+    which compares single factors, not whole trajectories.
+    """
+    exact = initial.state
+    per_step = []
+    for fitted, _ in evolve(initial, terms, cfg, diagnose=False):
         for term in terms:
-            stepped, norm = exact_step(current.state, term.pauli, cfg.delta_t)
-            current = ScaledState(stepped, current.scale * norm)
-        states.append(current)
-    return Trajectory(states, [])
-
-
-def fidelity_stats(qnute_traj: Trajectory, exact_traj: Trajectory) -> FidelityStats:
-    """Per-time-step fidelities between two trajectories, initial state excluded."""
-    if len(qnute_traj.states) != len(exact_traj.states):
-        raise DimensionMismatchError(
-            f"trajectory lengths differ: {len(qnute_traj.states)} vs {len(exact_traj.states)}"
-        )
-    per_step = np.array(
-        [
-            fidelity(a.state, b.state)
-            for a, b in zip(qnute_traj.states[1:], exact_traj.states[1:])
-        ]
-    )
+            exact, _ = exact_step(exact, term.pauli, cfg.delta_t)
+        per_step.append(fidelity(fitted.state, exact))
+    per_step = np.array(per_step)
     return FidelityStats(float(per_step.mean()), float(per_step.std()), per_step)
 
 

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ProtocolFailureError, RescaleDegeneracyError
-from .evolution import QnuteConfig, Trajectory, evolve
+from .evolution import QnuteConfig, evolve
 from .hamiltonian import LINEAR, BSParams, Grid, build_bs_pauli, split_terms
 from .statevector import StateVector, encode_samples
 
@@ -223,10 +223,10 @@ def rescale_factor(
 
 @dataclass(frozen=True)
 class PriceRun:
-    """End-to-end pricing output: the curve plus evolution diagnostics."""
+    """End-to-end pricing output: the curve plus the rows of trajectory.csv."""
 
     prices: np.ndarray
-    trajectory: Trajectory
+    rows: list[tuple]  # (step, tau, c, cumulative_scale, residual, step_fidelity) per factor
     side: str
     rescale: float
 
@@ -234,19 +234,29 @@ class PriceRun:
 def price_run(
     contract: OptionContract, grid: Grid, p: BSParams, cfg: QnuteConfig
 ) -> PriceRun:
-    """Payoff -> encode -> evolve under the linear-boundary generator -> rescale."""
+    """Payoff -> encode -> evolve under the linear-boundary generator -> rescale.
+
+    Keeps, besides the current state, one row per factor: cumulative_scale
+    is the running product of the step's c values, and at the step's end the
+    state's scale, which also folds the norm drift.
+    """
     samples = payoff_samples(contract, grid)
     coeffs = boundary_coefficients(samples, grid)
     side = choose_rescale_side(contract, coeffs)
     initial = encode_samples(samples)
     gen = build_bs_pauli(grid, p, LINEAR)
     terms = split_terms(gen, grid.n, cfg.domain_size)
-    traj = evolve(initial, terms, cfg)
+    state, rows = initial, []
+    cumulative = initial.scale
+    for step, (state, reports) in enumerate(evolve(initial, terms, cfg), 1):
+        for i, r in enumerate(reports, 1):
+            cumulative = state.scale if i == len(reports) else cumulative * r.c
+            rows.append((step, step * cfg.delta_t, r.c, cumulative, r.residual, r.step_fidelity))
     tau = cfg.delta_t * cfg.num_steps
-    final = traj.states[-1].state
+    final = state.state
     cstar = rescale_factor(final, coeffs, side, tau, p)
     prices = abs(cstar) * np.abs(final.amplitudes)
-    return PriceRun(prices, traj, side, cstar)
+    return PriceRun(prices, rows, side, cstar)
 
 
 def price_curve(

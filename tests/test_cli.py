@@ -296,7 +296,7 @@ sweep.D = 3,2
 
     def test_cell_runs_no_step_diagnostic(self, monkeypatch):
         # fidelity_stats reads the states alone, so a cell's exact steps are
-        # exact_trajectory's N_T per term, none for the fitted steps' fidelity.
+        # the exact evolution's N_T per term, none for the fitted steps' fidelity.
         text = "schedule.T = 0.3\nschedule.N_T = 10\nsweep.options = call:75\nsweep.n = 4\nsweep.D = 2\n"
         cfg = parse_config(text)
         calls = []

@@ -1,6 +1,8 @@
 """The fitted Trotter stepper: bases, measurements, solver, steps, trajectories."""
 
+import gc
 import math
+import threading
 import tracemalloc
 from unittest import mock
 
@@ -34,7 +36,6 @@ from qnute.errors import (
 from qnute.evolution import (
     LSTSQ_REL_TOL,
     TRIG_POLY_BOUND,
-    FactorRecord,
     QnuteConfig,
     _apply_generator,
     _b_from,
@@ -50,11 +51,11 @@ from qnute.evolution import (
     evolve,
     prefix_groups,
     sigma_basis,
-    trajectory_rows,
     trotter_step,
 )
 from qnute.exact import exact_step
 from qnute.hamiltonian import BSParams, Grid, HamiltonianTerm, build_bs_pauli, split_terms
+from qnute.market import OptionContract, price_run
 from qnute.pauli import PauliSum, decompose_dense
 from qnute.statevector import (
     REAL_STATE_TOL,
@@ -656,8 +657,8 @@ class TestRotationBlocks:
     def test_whole_register_real_run_builds_no_gather_tables(self):
         sigma_basis.cache_clear()
         initial, terms, cfg = bs_setup(4, num_steps=3)
-        traj = evolve(initial, terms, cfg)
-        assert len(terms) == 1 and len(traj.reports) == 3
+        steps = list(evolve(initial, terms, cfg))
+        assert len(terms) == 1 and [len(reports) for _, reports in steps] == [1, 1, 1]
         assert sigma_basis.cache_info().misses == 0
 
     def test_block_tables_keep_only_their_bytes(self):
@@ -755,20 +756,17 @@ class TestSinCos:
 
 
 class TestTrotterStep:
-    def test_reused_buffers_keep_the_step_bits(self):
-        # A step after one on another state fits and rotates as a step on fresh buffers.
-        # A windowed term, so that the fit goes through V and the SVD.
-        initial, terms, cfg = bs_setup(4, domain_size=2)
-        other = ScaledState(random_state(np.random.default_rng(12), 4, real=True), 1.0)
+    @pytest.mark.parametrize("n, domain", [(4, 2), (4, 4)])
+    def test_step_bits_do_not_depend_on_the_step_before(self, n, domain):
+        # A windowed term fits through V and the SVD, a whole-register one by prefix groups.
+        initial, terms, cfg = bs_setup(n, domain_size=domain)
+        first, first_report = trotter_step(initial, terms[0], cfg)
+        other = ScaledState(random_state(np.random.default_rng(12), n, real=True), 1.0)
         trotter_step(other, terms[0], cfg)
-        reused, reused_report = trotter_step(initial, terms[0], cfg)
-        qnute.evolution._step_buffer.cache_clear()
-        fresh, fresh_report = trotter_step(initial, terms[0], cfg)
-        assert reused.state.amplitudes.tobytes() == fresh.state.amplitudes.tobytes()
-        assert reused.scale == fresh.scale
-        assert reused_report.a.tobytes() == fresh_report.a.tobytes()
-        # The rows, the fit factor and the sin-times-gain table of the one basis shape.
-        assert qnute.evolution._step_buffer.cache_info().currsize == 3
+        again, again_report = trotter_step(initial, terms[0], cfg)
+        assert again.state.amplitudes.tobytes() == first.state.amplitudes.tobytes()
+        assert again.scale == first.scale
+        assert again_report.a.tobytes() == first_report.a.tobytes()
 
     def test_zero_generator_is_identity(self):
         rng = np.random.default_rng(9)
@@ -821,7 +819,10 @@ class TestTrotterStep:
         with pytest.raises(InvalidDomainError, match="domain_size 2"):
             trotter_step(initial, terms[0], cfg)
         with pytest.raises(InvalidDomainError):
-            evolve(initial, terms, cfg)
+            next(evolve(initial, terms, cfg))
+        with pytest.raises(InvalidDomainError):
+            price_run(OptionContract("call", (75.0,)), Grid(0.0, 150.0, 3), PAPER_PARAMS,
+                      QnuteConfig(delta_t=0.006, num_steps=1, domain_size=4))
 
     @pytest.mark.parametrize("symbols", ["X", "XYZ"])
     def test_generator_on_wrong_register(self, symbols):
@@ -867,9 +868,9 @@ class TestEvolve:
         psi = random_state(rng, 2)
         terms = [HamiltonianTerm(PauliSum(), frozenset({0, 1}))]
         cfg = QnuteConfig(delta_t=0.01, num_steps=5, domain_size=2)
-        traj = evolve(ScaledState(psi, 1.0), terms, cfg)
-        assert len(traj.states) == 6
-        for state in traj.states:
+        steps = list(evolve(ScaledState(psi, 1.0), terms, cfg))
+        assert [len(reports) for _, reports in steps] == [1] * 5
+        for state, _ in steps:
             assert state.scale == pytest.approx(1.0)
             assert np.allclose(state.state.amplitudes, psi.amplitudes)
 
@@ -878,11 +879,12 @@ class TestEvolve:
         plus = StateVector(np.array([1.0, 1.0]) / np.sqrt(2.0))
         terms = [HamiltonianTerm(PauliSum([(-1.0, "I"), (-1.0, "Z")]), frozenset({0}))]
         cfg = QnuteConfig(delta_t=0.01, num_steps=500, domain_size=1)
-        traj = evolve(ScaledState(plus, 1.0), terms, cfg)
+        for state, _ in evolve(ScaledState(plus, 1.0), terms, cfg):
+            pass
         h_dense = dense_of_terms([(-1.0, "I"), (-1.0, "Z")])
         eigvals, eigvecs = np.linalg.eigh(h_dense)
         dominant = StateVector(eigvecs[:, np.argmax(eigvals)])
-        assert fidelity(traj.states[-1].state, dominant) >= 0.999
+        assert fidelity(state.state, dominant) >= 0.999
 
     def test_qite_reaches_ground_state(self):
         rng = np.random.default_rng(13)
@@ -892,15 +894,15 @@ class TestEvolve:
         h = decompose_dense(-L)
         psi0 = random_state(rng, 2)
         cfg = QnuteConfig(delta_t=0.01, num_steps=1000, domain_size=2)
-        traj = evolve(ScaledState(psi0, 1.0), split_terms(h, 2, cfg.domain_size), cfg)
-        final = traj.states[-1].state.amplitudes
+        for state, _ in evolve(ScaledState(psi0, 1.0), split_terms(h, 2, cfg.domain_size), cfg):
+            pass
+        final = state.state.amplitudes
         energy = float(np.real(np.vdot(final, L @ final)))
         assert abs(energy - evals[0]) <= 1e-4
 
     def test_norm_preserved_along_trajectory(self):
         initial, terms, cfg = bs_setup(2, num_steps=50)
-        traj = evolve(initial, terms, cfg)
-        for state in traj.states:
+        for state, _ in evolve(initial, terms, cfg):
             assert state.state.norm() == pytest.approx(1.0, abs=1e-10)
 
     def test_first_order_consistency(self):
@@ -925,43 +927,82 @@ class TestEvolve:
         assert scale_errs[0] > scale_errs[2]
 
     def test_monotone_domain_quality(self):
-        from qnute.exact import exact_trajectory, fidelity_stats
+        from qnute.exact import fidelity_stats
 
         means = {}
         for domain in (2, 4):
             initial, terms, cfg = bs_setup(4, num_steps=100, domain_size=domain)
-            stats = fidelity_stats(
-                evolve(initial, terms, cfg), exact_trajectory(initial, terms, cfg)
-            )
-            means[domain] = stats.mean
+            means[domain] = fidelity_stats(initial, terms, cfg).mean
         assert means[4] >= means[2]
 
     @pytest.mark.parametrize("n, domain", [(6, 6), (5, 3)])
-    def test_trajectory_keeps_no_angles(self, n, domain):
-        # Beyond its states a trajectory keeps three floats per factor, however
-        # large the fit: 2016 angles per factor at n = D = 6, up to 28 per
-        # window at D = 3.  Keeping the 28 angles alone would take 336 bytes.
-        initial, terms, cfg = bs_setup(n, num_steps=20, domain_size=domain, maturity=0.12)
-        evolve(initial, terms, cfg)  # fills the run's caches and work arrays
-        tracemalloc.start()
+    def test_price_run_memory_does_not_grow_with_steps(self, n, domain):
+        # Beyond its prices and rows a run keeps nothing per step: kept states
+        # would take 16 x 2^n + 350 bytes each, kept angles up to 16 KB.
+        contract, grid = OptionContract("call", (75.0,)), Grid(0.0, 150.0, n)
+        kept = []
+        for num_steps in (20, 40):
+            cfg = QnuteConfig(delta_t=0.12 / num_steps, num_steps=num_steps, domain_size=domain)
+            price_run(contract, grid, PAPER_PARAMS, cfg)  # fills the run's caches
+            tracemalloc.start()
+            try:
+                run = price_run(contract, grid, PAPER_PARAMS, cfg)
+                rows = len(run.rows)
+                run.rows.clear()
+                gc.collect()  # empties the free lists that would keep the rows' tuples and floats
+                kept.append(tracemalloc.get_traced_memory()[0])
+            finally:
+                tracemalloc.stop()
+            assert rows == num_steps * len(bs_setup(n, domain_size=domain)[1])
+        assert kept[1] <= kept[0] + 256
+
+    def test_runs_in_two_threads_match_their_serial_runs(self):
+        # Every step allocates its own arrays, so runs may step at once: on
+        # different bases, and (the call and the put) on the same one.
+        call = bs_setup(5, num_steps=20, domain_size=3, maturity=0.12)
+        put = (encode_samples(np.maximum(75.0 - Grid(0.0, 150.0, 5).points(), 0.0)), *call[1:])
+        runs = [bs_setup(6, num_steps=20, maturity=0.12), call, put]
+
+        def states(run):
+            return [(s.state.amplitudes.tobytes(), s.scale) for s, _ in evolve(*run)]
+
+        threaded = [None] * len(runs)
+        barrier = threading.Barrier(len(runs), timeout=60)
+
+        def work(i):
+            barrier.wait()
+            threaded[i] = states(runs[i])
+
+        prior = _set_blas_threads(1)
         try:
-            traj = evolve(initial, terms, cfg)
-            traj.states.clear()
-            kept = tracemalloc.get_traced_memory()[0]
+            serial = [states(run) for run in runs]
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(len(runs))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
         finally:
-            tracemalloc.stop()
-        assert len(traj.reports) == cfg.num_steps * len(terms)
-        assert all(type(r) is FactorRecord for r in traj.reports)
-        assert kept <= 256 * len(traj.reports)
+            _set_blas_threads(prior)
+        assert not any(thread.is_alive() for thread in threads)
+        assert threaded == serial
 
     def test_trajectory_rows(self):
-        initial, terms, cfg = bs_setup(2, num_steps=4)
-        traj = evolve(initial, terms, cfg)
-        rows = trajectory_rows(traj, cfg.delta_t)
-        assert len(rows) == 4
-        assert rows[0][0] == 1 and rows[-1][0] == 4
-        assert rows[-1][1] == pytest.approx(4 * cfg.delta_t)
-        assert rows[-1][3] == pytest.approx(traj.states[-1].scale)
+        # Within a step cumulative_scale is the running product of the c values;
+        # at the step's end it is the state's scale, which also folds norm drift.
+        initial, terms, cfg = bs_setup(3, num_steps=4, domain_size=2)
+        assert len(terms) > 1
+        state, want = initial, []
+        for step in range(1, cfg.num_steps + 1):
+            scale = state.scale
+            for k, term in enumerate(terms, 1):
+                state, r = trotter_step(state, term, cfg)
+                scale *= r.c
+                cumulative = state.scale if k == len(terms) else scale
+                tau = step * cfg.delta_t
+                want.append((step, tau, r.c, cumulative, r.residual, r.step_fidelity))
+        run = price_run(OptionContract("call", (75.0,)), Grid(0.0, 150.0, 3), PAPER_PARAMS, cfg)
+        assert run.rows == want
+        assert want[0][0] == 1 and want[-1][0] == 4 and want[-1][3] == state.scale
 
 
 class TestQnuteConfig:

@@ -8,11 +8,10 @@ from hypothesis import strategies as st
 
 from oracles import decode_nonnegative, dense_of_terms, random_pauli_sum_terms, taylor_expm_apply
 from qnute.errors import CapacityError, DimensionMismatchError, StepSizeError
-from qnute.evolution import QnuteConfig, cached_dense
+from qnute.evolution import QnuteConfig, cached_dense, evolve
 from qnute.exact import (
     _expm,
     exact_step,
-    exact_trajectory,
     fidelity_stats,
     reference_pde_solution,
     step_propagator,
@@ -20,7 +19,7 @@ from qnute.exact import (
 from qnute.hamiltonian import BSParams, Grid, HamiltonianTerm, build_bs_pauli, split_terms
 from qnute.market import OptionContract, analytic_price, payoff_samples
 from qnute.pauli import PauliSum
-from qnute.statevector import ScaledState, StateVector, encode_samples
+from qnute.statevector import ScaledState, StateVector, encode_samples, fidelity
 
 PAPER_PARAMS = BSParams(r=0.04, sigma=0.2)
 
@@ -107,15 +106,26 @@ class TestExactStep:
         assert np.isfinite(step_propagator(h, 1, 0.1)).all()
 
 
+def exact_states(initial, terms, cfg):
+    """The exactly evolved Trotter product after each full step, with its cumulative true norm."""
+    states, current = [initial], initial
+    for _ in range(cfg.num_steps):
+        for term in terms:
+            stepped, norm = exact_step(current.state, term.pauli, cfg.delta_t)
+            current = ScaledState(stepped, current.scale * norm)
+        states.append(current)
+    return states
+
+
 class TestExactTrajectory:
     def test_zero_generator_constant(self):
         rng = np.random.default_rng(3)
         psi = ScaledState(random_state(rng, 2), 1.0)
         terms = [HamiltonianTerm(PauliSum(), frozenset({0, 1}))]
         cfg = QnuteConfig(delta_t=0.01, num_steps=4, domain_size=2)
-        traj = exact_trajectory(psi, terms, cfg)
-        assert len(traj.states) == 5
-        for state in traj.states:
+        states = exact_states(psi, terms, cfg)
+        assert len(states) == 5
+        for state in states:
             assert state.scale == pytest.approx(1.0)
 
     def test_anti_hermitian_energy_decreases(self):
@@ -127,10 +137,10 @@ class TestExactTrajectory:
         h = decompose_dense(-L)
         psi = ScaledState(random_state(rng, 2), 1.0)
         cfg = QnuteConfig(delta_t=0.05, num_steps=80, domain_size=2)
-        traj = exact_trajectory(psi, split_terms(h, 2, cfg.domain_size), cfg)
+        states = exact_states(psi, split_terms(h, 2, cfg.domain_size), cfg)
         energies = [
             float(np.real(np.vdot(s.state.amplitudes, L @ s.state.amplitudes)))
-            for s in traj.states
+            for s in states
         ]
         assert all(e_next <= e + 1e-9 for e, e_next in zip(energies, energies[1:]))
         assert energies[-1] == pytest.approx(np.linalg.eigvalsh(L)[0], abs=1e-3)
@@ -141,46 +151,44 @@ class TestExactTrajectory:
         cfg = QnuteConfig(delta_t=3.0 / 500, num_steps=500, domain_size=3)
         contract = OptionContract("call", (75.0,))
         initial = encode_samples(payoff_samples(contract, grid))
-        traj = exact_trajectory(initial, split_terms(gen, 3, cfg.domain_size), cfg)
-        scales = np.array([s.scale for s in traj.states])
+        states = exact_states(initial, split_terms(gen, 3, cfg.domain_size), cfg)
+        scales = np.array([s.scale for s in states])
         assert np.all(np.isfinite(scales)) and np.all(scales > 0.0)
 
 
 class TestFidelityStats:
     def test_identical_trajectories(self):
+        # A zero generator leaves both evolutions at the initial state.
         rng = np.random.default_rng(5)
         psi = ScaledState(random_state(rng, 2), 1.0)
-        terms = [HamiltonianTerm(PauliSum([(0.3, "XI")]), frozenset({0, 1}))]
+        terms = [HamiltonianTerm(PauliSum(), frozenset({0, 1}))]
         cfg = QnuteConfig(delta_t=0.01, num_steps=3, domain_size=2)
-        traj = exact_trajectory(psi, terms, cfg)
-        stats = fidelity_stats(traj, traj)
+        stats = fidelity_stats(psi, terms, cfg)
         assert stats.mean == pytest.approx(1.0)
         assert stats.std == pytest.approx(0.0, abs=1e-15)
         assert stats.per_step.shape == (3,)
 
-    def test_length_mismatch(self):
-        rng = np.random.default_rng(6)
-        psi = ScaledState(random_state(rng, 2), 1.0)
-        terms = [HamiltonianTerm(PauliSum(), frozenset({0, 1}))]
-        t1 = exact_trajectory(psi, terms, QnuteConfig(delta_t=0.01, num_steps=2, domain_size=2))
-        t2 = exact_trajectory(psi, terms, QnuteConfig(delta_t=0.01, num_steps=3, domain_size=2))
-        with pytest.raises(DimensionMismatchError):
-            fidelity_stats(t1, t2)
+    def test_per_step_fidelities_of_the_two_evolutions(self):
+        # Step k compares the fitted and the exact state after k full steps.
+        grid = Grid(0.0, 150.0, 4)
+        cfg = QnuteConfig(delta_t=0.05, num_steps=6, domain_size=2)
+        terms = split_terms(build_bs_pauli(grid, PAPER_PARAMS, "linear"), 4, cfg.domain_size)
+        initial = encode_samples(payoff_samples(OptionContract("put", (75.0,)), grid))
+        fitted = [state.state for state, _ in evolve(initial, terms, cfg)]
+        exact = [s.state for s in exact_states(initial, terms, cfg)[1:]]
+        want = [fidelity(a, b) for a, b in zip(fitted, exact)]
+        stats = fidelity_stats(initial, terms, cfg)
+        assert stats.per_step.tolist() == want and min(want) < 1.0 - 1e-9
 
     def test_population_std(self):
-        rng = np.random.default_rng(7)
-        a = exact_trajectory(
-            ScaledState(random_state(rng, 2), 1.0),
-            [HamiltonianTerm(PauliSum([(0.5, "YI")]), frozenset({0, 1}))],
-            QnuteConfig(delta_t=0.2, num_steps=4, domain_size=2),
-        )
-        b = exact_trajectory(
-            ScaledState(random_state(rng, 2), 1.0),
-            [HamiltonianTerm(PauliSum([(0.5, "YI")]), frozenset({0, 1}))],
-            QnuteConfig(delta_t=0.2, num_steps=4, domain_size=2),
-        )
-        stats = fidelity_stats(a, b)
+        grid = Grid(0.0, 150.0, 4)
+        cfg = QnuteConfig(delta_t=0.05, num_steps=6, domain_size=2)
+        terms = split_terms(build_bs_pauli(grid, PAPER_PARAMS, "linear"), 4, cfg.domain_size)
+        initial = encode_samples(payoff_samples(OptionContract("call", (75.0,)), grid))
+        stats = fidelity_stats(initial, terms, cfg)
+        assert stats.std > 0.0
         assert stats.std == pytest.approx(float(np.std(stats.per_step)))
+        assert stats.mean == pytest.approx(float(np.mean(stats.per_step)))
 
 
 class TestReferencePdeSolution:
