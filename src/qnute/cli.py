@@ -9,10 +9,8 @@ from __future__ import annotations
 
 import argparse
 import ctypes
-import multiprocessing
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from functools import lru_cache
 from pathlib import Path
 
@@ -195,7 +193,11 @@ def cmd_fidelity_sweep(cfg: RunConfig, out_dir: Path) -> int:
         _check_capacity("sweep.n", n, domain)
 
     # Cells are independent runs. Fork workers inherit the imported numpy;
-    # the largest registers go first so they do not finish last.
+    # the largest registers go first so they do not finish last. Only this
+    # command loads the pool's modules.
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     context = multiprocessing.get_context(
         "fork" if "fork" in multiprocessing.get_all_start_methods() else None
     )

@@ -98,60 +98,60 @@ def apply_linear_bc(t: TridiagonalOperator, grid: Grid, p: BSParams) -> Tridiago
     return TridiagonalOperator(alpha, gamma, beta, LINEAR)
 
 
-@lru_cache(maxsize=None)
+def _blocks(n: int) -> tuple[PauliSum, PauliSum, PauliSum, PauliSum]:
+    """Pauli forms of chi, chi^2, d1 and d2 on n qubits, prepending one qubit at a time.
+
+    Level k puts a qubit in front of level k - 1:
+      chi_k   = I (x) chi_(k-1) + 2^(k-1) SE (x) I_(k-1)
+      chi^2_k = I (x) chi^2_(k-1) + SE (x) (2^k chi_(k-1) + 4^(k-1) I_(k-1))
+      d1_k    = I (x) d1_(k-1) + NE (x) SW^(k-1) - SW (x) NE^(k-1)
+      d2_k    = I (x) d2_(k-1) + NE (x) SW^(k-1) + SW (x) NE^(k-1)
+    Only two levels are alive at a time; nothing is kept between calls.
+    """
+    eye = PauliSum.identity(1)
+    se, ne, sw = (ladder_as_pauli(op) for op in (LadderOp.SE, LadderOp.NE, LadderOp.SW))
+    chi = chi2 = se
+    d1 = PauliSum([(1j, "Y")])
+    d2 = PauliSum([(-2.0, "I"), (1.0, "X")])
+    ne_power, sw_power = ne, sw  # NE^(k-1) and SW^(k-1)
+    for k in range(2, n + 1):
+        rest = PauliSum.identity(k - 1)
+        inner = float(2**k) * chi + float(2 ** (2 * (k - 1))) * rest
+        chi2 = eye.tensor(chi2) + se.tensor(inner)
+        chi = eye.tensor(chi) + float(2 ** (k - 1)) * se.tensor(rest)
+        d1 = eye.tensor(d1) + ne.tensor(sw_power) - sw.tensor(ne_power)
+        d2 = eye.tensor(d2) + ne.tensor(sw_power) + sw.tensor(ne_power)
+        if k < n:
+            ne_power, sw_power = ne_power.tensor(ne), sw_power.tensor(sw)
+    return chi, chi2, d1, d2
+
+
 def chi_matrix(n: int) -> PauliSum:
-    """Pauli form of diag(0, 1, ..., 2^n - 1), built by prepending one qubit at a time."""
+    """Pauli form of diag(0, 1, ..., 2^n - 1)."""
     if n < 1:
         raise ValueError("chi_matrix requires n >= 1")
-    if n == 1:
-        return ladder_as_pauli(LadderOp.SE)
-    return PauliSum.identity(1).tensor(chi_matrix(n - 1)) + float(2 ** (n - 1)) * (
-        ladder_as_pauli(LadderOp.SE).tensor(PauliSum.identity(n - 1))
-    )
+    return _blocks(n)[0]
 
 
-@lru_cache(maxsize=None)
 def chi_squared_matrix(n: int) -> PauliSum:
-    """Pauli form of diag(k^2), via the squared prepend recursion."""
+    """Pauli form of diag(k^2)."""
     if n < 1:
         raise ValueError("chi_squared_matrix requires n >= 1")
-    if n == 1:
-        return ladder_as_pauli(LadderOp.SE)
-    inner = (
-        float(2**n) * chi_matrix(n - 1)
-        + float(2 ** (2 * (n - 1))) * PauliSum.identity(n - 1)
-    )
-    return PauliSum.identity(1).tensor(chi_squared_matrix(n - 1)) + ladder_as_pauli(
-        LadderOp.SE
-    ).tensor(inner)
+    return _blocks(n)[1]
 
 
-@lru_cache(maxsize=None)
 def d1_matrix(n: int) -> PauliSum:
     """Pauli form of the antisymmetric (0, +-1) central-difference matrix."""
     if n < 1:
         raise ValueError("d1_matrix requires n >= 1")
-    if n == 1:
-        return PauliSum([(1j, "Y")])
-    return (
-        PauliSum.identity(1).tensor(d1_matrix(n - 1))
-        + ladder_as_pauli(LadderOp.NE).tensor(ladder_power(LadderOp.SW, n - 1))
-        - ladder_as_pauli(LadderOp.SW).tensor(ladder_power(LadderOp.NE, n - 1))
-    )
+    return _blocks(n)[2]
 
 
-@lru_cache(maxsize=None)
 def d2_matrix(n: int) -> PauliSum:
     """Pauli form of the (-2, 1) second-difference matrix."""
     if n < 1:
         raise ValueError("d2_matrix requires n >= 1")
-    if n == 1:
-        return PauliSum([(-2.0, "I"), (1.0, "X")])
-    return (
-        PauliSum.identity(1).tensor(d2_matrix(n - 1))
-        + ladder_as_pauli(LadderOp.NE).tensor(ladder_power(LadderOp.SW, n - 1))
-        + ladder_as_pauli(LadderOp.SW).tensor(ladder_power(LadderOp.NE, n - 1))
-    )
+    return _blocks(n)[3]
 
 
 @lru_cache(maxsize=None)
@@ -163,28 +163,30 @@ def build_bs_pauli(grid: Grid, p: BSParams, boundary: str = CENTRAL) -> PauliSum
     if boundary == LINEAR and n < 2:
         raise UnsupportedSizeError("linear boundary mode requires n >= 2 qubits")
     h = grid.h
-    x_sum = grid.x0 * PauliSum.identity(n) + h * chi_matrix(n)
+    chi, chi2, d1, d2 = _blocks(n)
+    x_sum = grid.x0 * PauliSum.identity(n) + h * chi
     x2_sum = (
         grid.x0**2 * PauliSum.identity(n)
-        + (2.0 * grid.x0 * h) * chi_matrix(n)
-        + h**2 * chi_squared_matrix(n)
+        + (2.0 * grid.x0 * h) * chi
+        + h**2 * chi2
     )
     gen = (
-        (p.sigma**2 / (2.0 * h**2)) * (x2_sum @ d2_matrix(n))
-        + (p.r / (2.0 * h)) * (x_sum @ d1_matrix(n))
+        (p.sigma**2 / (2.0 * h**2)) * (x2_sum @ d2)
+        + (p.r / (2.0 * h)) * (x_sum @ d1)
         - p.r * PauliSum.identity(n)
     )
     if boundary == LINEAR:
         central = bs_coefficients(grid, p)
         linear = apply_linear_bc(central, grid, p)
+        # Each corner entry is NW^(n-1) or SE^(n-1), then one ladder on the last qubit.
+        nw = ladder_power(LadderOp.NW, n - 1)
+        se = ladder_power(LadderOp.SE, n - 1)
         gen = (
             gen
-            + (linear.gamma[0] - central.gamma[0]) * ladder_power(LadderOp.NW, n)
-            + (linear.beta[0] - central.beta[0])
-            * ladder_power(LadderOp.NW, n - 1).tensor(ladder_as_pauli(LadderOp.NE))
-            + (linear.alpha[-1] - central.alpha[-1])
-            * ladder_power(LadderOp.SE, n - 1).tensor(ladder_as_pauli(LadderOp.SW))
-            + (linear.gamma[-1] - central.gamma[-1]) * ladder_power(LadderOp.SE, n)
+            + (linear.gamma[0] - central.gamma[0]) * nw.tensor(ladder_as_pauli(LadderOp.NW))
+            + (linear.beta[0] - central.beta[0]) * nw.tensor(ladder_as_pauli(LadderOp.NE))
+            + (linear.alpha[-1] - central.alpha[-1]) * se.tensor(ladder_as_pauli(LadderOp.SW))
+            + (linear.gamma[-1] - central.gamma[-1]) * se.tensor(ladder_as_pauli(LadderOp.SE))
         )
     return gen
 

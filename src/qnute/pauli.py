@@ -8,7 +8,6 @@ Index 0 of a string is the leftmost (most significant) tensor factor, so
 from __future__ import annotations
 
 from enum import Enum
-from functools import lru_cache
 
 import numpy as np
 
@@ -221,7 +220,6 @@ def ladder_as_pauli(op: LadderOp) -> PauliSum:
     return PauliSum(_LADDER_TERMS[op])
 
 
-@lru_cache(maxsize=None)
 def ladder_power(op: LadderOp, n: int) -> PauliSum:
     """n-fold tensor power of a ladder operator (a single corner entry)."""
     if n < 1:

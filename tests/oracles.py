@@ -1,13 +1,19 @@
 """Independent dense oracles shared by the test modules.
 
 Everything here is built from literal 2x2 matrices and numpy primitives so
-the checks never route through the code under test.
+the checks never route through the code under test.  The exception is the
+recursive generator blocks at the end: they pin the floating-point sums of
+the recursive construction, so they use qnute.pauli's Pauli-sum algebra.
 """
 
+import functools
 import itertools
 import math
 
 import numpy as np
+
+from qnute.hamiltonian import apply_linear_bc, bs_coefficients
+from qnute.pauli import LadderOp, PauliSum, ladder_as_pauli
 
 PAULI_MATS = {
     "I": np.eye(2, dtype=complex),
@@ -204,3 +210,89 @@ def parse_pauli_terms(text: str) -> list[tuple[complex, str]]:
         coeff_text, symbols = line.rsplit(None, 1)
         terms.append((complex(coeff_text.strip("()").replace("i", "j")), symbols))
     return terms
+
+
+# --- The Black-Scholes generator blocks, one cached recursion level each ---
+# Each level prepends one qubit to the level below it; the expressions, and so
+# the order of every coefficient sum, are those of the recursive construction.
+
+
+@functools.lru_cache(maxsize=None)
+def recursive_ladder_power(op, n: int):
+    out = ladder_as_pauli(op)
+    for _ in range(n - 1):
+        out = out.tensor(ladder_as_pauli(op))
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def recursive_chi(n: int):
+    if n == 1:
+        return ladder_as_pauli(LadderOp.SE)
+    return PauliSum.identity(1).tensor(recursive_chi(n - 1)) + float(2 ** (n - 1)) * (
+        ladder_as_pauli(LadderOp.SE).tensor(PauliSum.identity(n - 1))
+    )
+
+
+@functools.lru_cache(maxsize=None)
+def recursive_chi_squared(n: int):
+    if n == 1:
+        return ladder_as_pauli(LadderOp.SE)
+    inner = (
+        float(2**n) * recursive_chi(n - 1)
+        + float(2 ** (2 * (n - 1))) * PauliSum.identity(n - 1)
+    )
+    return PauliSum.identity(1).tensor(recursive_chi_squared(n - 1)) + ladder_as_pauli(
+        LadderOp.SE
+    ).tensor(inner)
+
+
+@functools.lru_cache(maxsize=None)
+def recursive_d1(n: int):
+    if n == 1:
+        return PauliSum([(1j, "Y")])
+    return (
+        PauliSum.identity(1).tensor(recursive_d1(n - 1))
+        + ladder_as_pauli(LadderOp.NE).tensor(recursive_ladder_power(LadderOp.SW, n - 1))
+        - ladder_as_pauli(LadderOp.SW).tensor(recursive_ladder_power(LadderOp.NE, n - 1))
+    )
+
+
+@functools.lru_cache(maxsize=None)
+def recursive_d2(n: int):
+    if n == 1:
+        return PauliSum([(-2.0, "I"), (1.0, "X")])
+    return (
+        PauliSum.identity(1).tensor(recursive_d2(n - 1))
+        + ladder_as_pauli(LadderOp.NE).tensor(recursive_ladder_power(LadderOp.SW, n - 1))
+        + ladder_as_pauli(LadderOp.SW).tensor(recursive_ladder_power(LadderOp.NE, n - 1))
+    )
+
+
+def recursive_bs_pauli(grid, p, boundary: str):
+    """The Black-Scholes generator as a Pauli sum, from the recursive blocks."""
+    n, h = grid.n, grid.h
+    x_sum = grid.x0 * PauliSum.identity(n) + h * recursive_chi(n)
+    x2_sum = (
+        grid.x0**2 * PauliSum.identity(n)
+        + (2.0 * grid.x0 * h) * recursive_chi(n)
+        + h**2 * recursive_chi_squared(n)
+    )
+    gen = (
+        (p.sigma**2 / (2.0 * h**2)) * (x2_sum @ recursive_d2(n))
+        + (p.r / (2.0 * h)) * (x_sum @ recursive_d1(n))
+        - p.r * PauliSum.identity(n)
+    )
+    if boundary == "linear":
+        central = bs_coefficients(grid, p)
+        linear = apply_linear_bc(central, grid, p)
+        gen = (
+            gen
+            + (linear.gamma[0] - central.gamma[0]) * recursive_ladder_power(LadderOp.NW, n)
+            + (linear.beta[0] - central.beta[0])
+            * recursive_ladder_power(LadderOp.NW, n - 1).tensor(ladder_as_pauli(LadderOp.NE))
+            + (linear.alpha[-1] - central.alpha[-1])
+            * recursive_ladder_power(LadderOp.SE, n - 1).tensor(ladder_as_pauli(LadderOp.SW))
+            + (linear.gamma[-1] - central.gamma[-1]) * recursive_ladder_power(LadderOp.SE, n)
+        )
+    return gen

@@ -1,5 +1,6 @@
 """Command-line harness: artifacts, exit codes, and determinism."""
 
+import concurrent.futures
 import multiprocessing
 import os
 import pickle
@@ -247,7 +248,7 @@ class TestFidelitySweep:
     def test_oversized_cell_exits_2_before_any_worker(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(qnute.cli, "_sweep_one", lambda *_: pytest.fail("a cell ran"))
         monkeypatch.setattr(
-            qnute.cli, "ProcessPoolExecutor", lambda *_, **__: pytest.fail("a worker started")
+            concurrent.futures, "ProcessPoolExecutor", lambda *_, **__: pytest.fail("a worker started")
         )
         cfg = write_config(tmp_path, SWEEP_CONFIG.replace("sweep.n = 2", "sweep.n = 2,15"))
         out = tmp_path / "out"
@@ -260,7 +261,7 @@ class TestFidelitySweep:
     def test_one_qubit_cell_exits_2_before_any_worker(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(qnute.cli, "_sweep_one", lambda *_: pytest.fail("a cell ran"))
         monkeypatch.setattr(
-            qnute.cli, "ProcessPoolExecutor", lambda *_, **__: pytest.fail("a worker started")
+            concurrent.futures, "ProcessPoolExecutor", lambda *_, **__: pytest.fail("a worker started")
         )
         text = SWEEP_CONFIG.replace("sweep.n = 2", "sweep.n = 1,5").replace("D = 2", "D = 1,2")
         out = tmp_path / "out"
@@ -477,6 +478,31 @@ class TestSweepWorkers:
         assert (out / "fidelity.csv").read_bytes() == (GOLDEN / "sweep" / "fidelity.csv").read_bytes()
         lookups = {path.name for path in tmp_path.glob("lookup-*")}
         assert f"lookup-{os.getpid()}" in lookups and len(lookups) >= 2
+
+
+# Runs one price in a fresh interpreter, then names the pool modules it loaded.
+PRICE_ONLY = """
+import sys
+from qnute.cli import main
+
+config, out = sys.argv[1:]
+assert main(["price", "--config", config, "--out", out]) == 0
+loaded = [name for name in ("multiprocessing", "concurrent.futures") if name in sys.modules]
+sys.exit(f"price loaded {loaded}" if loaded else 0)
+"""
+
+
+class TestPoolModules:
+    """Only fidelity-sweep loads the process pool; the sweep tests above cover the pool."""
+
+    def test_price_loads_no_pool(self, tmp_path):
+        proc = subprocess.run(
+            [sys.executable, "-c", PRICE_ONLY, str(GOLDEN / "price" / "run.cfg"), str(tmp_path)],
+            capture_output=True,
+            text=True,
+            env=_child_env(),
+        )
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestBlasThreads:

@@ -3,7 +3,16 @@
 import numpy as np
 import pytest
 
-from oracles import random_pauli_sum_terms, tridiagonal_dense
+from oracles import (
+    random_pauli_sum_terms,
+    recursive_bs_pauli,
+    recursive_chi,
+    recursive_chi_squared,
+    recursive_d1,
+    recursive_d2,
+    recursive_ladder_power,
+    tridiagonal_dense,
+)
 from qnute.errors import DimensionMismatchError, InvalidDomainError, UnsupportedSizeError
 from qnute.hamiltonian import (
     BSParams,
@@ -17,7 +26,7 @@ from qnute.hamiltonian import (
     d2_matrix,
     split_terms,
 )
-from qnute.pauli import PauliSum, dense_matrix
+from qnute.pauli import LadderOp, PauliSum, dense_matrix, ladder_power
 
 PAPER_GRID = Grid(0.0, 150.0, 2)
 PAPER_PARAMS = BSParams(r=0.04, sigma=0.2)
@@ -117,6 +126,43 @@ class TestOperatorRecursions:
             dense_matrix(d2_matrix(n), n),
             np.diag(ones, 1) + np.diag(ones, -1) - 2.0 * np.eye(dim),
         )
+
+
+def assert_same_bits(got: PauliSum, want: PauliSum) -> None:
+    """Same strings in the same order, and coefficients equal bit for bit (signed zeros too)."""
+    assert [s for _, s in got.terms] == [s for _, s in want.terms]
+    bits = [np.array([c for c, _ in x.terms], dtype=complex).view(np.float64).view(np.uint64)
+            for x in (got, want)]
+    assert np.array_equal(*bits)
+
+
+class TestBlockBits:
+    """The one-pass blocks equal the recursive construction of tests/oracles.py bit for bit."""
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_blocks(self, n):
+        for block, oracle in (
+            (chi_matrix, recursive_chi),
+            (chi_squared_matrix, recursive_chi_squared),
+            (d1_matrix, recursive_d1),
+            (d2_matrix, recursive_d2),
+        ):
+            assert_same_bits(block(n), oracle(n))
+        for op in LadderOp:
+            assert_same_bits(ladder_power(op, n), recursive_ladder_power(op, n))
+
+    @pytest.mark.parametrize("n", range(2, 10))
+    @pytest.mark.parametrize("boundary", ["central", "linear"])
+    @pytest.mark.parametrize("x0", [0.0, 10.0])
+    def test_generator(self, n, boundary, x0):
+        grid = Grid(x0, 150.0, n)
+        assert_same_bits(build_bs_pauli(grid, PAPER_PARAMS, boundary),
+                         recursive_bs_pauli(grid, PAPER_PARAMS, boundary))
+
+    @pytest.mark.parametrize("block", [chi_matrix, chi_squared_matrix, d1_matrix, d2_matrix])
+    def test_no_qubits_is_refused(self, block):
+        with pytest.raises(ValueError, match=f"{block.__name__} requires n >= 1"):
+            block(0)
 
 
 class TestBuildBsPauli:
