@@ -23,8 +23,8 @@ except ImportError:  # numpy < 2
 
 from .errors import CapacityError, ConfigError, NumericalError, UnsupportedSizeError, UsageError
 from .evolution import QnuteConfig, check_basis_size
-from .exact import fidelity_stats, reference_pde_solution
-from .hamiltonian import build_bs_pauli, split_terms
+from .exact import fidelity_stats
+from .hamiltonian import LINEAR, build_bs_pauli, split_terms
 from .market import analytic_price, format_contract_spec, payoff_samples, price_run
 from .pauli import check_dense_size, dense_matrix, format_pauli_sum
 from .runconfig import RunConfig, parse_config
@@ -119,7 +119,7 @@ def cmd_price(cfg: RunConfig, out_dir: Path) -> int:
         qcfg = _qnute_config(cfg, domain)
         run = price_run(cfg.contract, grid, params, qcfg)
         qnute_prices = run.prices
-        reference = reference_pde_solution(cfg.contract, grid, params, qcfg)
+        reference = run.reference
         rows = run.rows
         delta_t = qcfg.delta_t
     tau = delta_t * cfg.num_steps if cfg.num_steps else 0.0
@@ -143,7 +143,7 @@ def _sweep_one(cfg: RunConfig, contract, n: int, domain: int):
     grid = cfg.grid(n)
     params = cfg.params()
     qcfg = _qnute_config(cfg, domain)
-    gen = build_bs_pauli(grid, params, "linear")
+    gen = build_bs_pauli(grid, params, LINEAR)
     terms = split_terms(gen, n, domain)
     initial = encode_samples(payoff_samples(contract, grid))
     stats = fidelity_stats(initial, terms, qcfg)

@@ -25,7 +25,7 @@ import numpy as np
 from .errors import CapacityError, InvalidDomainError, SingularSystemError, StepSizeError
 from .hamiltonian import HamiltonianTerm
 from .pauli import PauliSum, dense_matrix, gather_tables, lexicographic_codes
-from .statevector import ScaledState, StateVector, fidelity
+from .statevector import ScaledState, StateVector
 
 # The c radicand must clear this before taking the square root.
 C_RADICAND_FLOOR = 1e-12
@@ -54,8 +54,8 @@ class QnuteConfig:
     domain_size: int
 
     def __post_init__(self):
-        if not self.delta_t > 0.0:
-            raise ValueError(f"delta_t must be positive, got {self.delta_t}")
+        if not 0.0 < self.delta_t < math.inf:
+            raise ValueError(f"delta_t must be positive and finite, got {self.delta_t}")
         if self.num_steps < 0:
             raise ValueError(f"num_steps must be non-negative, got {self.num_steps}")
         if self.domain_size < 1:
@@ -69,7 +69,6 @@ class StepReport:
     c: float
     a: np.ndarray
     residual: float
-    step_fidelity: float
 
 
 def _suffix_qubits(n: int) -> int:
@@ -343,7 +342,7 @@ def _rotate_each(
 
 
 def trotter_step(
-    state: ScaledState, term: HamiltonianTerm, cfg: QnuteConfig, diagnose: bool = True
+    state: ScaledState, term: HamiltonianTerm, cfg: QnuteConfig
 ) -> tuple[ScaledState, StepReport]:
     """Fit and apply the rotation product for one factor exp(h_m * dt).
 
@@ -363,11 +362,9 @@ def trotter_step(
     prefix group at a time, which differs from the one-by-one product
     (every other fit's) only by rounding.
 
-    The report carries the solved angles, the linear-system residual, and
-    the fidelity against the exactly evolved and normalized step on the same
-    input state; with diagnose=False that exact step is skipped and the
-    fidelity is NaN.  A term whose support is wider than cfg.domain_size
-    raises InvalidDomainError.
+    The report carries c, the solved angles and the linear-system residual.
+    A term whose support is wider than cfg.domain_size raises
+    InvalidDomainError.
     """
     psi_in = state.state
     h_m = term.pauli
@@ -400,33 +397,23 @@ def trotter_step(
         a, residual = _solve_gram_factor(rows, _b_from(rows, hpsi, c), LSTSQ_REL_TOL)
         psi = _rotate_each(amp, (a * cfg.delta_t).tolist(), idx, gain).astype(complex, copy=False)
     nrm = float(np.linalg.norm(psi))
-    psi_out = StateVector(psi / nrm)
-
-    step_fidelity = math.nan
-    if diagnose:
-        from .exact import exact_step
-
-        exact_out, _ = exact_step(psi_in, h_m, cfg.delta_t)
-        step_fidelity = fidelity(psi_out, exact_out)
-    report = StepReport(c=c, a=a, residual=residual, step_fidelity=step_fidelity)
-    return ScaledState(psi_out, state.scale * c * nrm), report
+    report = StepReport(c=c, a=a, residual=residual)
+    return ScaledState(StateVector(psi / nrm), state.scale * c * nrm), report
 
 
 def evolve(
-    initial: ScaledState, terms: list[HamiltonianTerm], cfg: QnuteConfig, diagnose: bool = True
+    initial: ScaledState, terms: list[HamiltonianTerm], cfg: QnuteConfig
 ) -> Iterator[tuple[ScaledState, list[StepReport]]]:
     """Run num_steps full time steps, applying every term per step in order.
 
     Yields the state after each full step with that step's StepReports, one
     per term, and keeps neither: a caller keeps what it reads.  As a
-    generator it raises only once iterated.  diagnose=False skips every
-    step's exact-step fidelity (see trotter_step) for callers that read only
-    the states.
+    generator it raises only once iterated.
     """
     current = initial
     for _ in range(cfg.num_steps):
         reports = []
         for term in terms:
-            current, report = trotter_step(current, term, cfg, diagnose)
+            current, report = trotter_step(current, term, cfg)
             reports.append(report)
         yield current, reports

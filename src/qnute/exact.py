@@ -10,15 +10,7 @@ import numpy as np
 
 from .errors import StepSizeError
 from .evolution import QnuteConfig, cached_dense, evolve
-from .hamiltonian import (
-    LINEAR,
-    BSParams,
-    Grid,
-    HamiltonianTerm,
-    build_bs_pauli,
-    split_terms,
-)
-from .market import payoff_samples
+from .hamiltonian import HamiltonianTerm
 from .pauli import PauliSum
 from .statevector import ScaledState, StateVector, fidelity
 
@@ -99,12 +91,11 @@ def fidelity_stats(
     """Per-time-step fidelities of the fitted against the exact Trotter product.
 
     Both evolutions step in lockstep from initial and keep only their current
-    states; the initial state is excluded.  The fitted steps skip their per-step diagnostic (diagnose=False),
-    which compares single factors, not whole trajectories.
+    states; the initial state is excluded.
     """
     exact = initial.state
     per_step = []
-    for fitted, _ in evolve(initial, terms, cfg, diagnose=False):
+    for fitted, _ in evolve(initial, terms, cfg):
         for term in terms:
             exact, _ = exact_step(exact, term.pauli, cfg.delta_t)
         per_step.append(fidelity(fitted.state, exact))
@@ -112,17 +103,19 @@ def fidelity_stats(
     return FidelityStats(float(per_step.mean()), float(per_step.std()), per_step)
 
 
-def reference_pde_solution(contract, grid: Grid, p: BSParams, cfg: QnuteConfig) -> np.ndarray:
-    """Discretization-matched prices: evolve the raw sample vector exactly.
+def reference_pde_solution(
+    samples: np.ndarray, terms: list[HamiltonianTerm], cfg: QnuteConfig
+) -> np.ndarray:
+    """Discretization-matched prices: evolve the raw samples exactly.
 
-    Uses the linear-boundary generator with the same Trotter product and time
-    step as the fitted evolution, without any encoding or rescaling, so the
-    result isolates unitary-fitting error from finite-difference error.
+    Applies the terms' exact propagators in the fitted evolution's Trotter
+    order and time step, without any encoding or rescaling, so that against
+    the fitted run on the same terms the result isolates unitary-fitting
+    error from finite-difference error.
     """
-    u = payoff_samples(contract, grid).astype(complex)
-    gen = build_bs_pauli(grid, p, LINEAR)
-    terms = split_terms(gen, grid.n, cfg.domain_size)
-    propagators = [step_propagator(t.pauli, grid.n, cfg.delta_t) for t in terms]
+    u = np.asarray(samples, dtype=complex)
+    n = u.shape[0].bit_length() - 1
+    propagators = [step_propagator(t.pauli, n, cfg.delta_t) for t in terms]
     for _ in range(cfg.num_steps):
         for prop in propagators:
             u = prop @ u

@@ -8,7 +8,6 @@ a Pauli sum into evolution terms with bounded qubit windows.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -154,7 +153,6 @@ def d2_matrix(n: int) -> PauliSum:
     return _blocks(n)[3]
 
 
-@lru_cache(maxsize=None)
 def build_bs_pauli(grid: Grid, p: BSParams, boundary: str = CENTRAL) -> PauliSum:
     """Black-Scholes generator L = -iH as a Pauli sum, central or linear boundary."""
     if boundary not in (CENTRAL, LINEAR):

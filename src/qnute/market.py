@@ -8,9 +8,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ProtocolFailureError, RescaleDegeneracyError
-from .evolution import QnuteConfig, evolve
+from .evolution import QnuteConfig, trotter_step
+from .exact import exact_step, reference_pde_solution
 from .hamiltonian import LINEAR, BSParams, Grid, build_bs_pauli, split_terms
-from .statevector import StateVector, encode_samples
+from .statevector import StateVector, encode_samples, fidelity
 
 LEFT = "left"
 RIGHT = "right"
@@ -223,11 +224,11 @@ def rescale_factor(
 
 @dataclass(frozen=True)
 class PriceRun:
-    """End-to-end pricing output: the curve plus the rows of trajectory.csv."""
+    """End-to-end pricing output: the curve, its reference and the rows of trajectory.csv."""
 
     prices: np.ndarray
+    reference: np.ndarray  # reference_pde_solution on the run's own terms
     rows: list[tuple]  # (step, tau, c, cumulative_scale, residual, step_fidelity) per factor
-    side: str
     rescale: float
 
 
@@ -236,27 +237,36 @@ def price_run(
 ) -> PriceRun:
     """Payoff -> encode -> evolve under the linear-boundary generator -> rescale.
 
-    Keeps, besides the current state, one row per factor: cumulative_scale
-    is the running product of the step's c values, and at the step's end the
-    state's scale, which also folds the norm drift.
+    The generator is built and split once; the fitted run and its reference
+    (see reference_pde_solution) both use those terms.  Keeps, besides the
+    current state, one row per factor: cumulative_scale is the running
+    product of the step's c values, and at the step's end the state's scale,
+    which also folds the norm drift.  step_fidelity compares the fitted
+    factor with the exact one (see exact_step) on the same input state.
     """
     samples = payoff_samples(contract, grid)
     coeffs = boundary_coefficients(samples, grid)
     side = choose_rescale_side(contract, coeffs)
-    initial = encode_samples(samples)
+    state = encode_samples(samples)
     gen = build_bs_pauli(grid, p, LINEAR)
     terms = split_terms(gen, grid.n, cfg.domain_size)
-    state, rows = initial, []
-    cumulative = initial.scale
-    for step, (state, reports) in enumerate(evolve(initial, terms, cfg), 1):
-        for i, r in enumerate(reports, 1):
-            cumulative = state.scale if i == len(reports) else cumulative * r.c
-            rows.append((step, step * cfg.delta_t, r.c, cumulative, r.residual, r.step_fidelity))
+    rows = []
+    cumulative = state.scale
+    for step in range(1, cfg.num_steps + 1):
+        for i, term in enumerate(terms, 1):
+            before = state.state
+            # Fitting first keeps the error order: a bad radicand is reported
+            # before an overflowing exact propagator.
+            state, r = trotter_step(state, term, cfg)
+            exact, _ = exact_step(before, term.pauli, cfg.delta_t)
+            cumulative = state.scale if i == len(terms) else cumulative * r.c
+            rows.append((step, step * cfg.delta_t, r.c, cumulative, r.residual,
+                         fidelity(state.state, exact)))
     tau = cfg.delta_t * cfg.num_steps
     final = state.state
     cstar = rescale_factor(final, coeffs, side, tau, p)
     prices = abs(cstar) * np.abs(final.amplitudes)
-    return PriceRun(prices, rows, side, cstar)
+    return PriceRun(prices, reference_pde_solution(samples, terms, cfg), rows, cstar)
 
 
 def price_curve(

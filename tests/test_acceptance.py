@@ -33,6 +33,7 @@ from qnute.market import (
     boundary_coefficients,
     payoff_samples,
     price_curve,
+    price_run,
     rescale_factor,
 )
 from qnute.pauli import decompose_dense, dense_matrix
@@ -67,8 +68,6 @@ def _mean_fidelity(kind: str, n: int, domain: int) -> tuple[float, float]:
 
 
 def test_criterion_1_hamiltonian_equivalence():
-    # The generator blocks keep no cache, so the timed builds start cold.
-    build_bs_pauli.cache_clear()
     start = time.perf_counter()
     worst = 0.0
     for n in (2, 3, 4):
@@ -122,8 +121,8 @@ def test_criterion_4_price_accuracy_vs_reference():
         grid = Grid(0.0, 150.0, n)
         contract = OptionContract(kind, (75.0,))
         cfg = QnuteConfig(delta_t=MATURITY / NUM_STEPS, num_steps=NUM_STEPS, domain_size=n)
-        prices = price_curve(contract, grid, PARAMS, cfg)
-        reference = reference_pde_solution(contract, grid, PARAMS, cfg)
+        run = price_run(contract, grid, PARAMS, cfg)
+        prices, reference = run.prices, run.reference
         analytic = np.array(
             [analytic_price(contract, float(x), MATURITY, PARAMS) for x in grid.points()]
         )
@@ -214,7 +213,8 @@ def test_criterion_8_boundary_protocol():
     cfg = QnuteConfig(delta_t=MATURITY / NUM_STEPS, num_steps=NUM_STEPS, domain_size=n)
     u0 = payoff_samples(contract, grid)
     coeffs = boundary_coefficients(u0, grid)
-    evolved = reference_pde_solution(contract, grid, PARAMS, cfg)
+    terms = split_terms(build_bs_pauli(grid, PARAMS, "linear"), n, cfg.domain_size)
+    evolved = reference_pde_solution(u0, terms, cfg)
     expected = coeffs.a0 * grid.points() + coeffs.b0 * np.exp(-PARAMS.r * MATURITY)
     boundary_err = max(abs(evolved[0] - expected[0]), abs(evolved[-1] - expected[-1]))
 

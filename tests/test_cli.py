@@ -15,6 +15,8 @@ import qnute
 import qnute.cli
 import qnute.evolution
 import qnute.exact
+import qnute.hamiltonian
+import qnute.market
 from oracles import tridiagonal_dense
 from qnute.cli import _fmt, _sweep_one, build_parser, main
 from qnute.errors import NumericalError, QnuteError, StepSizeError, UsageError
@@ -505,6 +507,27 @@ class TestPoolModules:
         assert proc.returncode == 0, proc.stderr
 
 
+class TestOneBuild:
+    def test_price_builds_and_splits_its_generator_once(self, monkeypatch, tmp_path):
+        # Counted through every qnute module that binds the builders.
+        calls = []
+        for name in ("build_bs_pauli", "split_terms"):
+            original = getattr(qnute.hamiltonian, name)
+
+            def counted(*args, _name=name, _fn=original, **kwargs):
+                calls.append(_name)
+                return _fn(*args, **kwargs)
+
+            bound = [m for key, m in sys.modules.items()
+                     if key.split(".")[0] == "qnute" and getattr(m, name, None) is original]
+            assert qnute.market in bound
+            for module in bound:
+                monkeypatch.setattr(module, name, counted)
+        cfg = write_config(tmp_path, PRICE_CONFIG)
+        assert main(["price", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+        assert sorted(calls) == ["build_bs_pauli", "split_terms"]
+
+
 class TestBlasThreads:
     """main runs a command on one OpenBLAS thread and restores the caller's count."""
 
@@ -525,8 +548,8 @@ class TestBlasThreads:
         def record(name):
             seen.add((name, get()))
 
-        self.spy(monkeypatch, qnute.evolution, "trotter_step", record)
-        self.spy(monkeypatch, qnute.cli, "reference_pde_solution", record)
+        self.spy(monkeypatch, qnute.market, "trotter_step", record)
+        self.spy(monkeypatch, qnute.market, "reference_pde_solution", record)
         cfg = write_config(tmp_path, PRICE_CONFIG)
         assert main(["price", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
         assert seen == {("trotter_step", 1), ("reference_pde_solution", 1)}

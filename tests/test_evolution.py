@@ -480,7 +480,7 @@ def test_step_leaves_the_callers_blas_thread_count_alone(blas_threads, monkeypat
     monkeypatch.setattr(qnute.exact, "exact_step", spy("exact", exact_step))
     initial, terms, cfg = bs_setup(4)
     trotter_step(initial, terms[0], cfg)
-    assert seen == {"generator": [2], "exact": [2]}
+    assert seen == {"generator": [2]}
     assert get() == 2
 
 
@@ -777,7 +777,8 @@ class TestTrotterStep:
         assert np.allclose(out.state.amplitudes, psi.amplitudes)
         assert report.c == pytest.approx(1.0)
         assert np.allclose(report.a, 0.0)
-        assert report.step_fidelity == pytest.approx(1.0)
+        exact, _ = exact_step(psi, term.pauli, cfg.delta_t)
+        assert fidelity(out.state, exact) == pytest.approx(1.0)
 
     def test_matches_solver_route(self):
         # The step's internal factored solve equals measure_S + solve_coefficients.
@@ -833,19 +834,23 @@ class TestTrotterStep:
 
     def test_black_scholes_step_fidelity(self):
         initial, terms, cfg = bs_setup(3)
-        _, report = trotter_step(initial, terms[0], cfg)
-        assert report.step_fidelity >= 1.0 - 1e-6
+        out, _ = trotter_step(initial, terms[0], cfg)
+        exact, _ = exact_step(initial.state, terms[0].pauli, cfg.delta_t)
+        assert fidelity(out.state, exact) >= 1.0 - 1e-6
 
     @pytest.mark.parametrize("n, domain", [(4, 4), (4, 2)])
-    def test_undiagnosed_step_skips_the_exact_step(self, monkeypatch, n, domain):
+    def test_step_runs_no_exact_step(self, monkeypatch, n, domain):
+        # A step only fits; the exact factor is the price run's diagnostic.
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return exact_step(*args)
+
+        monkeypatch.setattr(qnute.exact, "exact_step", spy)
         initial, terms, cfg = bs_setup(n, domain_size=domain)
-        want, report = trotter_step(initial, terms[0], cfg)
-        monkeypatch.setattr(qnute.exact, "exact_step", lambda *_: pytest.fail("exact step ran"))
-        got, bare = trotter_step(initial, terms[0], cfg, diagnose=False)
-        assert got.state.amplitudes.tobytes() == want.state.amplitudes.tobytes()
-        assert got.scale == want.scale and math.isnan(bare.step_fidelity)
-        assert (bare.c, bare.residual) == (report.c, report.residual)
-        assert bare.a.tobytes() == report.a.tobytes()
+        trotter_step(initial, terms[0], cfg)
+        assert calls == []
 
     def test_windowed_terms_fit_on_their_own_support(self):
         initial, terms, cfg = bs_setup(4, domain_size=2)
@@ -991,15 +996,18 @@ class TestEvolve:
         # at the step's end it is the state's scale, which also folds norm drift.
         initial, terms, cfg = bs_setup(3, num_steps=4, domain_size=2)
         assert len(terms) > 1
+        # step_fidelity compares each factor with the exact one on the same input.
         state, want = initial, []
         for step in range(1, cfg.num_steps + 1):
             scale = state.scale
             for k, term in enumerate(terms, 1):
+                before = state.state
                 state, r = trotter_step(state, term, cfg)
+                exact, _ = exact_step(before, term.pauli, cfg.delta_t)
                 scale *= r.c
                 cumulative = state.scale if k == len(terms) else scale
                 tau = step * cfg.delta_t
-                want.append((step, tau, r.c, cumulative, r.residual, r.step_fidelity))
+                want.append((step, tau, r.c, cumulative, r.residual, fidelity(state.state, exact)))
         run = price_run(OptionContract("call", (75.0,)), Grid(0.0, 150.0, 3), PAPER_PARAMS, cfg)
         assert run.rows == want
         assert want[0][0] == 1 and want[-1][0] == 4 and want[-1][3] == state.scale
@@ -1013,3 +1021,8 @@ class TestQnuteConfig:
             QnuteConfig(delta_t=0.1, num_steps=-1, domain_size=1)
         with pytest.raises(ValueError):
             QnuteConfig(delta_t=0.1, num_steps=1, domain_size=0)
+
+    @pytest.mark.parametrize("delta_t", [math.nan, math.inf])
+    def test_non_finite_delta_t(self, delta_t):
+        with pytest.raises(ValueError, match="delta_t must be positive and finite"):
+            QnuteConfig(delta_t=delta_t, num_steps=1, domain_size=1)

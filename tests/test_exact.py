@@ -191,12 +191,18 @@ class TestFidelityStats:
         assert stats.mean == pytest.approx(float(np.mean(stats.per_step)))
 
 
+def bs_reference(contract, grid, p, cfg):
+    """reference_pde_solution of the payoff under the split linear-boundary generator."""
+    terms = split_terms(build_bs_pauli(grid, p, "linear"), grid.n, cfg.domain_size)
+    return reference_pde_solution(payoff_samples(contract, grid), terms, cfg)
+
+
 class TestReferencePdeSolution:
     def test_zero_parameters_return_payoff(self):
         grid = Grid(0.0, 150.0, 3)
         contract = OptionContract("call", (75.0,))
         cfg = QnuteConfig(delta_t=0.01, num_steps=100, domain_size=3)
-        got = reference_pde_solution(contract, grid, BSParams(0.0, 0.0), cfg)
+        got = bs_reference(contract, grid, BSParams(0.0, 0.0), cfg)
         assert np.allclose(got, payoff_samples(contract, grid))
 
     def test_convergence_toward_analytic(self):
@@ -206,7 +212,7 @@ class TestReferencePdeSolution:
         for n in (4, 5, 6):
             grid = Grid(0.0, 150.0, n)
             cfg = QnuteConfig(delta_t=maturity / 500, num_steps=500, domain_size=n)
-            got = reference_pde_solution(contract, grid, PAPER_PARAMS, cfg)
+            got = bs_reference(contract, grid, PAPER_PARAMS, cfg)
             ana = np.array(
                 [analytic_price(contract, float(x), maturity, PAPER_PARAMS) for x in grid.points()]
             )
@@ -221,7 +227,7 @@ class TestReferencePdeSolution:
         contract = OptionContract("put", (200.0,))
         maturity = 3.0
         cfg = QnuteConfig(delta_t=maturity / 200, num_steps=200, domain_size=4)
-        got = reference_pde_solution(contract, grid, PAPER_PARAMS, cfg)
+        got = bs_reference(contract, grid, PAPER_PARAMS, cfg)
         want = -grid.points() + 200.0 * np.exp(-PAPER_PARAMS.r * maturity)
         assert np.max(np.abs(got - want)) < 1e-6
 
@@ -229,5 +235,5 @@ class TestReferencePdeSolution:
         grid = Grid(0.0, 150.0, 3)
         contract = OptionContract("straddle", (75.0,))
         cfg = QnuteConfig(delta_t=0.01, num_steps=0, domain_size=3)
-        u0 = reference_pde_solution(contract, grid, PAPER_PARAMS, cfg)
+        u0 = bs_reference(contract, grid, PAPER_PARAMS, cfg)
         assert np.allclose(decode_nonnegative(encode_samples(u0)), u0, atol=1e-10)
