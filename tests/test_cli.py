@@ -173,6 +173,14 @@ class TestPrice:
         assert "exp(h_m dt) overflows at dt = 1.000e+20" in capsys.readouterr().err
         assert not (tmp_path / "o" / "prices.csv").exists()
 
+    def test_radicand_failure_wins_over_propagator_overflow(self, tmp_path, capsys):
+        # A put's first factor fails both checks at this step: the fit runs first.
+        text = PRICE_CONFIG.replace("T = 3", "T = 1e20").replace("N_T = 20", "N_T = 1")
+        cfg = write_config(tmp_path, text.replace("call:75", "put:75"))
+        assert main(["price", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+        assert "c radicand -1.010e+19 is not positive" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "prices.csv").exists()
+
     @pytest.mark.parametrize("command", ["price", "decompose"])
     def test_overflowing_grid_exits_2_before_building(self, tmp_path, monkeypatch, capsys, command):
         for module in ("qnute.market", "qnute.cli"):
