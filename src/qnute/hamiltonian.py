@@ -7,6 +7,7 @@ a Pauli sum into evolution terms with bounded qubit windows.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +34,8 @@ class Grid:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError(f"grid needs at least one qubit, got n={self.n}")
+        if not (math.isfinite(self.x0) and math.isfinite(self.xN)):
+            raise ValueError(f"grid ends must be finite, got [{self.x0}, {self.xN}]")
         if not self.xN > self.x0 >= 0.0:
             raise ValueError(f"grid requires xN > x0 >= 0, got [{self.x0}, {self.xN}]")
 
@@ -56,6 +59,8 @@ class BSParams:
     sigma: float
 
     def __post_init__(self):
+        if not (math.isfinite(self.r) and math.isfinite(self.sigma)):
+            raise ValueError(f"rate and volatility must be finite, got {self.r}, {self.sigma}")
         if self.sigma < 0.0:
             raise ValueError(f"volatility must be non-negative, got {self.sigma}")
         if self.r < 0.0:
@@ -214,25 +219,24 @@ def split_terms(hsum: PauliSum, n: int, domain_size: int) -> list[HamiltonianTer
         raise InvalidDomainError(
             f"window width {domain_size} is invalid for an {n}-qubit register"
         )
-    starts = range(n - domain_size + 1)
-    groups: dict[int, list] = {}
-    for coeff, string in hsum.terms:
-        sup = string.support
-        if sup:
-            lo, hi = sup[0], sup[-1]
-        else:
-            lo = hi = (n - 1) // 2
-        mid = (lo + hi) / 2.0
-        best = min(
-            starts,
-            key=lambda s: (
-                0 if (s <= lo and hi < s + domain_size) else 1,
-                abs(s + (domain_size - 1) / 2.0 - mid),
-                s,
-            ),
-        )
-        groups.setdefault(best, []).append((coeff, string))
+    if not len(hsum):
+        return []
+    codes = hsum.codes
+    starts = np.arange(n - domain_size + 1)
+    support = codes != 0
+    centre = (n - 1) // 2
+    lo = np.where(support.any(axis=1), support.argmax(axis=1), centre)
+    hi = np.where(support.any(axis=1), n - 1 - support[:, ::-1].argmax(axis=1), centre)
+    mid = (lo + hi) / 2.0
+    outside = (starts > lo[:, None]) | (hi[:, None] >= starts + domain_size)
+    # The distances are exact half-integers below n, so this score orders the
+    # windows by (outside, distance) and argmin's first minimum takes the lowest start.
+    distance = np.abs(starts + (domain_size - 1) / 2.0 - mid[:, None])
+    best = (outside * (n + 1.0) + distance).argmin(axis=1)
     return [
-        HamiltonianTerm(PauliSum(groups[s]), frozenset(range(s, s + domain_size)))
-        for s in sorted(groups)
+        HamiltonianTerm(
+            PauliSum.from_codes(codes[best == s], hsum.coeffs[best == s]),
+            frozenset(range(s, s + domain_size)),
+        )
+        for s in sorted(set(best.tolist()))
     ]

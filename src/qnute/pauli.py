@@ -3,41 +3,130 @@
 Index 0 of a string is the leftmost (most significant) tensor factor, so
 ``dense_matrix`` realizes ``kron(factor_0, factor_1, ...)`` and basis index
 ``k`` reads its bits most-significant-first.
+
+A PauliSum keeps its strings as int64 keys of symbol codes (I, X, Y, Z =
+0..3) and its coefficients as one complex array, and its algebra works on
+whole arrays.  Every coefficient is still computed with the expressions of
+term-by-term string algebra, in its order, so it keeps the same bits, signed
+zeros included: products are Python's complex products, one rounding per
+operation; a product's phase is multiplied in one qubit at a time; equal
+strings are summed onto zero in the order they arise.
 """
 
 from __future__ import annotations
 
+import math
+import struct
 from enum import Enum
 
 import numpy as np
 
-from .errors import CapacityError, DimensionMismatchError
+from .errors import CapacityError, DimensionMismatchError, UnsupportedSizeError
 
 SYMBOLS = "IXYZ"
 
 # Dense realizations above this many qubits exceed desk-scale memory.
 DENSE_QUBIT_GUARD = 14
 
-# Canonicalization drops terms with |coefficient| below this.
+# Canonicalization drops terms with |coefficient| at or below this.
 COEFF_CUTOFF = 1e-14
+
+# A string's sort key holds its symbol codes as base-4 digits in an int64.
+KEY_QUBIT_LIMIT = 31
 
 # dense_matrix builds the gather tables of at most this many bytes of strings
 # at once (an index and a phase, 24 bytes, per string and amplitude).
 _DENSE_CHUNK_BYTES = 1 << 24
 
-# Symbol code of each ASCII byte of a string (I, X, Y, Z = 0, 1, 2, 3).
+# Symbol code of each ASCII byte of a string (I, X, Y, Z = 0, 1, 2, 3), and back.
 _SYMBOL_CODES = np.zeros(256, dtype=np.int8)
 _SYMBOL_CODES[np.frombuffer(SYMBOLS.encode("ascii"), dtype=np.uint8)] = np.arange(4)
+_LETTERS = np.frombuffer(SYMBOLS.encode("ascii"), dtype=np.uint8)
 
-# Single-qubit products: (a, b) -> (phase, a*b) with phase in {1, -1, i, -i}.
-_MUL: dict[tuple[str, str], tuple[complex, str]] = {}
-for _s in SYMBOLS:
-    _MUL[("I", _s)] = (1.0 + 0j, _s)
-    _MUL[(_s, "I")] = (1.0 + 0j, _s)
-    _MUL[(_s, _s)] = (1.0 + 0j, "I")
-for _a, _b, _c in (("X", "Y", "Z"), ("Y", "Z", "X"), ("Z", "X", "Y")):
-    _MUL[(_a, _b)] = (1j, _c)
-    _MUL[(_b, _a)] = (-1j, _c)
+# Single-qubit products: symbol a times symbol b is symbol a ^ b times the
+# unit _UNITS[4 a + b], which is 1, i or -i.
+_UNITS = [1.0 + 0j] * 16
+for _a, _b in ((1, 2), (2, 3), (3, 1)):  # XY = iZ, YZ = iX, ZX = iY
+    _UNITS[4 * _a + _b] = 1j
+    _UNITS[4 * _b + _a] = -1j
+
+
+def _phase_automaton() -> tuple[np.ndarray, np.ndarray]:
+    """Every value a product phase takes, and the step from one to the next.
+
+    Starting from 1 + 0j, a string product multiplies its phase by one unit
+    per qubit.  The values it can reach, signed zeros told apart, are
+    _PHASES, and _PHASE_STEP[16 s + 4 a + b] is the index of
+    _PHASES[s] * _UNITS[4 a + b], computed here by Python's own products.
+    """
+    values = [1.0 + 0j]
+    index = {struct.pack("<2d", 1.0, 0.0): 0}
+    steps = []
+    for value in values:  # grows while it is read
+        for unit in _UNITS:
+            product = value * unit
+            bits = struct.pack("<2d", product.real, product.imag)
+            steps.append(index.setdefault(bits, len(values)))
+            if steps[-1] == len(values):
+                values.append(product)
+    return np.array(values, dtype=complex), np.array(steps, dtype=np.int8)
+
+
+_PHASES, _PHASE_STEP = _phase_automaton()
+
+
+def _pair_phases(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Phases of the products of a's rows (outer) with b's rows (inner), flattened.
+
+    a and b are symbol-code arrays of one width; the phase of each product
+    is multiplied in one qubit at a time, first qubit first.
+    """
+    state = np.zeros((a.shape[0], b.shape[0]), dtype=np.int8)
+    for q in range(a.shape[1]):
+        state = _PHASE_STEP[16 * state + (4 * a[:, q, None] + b[None, :, q])]
+    return _PHASES[state.ravel()]
+
+
+def _cmul(a, b) -> np.ndarray:
+    """a * b elementwise (broadcast) with the bits PauliSum gets from Python's products.
+
+    Python forms (ar br - ai bi) + i (ar bi + ai br); here each product,
+    difference and sum is a numpy call of its own, so every one is rounded
+    and none is fused.  When a or b has no imaginary part the terms it
+    zeroes are left out: they are exact zeros, which can change only the
+    sign of a zero, and PauliSum adds every coefficient onto 0.0, which
+    clears that sign.
+    """
+    a, b = np.asarray(a), np.asarray(b)
+    if not b.imag.any():
+        return (a[..., None].view(np.float64) * b.real[..., None]).view(complex)[..., 0]
+    if not a.imag.any():
+        return (a.real[..., None] * b[..., None].view(np.float64)).view(complex)[..., 0]
+    out = np.empty(np.broadcast(a, b).shape, dtype=complex)
+    out.real = a.real * b.real - a.imag * b.imag
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out
+
+
+def _keys(codes: np.ndarray) -> np.ndarray:
+    """Sort keys of code rows: base-4 numbers, first qubit most significant.
+
+    The inverse of lexicographic_codes.
+    """
+    return codes @ (np.int64(4) ** np.arange(codes.shape[1] - 1, -1, -1))
+
+
+def _check_width(n: int) -> None:
+    if n > KEY_QUBIT_LIMIT:
+        raise UnsupportedSizeError(
+            f"Pauli sums on {n} qubits exceed the {KEY_QUBIT_LIMIT}-qubit key width"
+        )
+
+
+# A product or sum beyond the float range gives inf or NaN, which PauliSum
+# refuses with a ValueError; numpy's warnings would only come before it.  Every
+# public operation that does arithmetic runs under this.
+_quiet = np.errstate(over="ignore", invalid="ignore")
 
 
 class PauliString(str):
@@ -66,13 +155,9 @@ def multiply_strings(p: PauliString, q: PauliString) -> tuple[complex, PauliStri
     """Return (phase, r) with matrix(p) @ matrix(q) == phase * matrix(r)."""
     if len(p) != len(q):
         raise DimensionMismatchError(f"string lengths differ: {len(p)} vs {len(q)}")
-    phase = 1.0 + 0j
-    out = []
-    for a, b in zip(p, q):
-        ph, c = _MUL[(a, b)]
-        phase *= ph
-        out.append(c)
-    return phase, PauliString("".join(out))
+    a, b = (_SYMBOL_CODES[np.frombuffer(s.encode("ascii"), dtype=np.uint8)] for s in (p, q))
+    phase = _pair_phases(a[None], b[None])[0]
+    return complex(phase), PauliString(_LETTERS[a ^ b].tobytes().decode("ascii"))
 
 
 def gather_tables(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -107,59 +192,157 @@ def lexicographic_codes(numbers: np.ndarray, width: int) -> np.ndarray:
 class PauliSum:
     """Canonicalized complex-weighted sum of equal-length Pauli strings.
 
-    Terms are merged, sorted lexicographically by symbol sequence, and dropped
-    when their coefficient magnitude falls below ``COEFF_CUTOFF``.  Instances
-    are immutable and hashable.  ``has_real_matrix`` is True when the dense
-    realization has no imaginary entries.
+    The strings travel through the algebra as 1-D int64 keys: string r's
+    symbol codes (I, X, Y, Z = 0..3) are the base-4 digits of key r, first
+    qubit most significant, so keys sort in lexicographic string order.
+    ``coeffs`` holds the complex coefficients and ``codes`` the int8 symbol
+    codes, one row per string, derived from the keys on first read; both
+    are read-only.  Equal strings are merged, rows are sorted, and rows
+    whose coefficient magnitude is at or below ``COEFF_CUTOFF`` are dropped;
+    a non-finite coefficient raises ValueError.  The empty sum has no
+    qubits.  Instances are immutable and hashable.  ``has_real_matrix`` is
+    True when the dense realization has no imaginary entries.
     """
 
-    __slots__ = ("terms", "_hash", "has_real_matrix")
+    __slots__ = ("_keys", "_n", "coeffs", "_hash", "_codes", "_real", "_terms")
 
+    # numpy scalars on the left of * leave the product to __rmul__.
+    __array_ufunc__ = None
+
+    @_quiet
     def __init__(self, terms=()):
-        merged: dict[PauliString, complex] = {}
-        length: int | None = None
+        strings, coeffs = [], []
         for coeff, string in terms:
             if not isinstance(string, PauliString):
                 string = PauliString(string)
-            if length is None:
-                length = len(string)
-            elif len(string) != length:
+            if strings and len(string) != len(strings[0]):
                 raise DimensionMismatchError(
-                    f"mixed string lengths in sum: {length} vs {len(string)}"
+                    f"mixed string lengths in sum: {len(strings[0])} vs {len(string)}"
                 )
-            merged[string] = merged.get(string, 0j) + complex(coeff)
-        canon = tuple(
-            (c, s) for s, c in sorted(merged.items()) if abs(c) > COEFF_CUTOFF
-        )
-        object.__setattr__(self, "terms", canon)
-        object.__setattr__(self, "_hash", hash(canon))
-        # A string's matrix is real for an even Y count and purely imaginary
-        # for an odd one, so the check is structural and needs no dense work.
-        real = all(
-            abs(c.imag if s.y_count % 2 == 0 else c.real) <= COEFF_CUTOFF for c, s in canon
-        )
-        object.__setattr__(self, "has_real_matrix", real)
+            strings.append(string)
+            coeffs.append(complex(coeff))
+        n = len(strings[0]) if strings else 0
+        _check_width(n)
+        text = "".join(strings).encode("ascii")
+        codes = _SYMBOL_CODES[np.frombuffer(text, dtype=np.uint8)].reshape(len(strings), n)
+        self._canonicalize(_keys(codes), np.array(coeffs, dtype=complex), n, False)
+
+    @classmethod
+    @_quiet
+    def from_codes(cls, codes, coeffs) -> "PauliSum":
+        """The sum of strings codes[r] (symbol codes, I, X, Y, Z = 0..3) weighted by coeffs[r]."""
+        codes = np.asarray(codes)
+        coeffs = np.asarray(coeffs, dtype=complex)
+        if codes.ndim != 2 or coeffs.shape != codes.shape[:1]:
+            raise DimensionMismatchError(
+                f"expected (T, n) codes and T coefficients, got {codes.shape} and {coeffs.shape}"
+            )
+        if len(codes) and not codes.shape[1]:
+            raise ValueError("Pauli string must contain at least one symbol")
+        if codes.size and not ((codes >= 0) & (codes <= 3)).all():
+            raise ValueError("symbol codes must lie in 0..3")
+        _check_width(codes.shape[1])
+        return cls._from_keys(_keys(codes.astype(np.int64)), coeffs, codes.shape[1], False)
+
+    @classmethod
+    def _from_keys(cls, keys: np.ndarray, coeffs: np.ndarray, n: int, distinct: bool) -> "PauliSum":
+        out = cls.__new__(cls)
+        out._canonicalize(keys, coeffs, n, distinct)
+        return out
+
+    def _canonicalize(self, keys: np.ndarray, coeffs: np.ndarray, n: int, distinct: bool) -> None:
+        """Set the rows of the sum of (keys[r], coeffs[r]) on n qubits.
+
+        np.add.at adds in row order onto zeros, as a dict merge adds each
+        string's coefficients onto 0j, so a lone -0.0 becomes 0.0 there too.
+        distinct keys (ascending, no repeats) need only that addition of 0.0.
+        """
+        if distinct:
+            unique, merged = keys, coeffs + 0.0
+        else:
+            unique = np.sort(keys)
+            if len(unique) > 1:
+                unique = unique[np.concatenate(([True], unique[1:] != unique[:-1]))]
+            merged = np.zeros(len(unique), dtype=complex)
+            np.add.at(merged, unique.searchsorted(keys), coeffs)
+        magnitude = np.hypot(merged.real, merged.imag)
+        # max propagates NaN, so one reduction finds any non-finite magnitude.
+        if not math.isfinite(np.maximum.reduce(magnitude, initial=0.0)):
+            raise ValueError("Pauli sum coefficients and their magnitudes must be finite")
+        if np.minimum.reduce(magnitude, initial=math.inf) <= COEFF_CUTOFF:
+            keep = magnitude > COEFF_CUTOFF
+            unique, merged = unique[keep], merged[keep]
+        n = n if len(merged) else 0
+        merged.setflags(write=False)
+        object.__setattr__(self, "_keys", unique)
+        object.__setattr__(self, "_n", n)
+        object.__setattr__(self, "coeffs", merged)
+        object.__setattr__(self, "_hash", hash((n, unique.tobytes(), merged.tobytes())))
+        object.__setattr__(self, "_codes", None)
+        object.__setattr__(self, "_real", None)
+        object.__setattr__(self, "_terms", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("PauliSum is immutable")
+
+    def __reduce__(self):
+        return PauliSum.from_codes, (self.codes, self.coeffs)
 
     @classmethod
     def identity(cls, n: int, coeff: complex = 1.0) -> "PauliSum":
         return cls([(coeff, "I" * n)])
 
     @property
+    def codes(self) -> np.ndarray:
+        """Symbol codes, one int8 row per string (shape (0, 0) for the empty sum)."""
+        if self._codes is None:
+            codes = lexicographic_codes(self._keys, self._n).astype(np.int8)
+            codes.setflags(write=False)
+            object.__setattr__(self, "_codes", codes)
+        return self._codes
+
+    @property
+    def has_real_matrix(self) -> bool:
+        """True when the dense realization has no imaginary entries.
+
+        A string's matrix is real for an even Y count and purely imaginary
+        for an odd one, so the check is structural and needs no dense work.
+        """
+        if self._real is None:
+            odd_y = (self.codes == 2).sum(axis=1) & 1
+            imaginary = np.abs(np.where(odd_y, self.coeffs.real, self.coeffs.imag))
+            object.__setattr__(self, "_real", bool((imaginary <= COEFF_CUTOFF).all()))
+        return self._real
+
+    @property
     def num_qubits(self) -> int | None:
         """Register size, or None for the empty sum."""
-        return len(self.terms[0][1]) if self.terms else None
+        return self._n or None
+
+    @property
+    def terms(self) -> tuple[tuple[complex, PauliString], ...]:
+        """(coefficient, string) pairs in canonical order, for printing and tests."""
+        if self._terms is None:
+            n = self._n
+            text = _LETTERS[self.codes].tobytes().decode("ascii")
+            strings = [PauliString(text[i : i + n]) for i in range(0, len(text), n or 1)]
+            object.__setattr__(self, "_terms", tuple(zip(self.coeffs.tolist(), strings)))
+        return self._terms
 
     def __len__(self) -> int:
-        return len(self.terms)
+        return len(self.coeffs)
 
     def __iter__(self):
         return iter(self.terms)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, PauliSum) and self.terms == other.terms
+        return (
+            isinstance(other, PauliSum)
+            and self._hash == other._hash
+            and self._n == other._n
+            and np.array_equal(self._keys, other._keys)
+            and np.array_equal(self.coeffs, other.coeffs)
+        )
 
     def __hash__(self) -> int:
         return self._hash
@@ -167,35 +350,54 @@ class PauliSum:
     def __repr__(self) -> str:
         return format_pauli_sum(self)
 
+    def _width_with(self, other: "PauliSum") -> int:
+        """Register size of a sum or product with other (0 when both are empty)."""
+        if self._n and other._n and self._n != other._n:
+            raise DimensionMismatchError(
+                f"mixed string lengths in sum: {self._n} vs {other._n}"
+            )
+        return self._n or other._n
+
+    @_quiet
     def __add__(self, other: "PauliSum") -> "PauliSum":
-        return PauliSum(self.terms + other.terms)
+        n = self._width_with(other)
+        keys = np.concatenate([self._keys, other._keys])
+        return PauliSum._from_keys(keys, np.concatenate([self.coeffs, other.coeffs]), n, False)
 
     def __sub__(self, other: "PauliSum") -> "PauliSum":
         return self + (-other)
 
     def __neg__(self) -> "PauliSum":
-        return PauliSum((-c, s) for c, s in self.terms)
+        return PauliSum._from_keys(self._keys, -self.coeffs, self._n, True)
 
+    @_quiet
     def __mul__(self, scalar) -> "PauliSum":
-        return PauliSum((c * scalar, s) for c, s in self.terms)
+        product = _cmul(self.coeffs, complex(scalar))
+        return PauliSum._from_keys(self._keys, product, self._n, True)
 
     __rmul__ = __mul__
 
+    @_quiet
     def __matmul__(self, other: "PauliSum") -> "PauliSum":
-        out = []
-        for ca, sa in self.terms:
-            for cb, sb in other.terms:
-                phase, s = multiply_strings(sa, sb)
-                out.append((ca * cb * phase, s))
-        return PauliSum(out)
+        if not (len(self) and len(other)):
+            return PauliSum()
+        n = self._width_with(other)
+        # Each qubit's product symbol is the XOR of the codes, so keys XOR too.
+        keys = (self._keys[:, None] ^ other._keys).ravel()
+        products = _cmul(self.coeffs[:, None], other.coeffs).ravel()
+        phases = _pair_phases(self.codes, other.codes)
+        return PauliSum._from_keys(keys, _cmul(products, phases), n, False)
 
+    @_quiet
     def tensor(self, other: "PauliSum") -> "PauliSum":
         """Kronecker product; self supplies the leftmost factors."""
-        return PauliSum(
-            (ca * cb, PauliString(str(sa) + str(sb)))
-            for ca, sa in self.terms
-            for cb, sb in other.terms
-        )
+        if not (len(self) and len(other)):
+            return PauliSum()
+        n = self._n + other._n
+        _check_width(n)
+        keys = ((self._keys[:, None] << 2 * other._n) | other._keys).ravel()
+        coeffs = _cmul(self.coeffs[:, None], other.coeffs).ravel()
+        return PauliSum._from_keys(keys, coeffs, n, True)
 
 
 class LadderOp(Enum):
@@ -247,9 +449,7 @@ def dense_matrix(s: PauliSum, n: int) -> np.ndarray:
         )
     dim = 1 << n
     m = np.zeros((dim, dim), dtype=complex)
-    coeffs = np.array([c for c, _ in s.terms])
-    text = "".join(string for _, string in s.terms).encode("ascii")
-    codes = _SYMBOL_CODES[np.frombuffer(text, dtype=np.uint8)].reshape(len(s), n)
+    codes, coeffs = s.codes, s.coeffs
     rows = np.arange(dim)
     chunk = max(1, _DENSE_CHUNK_BYTES // (24 * dim))
     for start in range(0, len(s), chunk):
@@ -259,6 +459,7 @@ def dense_matrix(s: PauliSum, n: int) -> np.ndarray:
     return m
 
 
+@_quiet
 def decompose_dense(m: np.ndarray) -> PauliSum:
     """Expand a 2^n x 2^n matrix in the Pauli basis via Hilbert-Schmidt products."""
     m = np.asarray(m, dtype=complex)
@@ -270,18 +471,18 @@ def decompose_dense(m: np.ndarray) -> PauliSum:
         raise DimensionMismatchError(f"matrix dimension {dim} is not a power of two")
     check_dense_size(n)
     rows = np.arange(dim)
-    letters = np.array(list(SYMBOLS))
-    terms = []
+    keys, coeffs = [], []
     chunk = max(1, _DENSE_CHUNK_BYTES // (24 * dim))
     for start in range(0, 4**n, chunk):
-        codes = lexicographic_codes(np.arange(start, min(start + chunk, 4**n)), n)
-        idx, ph = gather_tables(codes)
+        numbers = np.arange(start, min(start + chunk, 4**n))
+        idx, ph = gather_tables(lexicographic_codes(numbers, n))
         # Tr(P m) picks one entry per row because P has a single entry per row.
-        coeffs = np.sum(ph * m[idx, rows], axis=1) / dim
-        for code, coeff in zip(codes, coeffs.tolist()):
-            if abs(coeff) > COEFF_CUTOFF:
-                terms.append((coeff, PauliString("".join(letters[code]))))
-    return PauliSum(terms)
+        c = np.sum(ph * m[idx, rows], axis=1) / dim
+        # A NaN magnitude compares false, so PauliSum sees, and refuses, it.
+        keep = ~(np.hypot(c.real, c.imag) <= COEFF_CUTOFF)
+        keys.append(numbers[keep])
+        coeffs.append(c[keep])
+    return PauliSum._from_keys(np.concatenate(keys), np.concatenate(coeffs), n, False)
 
 
 def format_pauli_sum(s: PauliSum) -> str:

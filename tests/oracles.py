@@ -1,9 +1,9 @@
 """Independent dense oracles shared by the test modules.
 
-Everything here is built from literal 2x2 matrices and numpy primitives so
-the checks never route through the code under test.  The exception is the
-recursive generator blocks at the end: they pin the floating-point sums of
-the recursive construction, so they use qnute.pauli's Pauli-sum algebra.
+Everything here is built from literal 2x2 matrices, numpy primitives and
+plain Python arithmetic so the checks never route through the code under
+test.  StringPauliSum is the Pauli-sum algebra written term by term on
+symbol strings; the recursive generator blocks at the end are built with it.
 """
 
 import functools
@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from qnute.hamiltonian import apply_linear_bc, bs_coefficients
-from qnute.pauli import LadderOp, PauliSum, ladder_as_pauli
+from qnute.pauli import LadderOp
 
 PAULI_MATS = {
     "I": np.eye(2, dtype=complex),
@@ -212,6 +212,131 @@ def parse_pauli_terms(text: str) -> list[tuple[complex, str]]:
     return terms
 
 
+def assert_same_bits(got, want) -> None:
+    """Same strings in the same order, and coefficients equal bit for bit (signed zeros too).
+
+    Either side may be a qnute PauliSum or a StringPauliSum.
+    """
+    assert [str(s) for _, s in got.terms] == [str(s) for _, s in want.terms]
+    bits = [np.array([c for c, _ in x.terms], dtype=complex).view(np.uint64)
+            for x in (got, want)]
+    assert np.array_equal(*bits)
+
+
+# --- Pauli-sum algebra one string and one symbol at a time ---
+
+# Single-qubit products: (a, b) -> (phase, a*b) with phase in {1, -1, i, -i}.
+STRING_PRODUCTS: dict[tuple[str, str], tuple[complex, str]] = {}
+for _s in "IXYZ":
+    STRING_PRODUCTS[("I", _s)] = (1.0 + 0j, _s)
+    STRING_PRODUCTS[(_s, "I")] = (1.0 + 0j, _s)
+    STRING_PRODUCTS[(_s, _s)] = (1.0 + 0j, "I")
+for _a, _b, _c in (("X", "Y", "Z"), ("Y", "Z", "X"), ("Z", "X", "Y")):
+    STRING_PRODUCTS[(_a, _b)] = (1j, _c)
+    STRING_PRODUCTS[(_b, _a)] = (-1j, _c)
+
+
+def string_product(p: str, q: str) -> tuple[complex, str]:
+    """(phase, r) with matrix(p) @ matrix(q) == phase * matrix(r), one symbol at a time."""
+    assert len(p) == len(q)
+    phase = 1.0 + 0j
+    out = []
+    for a, b in zip(p, q):
+        ph, c = STRING_PRODUCTS[(a, b)]
+        phase *= ph
+        out.append(c)
+    return phase, "".join(out)
+
+
+class StringPauliSum:
+    """A Pauli sum as a tuple of (complex, str) terms, merged through a dict.
+
+    Equal strings are summed onto 0j in the order they arrive, the terms are
+    sorted by string, and terms with |c| <= 1e-14 are dropped.  Each
+    operation forms every coefficient with Python's complex arithmetic.
+    """
+
+    __array_ufunc__ = None  # numpy scalars on the left of * use __rmul__
+
+    def __init__(self, terms=()):
+        merged: dict[str, complex] = {}
+        for coeff, string in terms:
+            string = str(string)
+            assert not merged or len(string) == len(next(iter(merged)))
+            merged[string] = merged.get(string, 0j) + complex(coeff)
+        self.terms = tuple((c, s) for s, c in sorted(merged.items()) if abs(c) > 1e-14)
+        self.has_real_matrix = all(
+            abs(c.imag if s.count("Y") % 2 == 0 else c.real) <= 1e-14 for c, s in self.terms
+        )
+
+    @classmethod
+    def identity(cls, n: int, coeff: complex = 1.0) -> "StringPauliSum":
+        return cls([(coeff, "I" * n)])
+
+    def __add__(self, other):
+        return StringPauliSum(self.terms + other.terms)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __neg__(self):
+        return StringPauliSum((-c, s) for c, s in self.terms)
+
+    def __mul__(self, scalar):
+        return StringPauliSum((c * scalar, s) for c, s in self.terms)
+
+    __rmul__ = __mul__
+
+    def __matmul__(self, other):
+        out = []
+        for ca, sa in self.terms:
+            for cb, sb in other.terms:
+                phase, s = string_product(sa, sb)
+                out.append((ca * cb * phase, s))
+        return StringPauliSum(out)
+
+    def tensor(self, other):
+        return StringPauliSum(
+            (ca * cb, sa + sb) for ca, sa in self.terms for cb, sb in other.terms
+        )
+
+
+def split_by_string(terms, n: int, domain_size: int):
+    """(window start, terms) groups of split_terms' window rule, one string at a time.
+
+    A string takes the window that contains its support, else the one whose
+    centre is nearest its support's midpoint, the lowest start on a tie.
+    """
+    starts = range(n - domain_size + 1)
+    groups: dict[int, list] = {}
+    for coeff, string in terms:
+        support = [q for q, ch in enumerate(string) if ch != "I"]
+        lo, hi = (support[0], support[-1]) if support else ((n - 1) // 2, (n - 1) // 2)
+        mid = (lo + hi) / 2.0
+        best = min(
+            starts,
+            key=lambda s: (
+                0 if (s <= lo and hi < s + domain_size) else 1,
+                abs(s + (domain_size - 1) / 2.0 - mid),
+                s,
+            ),
+        )
+        groups.setdefault(best, []).append((coeff, string))
+    return [(s, groups[s]) for s in sorted(groups)]
+
+
+STRING_LADDERS = {
+    LadderOp.NW: ((0.5, "I"), (0.5, "Z")),
+    LadderOp.SE: ((0.5, "I"), (-0.5, "Z")),
+    LadderOp.NE: ((0.5, "X"), (0.5j, "Y")),
+    LadderOp.SW: ((0.5, "X"), (-0.5j, "Y")),
+}
+
+
+def string_ladder(op) -> StringPauliSum:
+    return StringPauliSum(STRING_LADDERS[op])
+
+
 # --- The Black-Scholes generator blocks, one cached recursion level each ---
 # Each level prepends one qubit to the level below it; the expressions, and so
 # the order of every coefficient sum, are those of the recursive construction.
@@ -219,30 +344,30 @@ def parse_pauli_terms(text: str) -> list[tuple[complex, str]]:
 
 @functools.lru_cache(maxsize=None)
 def recursive_ladder_power(op, n: int):
-    out = ladder_as_pauli(op)
+    out = string_ladder(op)
     for _ in range(n - 1):
-        out = out.tensor(ladder_as_pauli(op))
+        out = out.tensor(string_ladder(op))
     return out
 
 
 @functools.lru_cache(maxsize=None)
 def recursive_chi(n: int):
     if n == 1:
-        return ladder_as_pauli(LadderOp.SE)
-    return PauliSum.identity(1).tensor(recursive_chi(n - 1)) + float(2 ** (n - 1)) * (
-        ladder_as_pauli(LadderOp.SE).tensor(PauliSum.identity(n - 1))
+        return string_ladder(LadderOp.SE)
+    return StringPauliSum.identity(1).tensor(recursive_chi(n - 1)) + float(2 ** (n - 1)) * (
+        string_ladder(LadderOp.SE).tensor(StringPauliSum.identity(n - 1))
     )
 
 
 @functools.lru_cache(maxsize=None)
 def recursive_chi_squared(n: int):
     if n == 1:
-        return ladder_as_pauli(LadderOp.SE)
+        return string_ladder(LadderOp.SE)
     inner = (
         float(2**n) * recursive_chi(n - 1)
-        + float(2 ** (2 * (n - 1))) * PauliSum.identity(n - 1)
+        + float(2 ** (2 * (n - 1))) * StringPauliSum.identity(n - 1)
     )
-    return PauliSum.identity(1).tensor(recursive_chi_squared(n - 1)) + ladder_as_pauli(
+    return StringPauliSum.identity(1).tensor(recursive_chi_squared(n - 1)) + string_ladder(
         LadderOp.SE
     ).tensor(inner)
 
@@ -250,38 +375,38 @@ def recursive_chi_squared(n: int):
 @functools.lru_cache(maxsize=None)
 def recursive_d1(n: int):
     if n == 1:
-        return PauliSum([(1j, "Y")])
+        return StringPauliSum([(1j, "Y")])
     return (
-        PauliSum.identity(1).tensor(recursive_d1(n - 1))
-        + ladder_as_pauli(LadderOp.NE).tensor(recursive_ladder_power(LadderOp.SW, n - 1))
-        - ladder_as_pauli(LadderOp.SW).tensor(recursive_ladder_power(LadderOp.NE, n - 1))
+        StringPauliSum.identity(1).tensor(recursive_d1(n - 1))
+        + string_ladder(LadderOp.NE).tensor(recursive_ladder_power(LadderOp.SW, n - 1))
+        - string_ladder(LadderOp.SW).tensor(recursive_ladder_power(LadderOp.NE, n - 1))
     )
 
 
 @functools.lru_cache(maxsize=None)
 def recursive_d2(n: int):
     if n == 1:
-        return PauliSum([(-2.0, "I"), (1.0, "X")])
+        return StringPauliSum([(-2.0, "I"), (1.0, "X")])
     return (
-        PauliSum.identity(1).tensor(recursive_d2(n - 1))
-        + ladder_as_pauli(LadderOp.NE).tensor(recursive_ladder_power(LadderOp.SW, n - 1))
-        + ladder_as_pauli(LadderOp.SW).tensor(recursive_ladder_power(LadderOp.NE, n - 1))
+        StringPauliSum.identity(1).tensor(recursive_d2(n - 1))
+        + string_ladder(LadderOp.NE).tensor(recursive_ladder_power(LadderOp.SW, n - 1))
+        + string_ladder(LadderOp.SW).tensor(recursive_ladder_power(LadderOp.NE, n - 1))
     )
 
 
 def recursive_bs_pauli(grid, p, boundary: str):
     """The Black-Scholes generator as a Pauli sum, from the recursive blocks."""
     n, h = grid.n, grid.h
-    x_sum = grid.x0 * PauliSum.identity(n) + h * recursive_chi(n)
+    x_sum = grid.x0 * StringPauliSum.identity(n) + h * recursive_chi(n)
     x2_sum = (
-        grid.x0**2 * PauliSum.identity(n)
+        grid.x0**2 * StringPauliSum.identity(n)
         + (2.0 * grid.x0 * h) * recursive_chi(n)
         + h**2 * recursive_chi_squared(n)
     )
     gen = (
         (p.sigma**2 / (2.0 * h**2)) * (x2_sum @ recursive_d2(n))
         + (p.r / (2.0 * h)) * (x_sum @ recursive_d1(n))
-        - p.r * PauliSum.identity(n)
+        - p.r * StringPauliSum.identity(n)
     )
     if boundary == "linear":
         central = bs_coefficients(grid, p)
@@ -290,9 +415,9 @@ def recursive_bs_pauli(grid, p, boundary: str):
             gen
             + (linear.gamma[0] - central.gamma[0]) * recursive_ladder_power(LadderOp.NW, n)
             + (linear.beta[0] - central.beta[0])
-            * recursive_ladder_power(LadderOp.NW, n - 1).tensor(ladder_as_pauli(LadderOp.NE))
+            * recursive_ladder_power(LadderOp.NW, n - 1).tensor(string_ladder(LadderOp.NE))
             + (linear.alpha[-1] - central.alpha[-1])
-            * recursive_ladder_power(LadderOp.SE, n - 1).tensor(ladder_as_pauli(LadderOp.SW))
+            * recursive_ladder_power(LadderOp.SE, n - 1).tensor(string_ladder(LadderOp.SW))
             + (linear.gamma[-1] - central.gamma[-1]) * recursive_ladder_power(LadderOp.SE, n)
         )
     return gen

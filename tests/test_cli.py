@@ -306,21 +306,22 @@ sweep.D = 3,2
         assert rows == want
 
     def test_cell_runs_no_step_diagnostic(self, monkeypatch):
-        # fidelity_stats reads the states alone, so a cell's exact steps are
-        # the exact evolution's N_T per term, none for the fitted steps' fidelity.
+        # fidelity_stats reads the states alone: a cell resolves each term's
+        # propagator once for the exact evolution and takes no exact step
+        # for the fitted steps' fidelity.
         text = "schedule.T = 0.3\nschedule.N_T = 10\nsweep.options = call:75\nsweep.n = 4\nsweep.D = 2\n"
         cfg = parse_config(text)
-        calls = []
-        exact_step = qnute.exact.exact_step
+        calls = {"exact_step": [], "step_propagator": []}
+        for name in calls:
+            def spy(*args, _fn=getattr(qnute.exact, name), _calls=calls[name]):
+                _calls.append(args)
+                return _fn(*args)
 
-        def spy(*args):
-            calls.append(args)
-            return exact_step(*args)
-
-        monkeypatch.setattr(qnute.exact, "exact_step", spy)
+            monkeypatch.setattr(qnute.exact, name, spy)
         _sweep_one(cfg, cfg.sweep_options[0], 4, 2)
         terms = split_terms(build_bs_pauli(cfg.grid(4), cfg.params(), "linear"), 4, 2)
-        assert len(terms) > 1 and len(calls) == cfg.num_steps * len(terms)
+        assert len(terms) > 1 and not calls["exact_step"]
+        assert [args[0] for args in calls["step_propagator"]] == [t.pauli for t in terms]
 
     def test_failure_matches_serial_run(self, tmp_path, capsys):
         text = (GOLDEN / "sweep" / "run.cfg").read_text(encoding="utf-8")
@@ -390,7 +391,7 @@ GOLDEN = Path(__file__).parent / "data"
 
 
 class TestGoldenBytes:
-    """CSV bodies pinned byte for byte; tests/data/*/run.cfg regenerates them."""
+    """Output bodies pinned byte for byte; tests/data/*/run.cfg regenerates them."""
 
     @staticmethod
     def check_price(golden, out):
@@ -404,6 +405,13 @@ class TestGoldenBytes:
     def test_price_full_register(self, tmp_path):
         # n = D = 6: one 2016-string odd-Y basis, fitted through a 2016 x 128 factor.
         self.check_price(GOLDEN / "price-n6", tmp_path)
+
+    def test_decompose(self, tmp_path):
+        # n = 6, linear boundary: the generator's 272 strings and its dense entries.
+        golden = GOLDEN / "decompose"
+        assert main(["decompose", "--config", str(golden / "run.cfg"), "--out", str(tmp_path)]) == 0
+        for name in ("hamiltonian_pauli.txt", "hamiltonian_dense.csv"):
+            assert (tmp_path / name).read_bytes() == (golden / name).read_bytes()
 
     def test_windowed_sweep(self, tmp_path):
         cfg = str(GOLDEN / "sweep" / "run.cfg")
@@ -453,7 +461,9 @@ sys.meta_path.insert(0, NoScipy())
 from qnute.cli import main
 
 golden, out = sys.argv[1:]
-for name, command in (("price", "price"), ("price-n6", "price"), ("sweep", "fidelity-sweep")):
+for name, command in (
+    ("price", "price"), ("price-n6", "price"), ("sweep", "fidelity-sweep"), ("decompose", "decompose")
+):
     assert main([command, "--config", f"{golden}/{name}/run.cfg", "--out", f"{out}/{name}"]) == 0
 assert "scipy" not in sys.modules
 """

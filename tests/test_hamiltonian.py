@@ -1,9 +1,15 @@
 """Discretized Black-Scholes generators: coefficients, Pauli forms, term splitting."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import (
+    StringPauliSum,
+    assert_same_bits,
     random_pauli_sum_terms,
     recursive_bs_pauli,
     recursive_chi,
@@ -11,6 +17,7 @@ from oracles import (
     recursive_d1,
     recursive_d2,
     recursive_ladder_power,
+    split_by_string,
     tridiagonal_dense,
 )
 from qnute.errors import DimensionMismatchError, InvalidDomainError, UnsupportedSizeError
@@ -50,6 +57,17 @@ class TestGrid:
             BSParams(r=-0.01, sigma=0.2)
         with pytest.raises(ValueError):
             BSParams(r=0.04, sigma=-0.2)
+
+    @pytest.mark.parametrize("r, sigma", [(0.04, math.nan), (math.nan, 0.2), (math.inf, 0.2), (0.04, math.inf)])
+    def test_params_must_be_finite(self, r, sigma):
+        # A NaN volatility used to pass, and its diffusion terms vanished from the generator.
+        with pytest.raises(ValueError, match="must be finite"):
+            BSParams(r=r, sigma=sigma)
+
+    @pytest.mark.parametrize("x0, xN", [(0.0, math.inf), (math.nan, 1.0), (0.0, math.nan)])
+    def test_grid_must_be_finite(self, x0, xN):
+        with pytest.raises(ValueError, match="must be finite"):
+            Grid(x0, xN, 3)
 
 
 class TestBsCoefficients:
@@ -126,14 +144,6 @@ class TestOperatorRecursions:
             dense_matrix(d2_matrix(n), n),
             np.diag(ones, 1) + np.diag(ones, -1) - 2.0 * np.eye(dim),
         )
-
-
-def assert_same_bits(got: PauliSum, want: PauliSum) -> None:
-    """Same strings in the same order, and coefficients equal bit for bit (signed zeros too)."""
-    assert [s for _, s in got.terms] == [s for _, s in want.terms]
-    bits = [np.array([c for c, _ in x.terms], dtype=complex).view(np.float64).view(np.uint64)
-            for x in (got, want)]
-    assert np.array_equal(*bits)
 
 
 class TestBlockBits:
@@ -250,3 +260,27 @@ class TestSplitTerms:
     def test_size_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             split_terms(PauliSum([(1.0, "XX")]), 3, 2)
+
+    @staticmethod
+    def assert_split_as_oracle(s: PauliSum, n: int, domain_size: int) -> None:
+        got = split_terms(s, n, domain_size)
+        want = split_by_string(s.terms, n, domain_size)
+        assert [term.support for term in got] == [
+            frozenset(range(start, start + domain_size)) for start, _ in want
+        ]
+        for term, (_, group) in zip(got, want):
+            assert_same_bits(term.pauli, StringPauliSum(group))
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 6), st.data())
+    def test_windows_match_per_string_rule(self, n, data):
+        domain_size = data.draw(st.integers(1, n))
+        strings = st.text("IXYZ", min_size=n, max_size=n)
+        terms = data.draw(st.lists(st.tuples(st.floats(-2.0, 2.0), strings), max_size=30))
+        self.assert_split_as_oracle(PauliSum(terms), n, domain_size)
+
+    @pytest.mark.parametrize("n", [2, 5, 7])
+    def test_generator_windows_match_per_string_rule(self, n):
+        gen = build_bs_pauli(Grid(0.0, 150.0, n), PAPER_PARAMS, "linear")
+        for domain_size in range(1, n + 1):
+            self.assert_split_as_oracle(gen, n, domain_size)

@@ -1,6 +1,9 @@
 """Pauli string and Pauli sum algebra against literal dense matrices."""
 
+import copy
 import itertools
+import math
+import pickle
 import tracemalloc
 from unittest import mock
 
@@ -10,16 +13,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    StringPauliSum,
+    assert_same_bits,
     decompose_per_string,
     dense_of_terms,
     dense_per_string,
     kron_of,
     parse_pauli_terms,
     random_pauli_sum_terms,
+    string_product,
 )
-from qnute.errors import CapacityError, DimensionMismatchError
-from qnute.hamiltonian import BSParams, Grid, build_bs_pauli
+from qnute.errors import CapacityError, DimensionMismatchError, UnsupportedSizeError
+from qnute.hamiltonian import BSParams, Grid, HamiltonianTerm, build_bs_pauli, split_terms
 from qnute.pauli import (
+    COEFF_CUTOFF,
     SYMBOLS,
     LadderOp,
     PauliString,
@@ -73,6 +80,18 @@ class TestMultiplyStrings:
     def test_length_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             multiply_strings(PauliString("X"), PauliString("XX"))
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_phase_bits_match_string_oracle(self, n):
+        # The phase keeps the signed zeros of its one-qubit-at-a-time product.
+        for p in itertools.product("IXYZ", repeat=n):
+            for q in itertools.product("IXYZ", repeat=n):
+                phase, r = multiply_strings(PauliString("".join(p)), PauliString("".join(q)))
+                want_phase, want_r = string_product("".join(p), "".join(q))
+                assert r == want_r
+                assert np.array([phase]).view(np.uint64).tolist() == np.array(
+                    [want_phase]
+                ).view(np.uint64).tolist()
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_phase_closure_exhaustive(self, n):
@@ -330,3 +349,144 @@ class TestTextNotation:
     def test_empty_round_trip(self):
         assert format_pauli_sum(PauliSum()) == "0"
         assert parse_pauli_terms(format_pauli_sum(PauliSum())) == []
+
+
+# Coefficient parts that cancel, fall exactly at the cutoff or carry a signed zero.
+PARTS = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -0.25, 3.0, COEFF_CUTOFF, -COEFF_CUTOFF, 5e-15]),
+    st.floats(-8.0, 8.0),
+)
+COEFFICIENTS = st.one_of(
+    PARTS.map(complex),
+    PARTS.map(lambda x: complex(0.0, x)),
+    st.builds(complex, PARTS, PARTS),
+)
+# Offsets that leave a cancelled pair above, at or below the cutoff.
+RESIDUES = st.sampled_from([0.0, COEFF_CUTOFF, -COEFF_CUTOFF, 0.5 * COEFF_CUTOFF, 2 * COEFF_CUTOFF])
+
+
+@st.composite
+def term_lists(draw, n):
+    """(coefficient, string) lists with repeated strings, some cancelling earlier ones."""
+    strings = draw(st.lists(st.text("IXYZ", min_size=n, max_size=n), min_size=1, max_size=4))
+    terms = draw(st.lists(st.tuples(COEFFICIENTS, st.sampled_from(strings)), max_size=8))
+    for i in draw(st.lists(st.integers(0, max(len(terms) - 1, 0)), max_size=3)) if terms else ():
+        c, string = terms[i]
+        terms.append((-c + draw(RESIDUES), string))
+    return terms
+
+
+SCALARS = st.one_of(PARTS, COEFFICIENTS, st.integers(-3, 3), PARTS.map(np.float64))
+
+
+class TestStringOracleBits:
+    """The array algebra equals the dict-and-string algebra of tests/oracles.py bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 4).flatmap(lambda n: st.tuples(term_lists(n), term_lists(n))), SCALARS)
+    def test_operators(self, pair, scalar):
+        ta, tb = pair
+        a, b = PauliSum(ta), PauliSum(tb)
+        oa, ob = StringPauliSum(ta), StringPauliSum(tb)
+        assert_same_bits(a, oa)
+        assert_same_bits(a + b, oa + ob)
+        assert_same_bits(a - b, oa - ob)
+        assert_same_bits(-a, -oa)
+        assert_same_bits(a * scalar, oa * scalar)
+        assert_same_bits(scalar * a, scalar * oa)
+        assert_same_bits(a @ b, oa @ ob)
+        assert_same_bits(a.tensor(b), oa.tensor(ob))
+        assert a.has_real_matrix == oa.has_real_matrix
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 3).flatmap(lambda n: st.tuples(term_lists(n), term_lists(n), term_lists(n))))
+    def test_chained_operations(self, triple):
+        # Results feed further operations, as in the generator's ladder construction.
+        a, b, c = (PauliSum(t) for t in triple)
+        oa, ob, oc = (StringPauliSum(t) for t in triple)
+        assert_same_bits((a @ b - c).tensor(a + c) @ (b.tensor(c) * 0.5j), (oa @ ob - oc).tensor(oa + oc) @ (ob.tensor(oc) * 0.5j))
+
+
+class TestArrays:
+    def test_rows_are_read_only(self):
+        s = PauliSum([(1.0, "XZ"), (2j, "YI")])
+        with pytest.raises(ValueError):
+            s.coeffs[0] = 0.0
+        with pytest.raises(ValueError):
+            s.codes[0, 0] = 0
+        assert s.codes.tolist() == [[1, 3], [2, 0]]
+        assert s.codes.dtype == np.int8
+
+    def test_empty_sum_has_no_qubits(self):
+        s = PauliSum([(1.0, "XX"), (-1.0, "XX")])
+        assert s == PauliSum() and s.num_qubits is None and s.codes.shape == (0, 0)
+
+    def test_from_codes_equals_strings(self):
+        rng = np.random.default_rng(41)
+        terms = random_pauli_sum_terms(rng, 4, 20)
+        codes = [[SYMBOLS.index(ch) for ch in string] for _, string in terms]
+        got = PauliSum.from_codes(codes, [c for c, _ in terms])
+        assert_same_bits(got, PauliSum(terms))
+        assert got == PauliSum(terms) and hash(got) == hash(PauliSum(terms))
+
+    @pytest.mark.parametrize("codes, match", [([[4]], "0..3"), ([[-1]], "0..3"), (np.zeros((1, 0)), "symbol")])
+    def test_from_codes_refuses_bad_rows(self, codes, match):
+        with pytest.raises(ValueError, match=match):
+            PauliSum.from_codes(codes, [1.0])
+
+    def test_width_beyond_keys_is_refused(self):
+        with pytest.raises(UnsupportedSizeError):
+            PauliSum([(1.0, "X" * 32)])
+        half = PauliSum([(1.0, "X" * 16)])
+        with pytest.raises(UnsupportedSizeError):
+            half.tensor(half)
+
+
+class TestNonFinite:
+    @pytest.mark.parametrize(
+        "coeff", [math.nan, math.inf, -math.inf, complex(0.0, math.nan), complex(1.0, math.inf)]
+    )
+    def test_coefficient_is_refused_not_dropped(self, coeff):
+        with pytest.raises(ValueError, match="finite"):
+            PauliSum([(1.0, "IX"), (coeff, "ZY")])
+
+    def test_cancelling_infinities_are_refused(self):
+        with pytest.raises(ValueError, match="finite"):
+            PauliSum([(math.inf, "X"), (-math.inf, "X")])
+
+    def test_overflowing_operations_are_refused(self):
+        big = PauliSum([(1e200, "X"), (1.0, "Z")])
+        for operation in (lambda: big @ big, lambda: big * 1e200, lambda: big.tensor(big)):
+            with pytest.raises(ValueError, match="finite"):
+                operation()
+
+    def test_decompose_refuses_a_nan_entry(self):
+        m = np.eye(2)
+        m[0, 1] = math.nan
+        with pytest.raises(ValueError, match="finite"):
+            decompose_dense(m)
+
+
+COPIES = {
+    "pickle": lambda x: pickle.loads(pickle.dumps(x)),
+    "copy": copy.copy,
+    "deepcopy": copy.deepcopy,
+}
+
+
+class TestCopies:
+    @pytest.mark.parametrize("copy_of", COPIES.values(), ids=COPIES.keys())
+    def test_sums_round_trip(self, copy_of):
+        gen = build_bs_pauli(Grid(0.0, 150.0, 4), BSParams(0.04, 0.2), "linear")
+        for s in (gen, PauliSum(), PauliSum([(1j, "Y")])):
+            got = copy_of(s)
+            assert got == s and hash(got) == hash(s)
+            assert_same_bits(got, s)
+
+    @pytest.mark.parametrize("copy_of", COPIES.values(), ids=COPIES.keys())
+    def test_terms_round_trip(self, copy_of):
+        gen = build_bs_pauli(Grid(0.0, 150.0, 4), BSParams(0.04, 0.2), "linear")
+        for term in split_terms(gen, 4, 2):
+            got = copy_of(term)
+            assert isinstance(got, HamiltonianTerm)
+            assert got == term and hash(got) == hash(term)
