@@ -224,9 +224,10 @@ def split_terms(hsum: PauliSum, n: int, domain_size: int) -> list[HamiltonianTer
     codes = hsum.codes
     starts = np.arange(n - domain_size + 1)
     support = codes != 0
-    centre = (n - 1) // 2
-    lo = np.where(support.any(axis=1), support.argmax(axis=1), centre)
-    hi = np.where(support.any(axis=1), n - 1 - support[:, ::-1].argmax(axis=1), centre)
+    # An identity string counts as supported on the register's centre qubit.
+    centre, some = (n - 1) // 2, support.any(axis=1)
+    lo = np.where(some, support.argmax(axis=1), centre)
+    hi = np.where(some, n - 1 - support[:, ::-1].argmax(axis=1), centre)
     mid = (lo + hi) / 2.0
     outside = (starts > lo[:, None]) | (hi[:, None] >= starts + domain_size)
     # The distances are exact half-integers below n, so this score orders the

@@ -88,10 +88,8 @@ class TestMultiplyStrings:
             for q in itertools.product("IXYZ", repeat=n):
                 phase, r = multiply_strings(PauliString("".join(p)), PauliString("".join(q)))
                 want_phase, want_r = string_product("".join(p), "".join(q))
-                assert r == want_r
-                assert np.array([phase]).view(np.uint64).tolist() == np.array(
-                    [want_phase]
-                ).view(np.uint64).tolist()
+                bits = np.array([phase, want_phase]).view(np.uint64)
+                assert r == want_r and bits[:2].tolist() == bits[2:].tolist()
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_phase_closure_exhaustive(self, n):
@@ -399,12 +397,13 @@ class TestStringOracleBits:
         assert a.has_real_matrix == oa.has_real_matrix
 
     @settings(max_examples=100, deadline=None)
-    @given(st.integers(1, 3).flatmap(lambda n: st.tuples(term_lists(n), term_lists(n), term_lists(n))))
+    @given(st.integers(1, 3).flatmap(lambda n: st.tuples(*[term_lists(n)] * 3)))
     def test_chained_operations(self, triple):
         # Results feed further operations, as in the generator's ladder construction.
         a, b, c = (PauliSum(t) for t in triple)
         oa, ob, oc = (StringPauliSum(t) for t in triple)
-        assert_same_bits((a @ b - c).tensor(a + c) @ (b.tensor(c) * 0.5j), (oa @ ob - oc).tensor(oa + oc) @ (ob.tensor(oc) * 0.5j))
+        got = (a @ b - c).tensor(a + c) @ (b.tensor(c) * 0.5j)
+        assert_same_bits(got, (oa @ ob - oc).tensor(oa + oc) @ (ob.tensor(oc) * 0.5j))
 
 
 class TestArrays:
