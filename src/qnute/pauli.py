@@ -125,7 +125,9 @@ def _check_width(n: int) -> None:
 
 # A product or sum beyond the float range gives inf or NaN, which PauliSum
 # refuses with a ValueError; numpy's warnings would only come before it.  Every
-# public operation that does arithmetic runs under this.
+# public operation that does arithmetic runs under this.  None of them calls
+# another: before numpy 2.0 an errstate keeps one saved state, which a nested
+# entry would overwrite.
 _quiet = np.errstate(over="ignore", invalid="ignore")
 
 
@@ -380,7 +382,7 @@ class PauliSum:
     @_quiet
     def __matmul__(self, other: "PauliSum") -> "PauliSum":
         if not (len(self) and len(other)):
-            return PauliSum()
+            return _EMPTY
         n = self._width_with(other)
         # Each qubit's product symbol is the XOR of the codes, so keys XOR too.
         keys = (self._keys[:, None] ^ other._keys).ravel()
@@ -392,12 +394,15 @@ class PauliSum:
     def tensor(self, other: "PauliSum") -> "PauliSum":
         """Kronecker product; self supplies the leftmost factors."""
         if not (len(self) and len(other)):
-            return PauliSum()
+            return _EMPTY
         n = self._n + other._n
         _check_width(n)
         keys = ((self._keys[:, None] << 2 * other._n) | other._keys).ravel()
         coeffs = _cmul(self.coeffs[:, None], other.coeffs).ravel()
         return PauliSum._from_keys(keys, coeffs, n, True)
+
+
+_EMPTY = PauliSum()
 
 
 class LadderOp(Enum):
