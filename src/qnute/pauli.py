@@ -291,8 +291,12 @@ class PauliSum:
         return PauliSum.from_codes, (self.codes, self.coeffs)
 
     @classmethod
+    @_quiet
     def identity(cls, n: int, coeff: complex = 1.0) -> "PauliSum":
-        return cls([(coeff, "I" * n)])
+        if n < 1:
+            raise ValueError("Pauli string must contain at least one symbol")
+        _check_width(n)
+        return cls._from_keys(np.zeros(1, dtype=np.int64), np.array([complex(coeff)]), n, True)
 
     @property
     def codes(self) -> np.ndarray:
@@ -414,17 +418,18 @@ class LadderOp(Enum):
     SW = "SW"
 
 
-_LADDER_TERMS = {
-    LadderOp.NW: ((0.5, "I"), (0.5, "Z")),
-    LadderOp.SE: ((0.5, "I"), (-0.5, "Z")),
-    LadderOp.NE: ((0.5, "X"), (0.5j, "Y")),
-    LadderOp.SW: ((0.5, "X"), (-0.5j, "Y")),
+# Built once: sums are immutable, so every caller can share them.
+_LADDERS = {
+    LadderOp.NW: PauliSum(((0.5, "I"), (0.5, "Z"))),
+    LadderOp.SE: PauliSum(((0.5, "I"), (-0.5, "Z"))),
+    LadderOp.NE: PauliSum(((0.5, "X"), (0.5j, "Y"))),
+    LadderOp.SW: PauliSum(((0.5, "X"), (-0.5j, "Y"))),
 }
 
 
 def ladder_as_pauli(op: LadderOp) -> PauliSum:
     """One-qubit ladder/projector operator as a two-term Pauli sum."""
-    return PauliSum(_LADDER_TERMS[op])
+    return _LADDERS[op]
 
 
 def ladder_power(op: LadderOp, n: int) -> PauliSum:
