@@ -386,7 +386,7 @@ class PauliSum:
     @_quiet
     def __matmul__(self, other: "PauliSum") -> "PauliSum":
         if not (len(self) and len(other)):
-            return _EMPTY
+            return PauliSum._from_keys(self._keys[:0], self.coeffs[:0], 0, True)
         n = self._width_with(other)
         # Each qubit's product symbol is the XOR of the codes, so keys XOR too.
         keys = (self._keys[:, None] ^ other._keys).ravel()
@@ -398,15 +398,12 @@ class PauliSum:
     def tensor(self, other: "PauliSum") -> "PauliSum":
         """Kronecker product; self supplies the leftmost factors."""
         if not (len(self) and len(other)):
-            return _EMPTY
+            return PauliSum._from_keys(self._keys[:0], self.coeffs[:0], 0, True)
         n = self._n + other._n
         _check_width(n)
         keys = ((self._keys[:, None] << 2 * other._n) | other._keys).ravel()
         coeffs = _cmul(self.coeffs[:, None], other.coeffs).ravel()
         return PauliSum._from_keys(keys, coeffs, n, True)
-
-
-_EMPTY = PauliSum()
 
 
 class LadderOp(Enum):
@@ -418,18 +415,21 @@ class LadderOp(Enum):
     SW = "SW"
 
 
-# Built once: sums are immutable, so every caller can share them.
-_LADDERS = {
-    LadderOp.NW: PauliSum(((0.5, "I"), (0.5, "Z"))),
-    LadderOp.SE: PauliSum(((0.5, "I"), (-0.5, "Z"))),
-    LadderOp.NE: PauliSum(((0.5, "X"), (0.5j, "Y"))),
-    LadderOp.SW: PauliSum(((0.5, "X"), (-0.5j, "Y"))),
+# Ascending keys (I, X, Y, Z = 0..3) and coefficients of each operator's two strings.
+_LADDER_ROWS = {
+    LadderOp.NW: ((0, 3), (0.5, 0.5)),
+    LadderOp.SE: ((0, 3), (0.5, -0.5)),
+    LadderOp.NE: ((1, 2), (0.5, 0.5j)),
+    LadderOp.SW: ((1, 2), (0.5, -0.5j)),
 }
 
 
 def ladder_as_pauli(op: LadderOp) -> PauliSum:
     """One-qubit ladder/projector operator as a two-term Pauli sum."""
-    return _LADDERS[op]
+    keys, coeffs = _LADDER_ROWS[op]
+    return PauliSum._from_keys(
+        np.array(keys, dtype=np.int64), np.array(coeffs, dtype=complex), 1, True
+    )
 
 
 def ladder_power(op: LadderOp, n: int) -> PauliSum:
