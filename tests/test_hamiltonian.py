@@ -58,7 +58,9 @@ class TestGrid:
         with pytest.raises(ValueError):
             BSParams(r=0.04, sigma=-0.2)
 
-    @pytest.mark.parametrize("r, sigma", [(0.04, math.nan), (math.nan, 0.2), (math.inf, 0.2), (0.04, math.inf)])
+    @pytest.mark.parametrize(
+        "r, sigma", [(0.04, math.nan), (math.nan, 0.2), (math.inf, 0.2), (0.04, math.inf)]
+    )
     def test_params_must_be_finite(self, r, sigma):
         # A NaN volatility used to pass, and its diffusion terms vanished from the generator.
         with pytest.raises(ValueError, match="must be finite"):

@@ -428,7 +428,9 @@ class TestArrays:
         assert_same_bits(got, PauliSum(terms))
         assert got == PauliSum(terms) and hash(got) == hash(PauliSum(terms))
 
-    @pytest.mark.parametrize("codes, match", [([[4]], "0..3"), ([[-1]], "0..3"), (np.zeros((1, 0)), "symbol")])
+    @pytest.mark.parametrize(
+        "codes, match", [([[4]], "0..3"), ([[-1]], "0..3"), (np.zeros((1, 0)), "symbol")]
+    )
     def test_from_codes_refuses_bad_rows(self, codes, match):
         with pytest.raises(ValueError, match=match):
             PauliSum.from_codes(codes, [1.0])
