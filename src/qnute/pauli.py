@@ -9,14 +9,13 @@ A PauliSum keeps its strings as int64 keys of symbol codes (I, X, Y, Z =
 whole arrays.  Every coefficient is still computed with the expressions of
 term-by-term string algebra, in its order, so it keeps the same bits, signed
 zeros included: products are Python's complex products, one rounding per
-operation; a product's phase is multiplied in one qubit at a time; equal
-strings are summed onto zero in the order they arise.
+operation; equal strings are summed onto zero in the order they arise, which
+leaves no zero negative, so a product's phase needs only its power of i.
 """
 
 from __future__ import annotations
 
 import math
-import struct
 from enum import Enum
 
 import numpy as np
@@ -43,65 +42,46 @@ _SYMBOL_CODES = np.zeros(256, dtype=np.int8)
 _SYMBOL_CODES[np.frombuffer(SYMBOLS.encode("ascii"), dtype=np.uint8)] = np.arange(4)
 _LETTERS = np.frombuffer(SYMBOLS.encode("ascii"), dtype=np.uint8)
 
-# Single-qubit products: symbol a times symbol b is symbol a ^ b times the
-# unit _UNITS[4 a + b], which is 1, i or -i.
-_UNITS = [1.0 + 0j] * 16
+# Single-qubit products: (a, b) -> (phase, a*b) with phase in {1, -1, i, -i}.
+_MUL: dict[tuple[str, str], tuple[complex, str]] = {}
+for _s in SYMBOLS:
+    _MUL[("I", _s)] = (1.0 + 0j, _s)
+    _MUL[(_s, "I")] = (1.0 + 0j, _s)
+    _MUL[(_s, _s)] = (1.0 + 0j, "I")
+for _a, _b, _c in (("X", "Y", "Z"), ("Y", "Z", "X"), ("Z", "X", "Y")):
+    _MUL[(_a, _b)] = (1j, _c)
+    _MUL[(_b, _a)] = (-1j, _c)
+
+# The same products on symbol codes: a times b is a ^ b times i^_PHASE_POWER[4 a + b].
+_PHASE_POWER = np.zeros(16, dtype=np.int8)
 for _a, _b in ((1, 2), (2, 3), (3, 1)):  # XY = iZ, YZ = iX, ZX = iY
-    _UNITS[4 * _a + _b] = 1j
-    _UNITS[4 * _b + _a] = -1j
-
-
-def _phase_automaton() -> tuple[np.ndarray, np.ndarray]:
-    """Every value a product phase takes, and the step from one to the next.
-
-    Starting from 1 + 0j, a string product multiplies its phase by one unit
-    per qubit.  The values it can reach, signed zeros told apart, are
-    _PHASES, and _PHASE_STEP[16 s + 4 a + b] is the index of
-    _PHASES[s] * _UNITS[4 a + b], computed here by Python's own products.
-    """
-    values = [1.0 + 0j]
-    index = {struct.pack("<2d", 1.0, 0.0): 0}
-    steps = []
-    for value in values:  # grows while it is read
-        for unit in _UNITS:
-            product = value * unit
-            bits = struct.pack("<2d", product.real, product.imag)
-            steps.append(index.setdefault(bits, len(values)))
-            if steps[-1] == len(values):
-                values.append(product)
-    return np.array(values, dtype=complex), np.array(steps, dtype=np.int8)
-
-
-_PHASES, _PHASE_STEP = _phase_automaton()
+    _PHASE_POWER[4 * _a + _b] = 1
+    _PHASE_POWER[4 * _b + _a] = 3
+_POWERS_OF_I = np.array([1, 1j, -1, -1j])
 
 
 def _pair_phases(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Phases of the products of a's rows (outer) with b's rows (inner), flattened.
 
-    a and b are symbol-code arrays of one width; the phase of each product
-    is multiplied in one qubit at a time, first qubit first.
+    a and b are symbol-code arrays of one width.  A phase has magnitude 1,
+    so its signed zeros can reach only a product component that is zero,
+    and PauliSum adds every coefficient onto 0.0, which clears that sign:
+    the phase needs only its power of i, not its bits.
     """
-    state = np.zeros((a.shape[0], b.shape[0]), dtype=np.int8)
+    power = np.zeros((a.shape[0], b.shape[0]), dtype=np.int8)  # at most 3 * 31
     for q in range(a.shape[1]):
-        state = _PHASE_STEP[16 * state + (4 * a[:, q, None] + b[None, :, q])]
-    return _PHASES[state.ravel()]
+        power += _PHASE_POWER[4 * a[:, q, None] + b[None, :, q]]
+    return _POWERS_OF_I[(power & 3).ravel()]
 
 
 def _cmul(a, b) -> np.ndarray:
-    """a * b elementwise (broadcast) with the bits PauliSum gets from Python's products.
+    """a * b elementwise (broadcast) with the bits of Python's complex products.
 
     Python forms (ar br - ai bi) + i (ar bi + ai br); here each product,
     difference and sum is a numpy call of its own, so every one is rounded
-    and none is fused.  When a or b has no imaginary part the terms it
-    zeroes are left out: they are exact zeros, which can change only the
-    sign of a zero, and PauliSum adds every coefficient onto 0.0, which
-    clears that sign.
+    and none is fused.
     """
     a, b = np.asarray(a), np.asarray(b)
-    if not b.imag.any():
-        return (a[..., None].view(np.float64) * b.real[..., None]).view(complex)[..., 0]
-    if not a.imag.any():
-        return (a.real[..., None] * b[..., None].view(np.float64)).view(complex)[..., 0]
     out = np.empty(np.broadcast(a, b).shape, dtype=complex)
     out.real = a.real * b.real - a.imag * b.imag
     out.imag = a.real * b.imag + a.imag * b.real
@@ -157,9 +137,13 @@ def multiply_strings(p: PauliString, q: PauliString) -> tuple[complex, PauliStri
     """Return (phase, r) with matrix(p) @ matrix(q) == phase * matrix(r)."""
     if len(p) != len(q):
         raise DimensionMismatchError(f"string lengths differ: {len(p)} vs {len(q)}")
-    a, b = (_SYMBOL_CODES[np.frombuffer(s.encode("ascii"), dtype=np.uint8)] for s in (p, q))
-    phase = _pair_phases(a[None], b[None])[0]
-    return complex(phase), PauliString(_LETTERS[a ^ b].tobytes().decode("ascii"))
+    phase = 1.0 + 0j
+    out = []
+    for a, b in zip(p, q):
+        ph, c = _MUL[(a, b)]
+        phase *= ph
+        out.append(c)
+    return phase, PauliString("".join(out))
 
 
 def gather_tables(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -227,7 +211,7 @@ class PauliSum:
         _check_width(n)
         text = "".join(strings).encode("ascii")
         codes = _SYMBOL_CODES[np.frombuffer(text, dtype=np.uint8)].reshape(len(strings), n)
-        self._canonicalize(_keys(codes), np.array(coeffs, dtype=complex), n, False)
+        self._canonicalize(_keys(codes), np.array(coeffs, dtype=complex), n)
 
     @classmethod
     @_quiet
@@ -244,29 +228,25 @@ class PauliSum:
         if codes.size and not ((codes >= 0) & (codes <= 3)).all():
             raise ValueError("symbol codes must lie in 0..3")
         _check_width(codes.shape[1])
-        return cls._from_keys(_keys(codes.astype(np.int64)), coeffs, codes.shape[1], False)
+        return cls._from_keys(_keys(codes.astype(np.int64)), coeffs, codes.shape[1])
 
     @classmethod
-    def _from_keys(cls, keys: np.ndarray, coeffs: np.ndarray, n: int, distinct: bool) -> "PauliSum":
+    def _from_keys(cls, keys: np.ndarray, coeffs: np.ndarray, n: int) -> "PauliSum":
         out = cls.__new__(cls)
-        out._canonicalize(keys, coeffs, n, distinct)
+        out._canonicalize(keys, coeffs, n)
         return out
 
-    def _canonicalize(self, keys: np.ndarray, coeffs: np.ndarray, n: int, distinct: bool) -> None:
+    def _canonicalize(self, keys: np.ndarray, coeffs: np.ndarray, n: int) -> None:
         """Set the rows of the sum of (keys[r], coeffs[r]) on n qubits.
 
         np.add.at adds in row order onto zeros, as a dict merge adds each
         string's coefficients onto 0j, so a lone -0.0 becomes 0.0 there too.
-        distinct keys (ascending, no repeats) need only that addition of 0.0.
         """
-        if distinct:
-            unique, merged = keys, coeffs + 0.0
-        else:
-            unique = np.sort(keys)
-            if len(unique) > 1:
-                unique = unique[np.concatenate(([True], unique[1:] != unique[:-1]))]
-            merged = np.zeros(len(unique), dtype=complex)
-            np.add.at(merged, unique.searchsorted(keys), coeffs)
+        unique = np.sort(keys)
+        if len(unique) > 1:
+            unique = unique[np.concatenate(([True], unique[1:] != unique[:-1]))]
+        merged = np.zeros(len(unique), dtype=complex)
+        np.add.at(merged, unique.searchsorted(keys), coeffs)
         magnitude = np.hypot(merged.real, merged.imag)
         # max propagates NaN, so one reduction finds any non-finite magnitude.
         if not math.isfinite(np.maximum.reduce(magnitude, initial=0.0)):
@@ -296,7 +276,7 @@ class PauliSum:
         if n < 1:
             raise ValueError("Pauli string must contain at least one symbol")
         _check_width(n)
-        return cls._from_keys(np.zeros(1, dtype=np.int64), np.array([complex(coeff)]), n, True)
+        return cls._from_keys(np.zeros(1, dtype=np.int64), np.array([complex(coeff)]), n)
 
     @property
     def codes(self) -> np.ndarray:
@@ -368,42 +348,42 @@ class PauliSum:
     def __add__(self, other: "PauliSum") -> "PauliSum":
         n = self._width_with(other)
         keys = np.concatenate([self._keys, other._keys])
-        return PauliSum._from_keys(keys, np.concatenate([self.coeffs, other.coeffs]), n, False)
+        return PauliSum._from_keys(keys, np.concatenate([self.coeffs, other.coeffs]), n)
 
     def __sub__(self, other: "PauliSum") -> "PauliSum":
         return self + (-other)
 
     def __neg__(self) -> "PauliSum":
-        return PauliSum._from_keys(self._keys, -self.coeffs, self._n, True)
+        return PauliSum._from_keys(self._keys, -self.coeffs, self._n)
 
     @_quiet
     def __mul__(self, scalar) -> "PauliSum":
         product = _cmul(self.coeffs, complex(scalar))
-        return PauliSum._from_keys(self._keys, product, self._n, True)
+        return PauliSum._from_keys(self._keys, product, self._n)
 
     __rmul__ = __mul__
 
     @_quiet
     def __matmul__(self, other: "PauliSum") -> "PauliSum":
         if not (len(self) and len(other)):
-            return PauliSum._from_keys(self._keys[:0], self.coeffs[:0], 0, True)
+            return PauliSum._from_keys(self._keys[:0], self.coeffs[:0], 0)
         n = self._width_with(other)
         # Each qubit's product symbol is the XOR of the codes, so keys XOR too.
         keys = (self._keys[:, None] ^ other._keys).ravel()
         products = _cmul(self.coeffs[:, None], other.coeffs).ravel()
         phases = _pair_phases(self.codes, other.codes)
-        return PauliSum._from_keys(keys, _cmul(products, phases), n, False)
+        return PauliSum._from_keys(keys, _cmul(products, phases), n)
 
     @_quiet
     def tensor(self, other: "PauliSum") -> "PauliSum":
         """Kronecker product; self supplies the leftmost factors."""
         if not (len(self) and len(other)):
-            return PauliSum._from_keys(self._keys[:0], self.coeffs[:0], 0, True)
+            return PauliSum._from_keys(self._keys[:0], self.coeffs[:0], 0)
         n = self._n + other._n
         _check_width(n)
         keys = ((self._keys[:, None] << 2 * other._n) | other._keys).ravel()
         coeffs = _cmul(self.coeffs[:, None], other.coeffs).ravel()
-        return PauliSum._from_keys(keys, coeffs, n, True)
+        return PauliSum._from_keys(keys, coeffs, n)
 
 
 class LadderOp(Enum):
@@ -428,7 +408,7 @@ def ladder_as_pauli(op: LadderOp) -> PauliSum:
     """One-qubit ladder/projector operator as a two-term Pauli sum."""
     keys, coeffs = _LADDER_ROWS[op]
     return PauliSum._from_keys(
-        np.array(keys, dtype=np.int64), np.array(coeffs, dtype=complex), 1, True
+        np.array(keys, dtype=np.int64), np.array(coeffs, dtype=complex), 1
     )
 
 
@@ -492,7 +472,7 @@ def decompose_dense(m: np.ndarray) -> PauliSum:
         keep = ~(np.hypot(c.real, c.imag) <= COEFF_CUTOFF)
         keys.append(numbers[keep])
         coeffs.append(c[keep])
-    return PauliSum._from_keys(np.concatenate(keys), np.concatenate(coeffs), n, False)
+    return PauliSum._from_keys(np.concatenate(keys), np.concatenate(coeffs), n)
 
 
 def format_pauli_sum(s: PauliSum) -> str:
