@@ -54,12 +54,10 @@ from .market import (
 )
 from .pauli import (
     LadderOp,
-    PauliString,
     PauliSum,
     decompose_dense,
     dense_matrix,
     ladder_as_pauli,
-    multiply_strings,
 )
 from .statevector import (
     ScaledState,

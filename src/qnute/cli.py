@@ -268,8 +268,16 @@ def main(argv=None) -> int:
         if not config_path.is_file():
             raise ConfigError(f"--config: no such file {config_path}")
         cfg = parse_config(config_path.read_text(encoding="utf-8"))
-        out_dir = Path(os.environ.get("QNUTE_OUT") or args.out or cfg.out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
+        source, out_dir = "output.dir", cfg.out_dir
+        if args.out:
+            source, out_dir = "--out", args.out
+        if os.environ.get("QNUTE_OUT"):
+            source, out_dir = "QNUTE_OUT", os.environ["QNUTE_OUT"]
+        out_dir = Path(out_dir)
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"{source}: cannot create {out_dir}: {exc.strerror or exc}") from None
         return args.func(cfg, out_dir)
     except UsageError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -42,17 +42,7 @@ _SYMBOL_CODES = np.zeros(256, dtype=np.int8)
 _SYMBOL_CODES[np.frombuffer(SYMBOLS.encode("ascii"), dtype=np.uint8)] = np.arange(4)
 _LETTERS = np.frombuffer(SYMBOLS.encode("ascii"), dtype=np.uint8)
 
-# Single-qubit products: (a, b) -> (phase, a*b) with phase in {1, -1, i, -i}.
-_MUL: dict[tuple[str, str], tuple[complex, str]] = {}
-for _s in SYMBOLS:
-    _MUL[("I", _s)] = (1.0 + 0j, _s)
-    _MUL[(_s, "I")] = (1.0 + 0j, _s)
-    _MUL[(_s, _s)] = (1.0 + 0j, "I")
-for _a, _b, _c in (("X", "Y", "Z"), ("Y", "Z", "X"), ("Z", "X", "Y")):
-    _MUL[(_a, _b)] = (1j, _c)
-    _MUL[(_b, _a)] = (-1j, _c)
-
-# The same products on symbol codes: a times b is a ^ b times i^_PHASE_POWER[4 a + b].
+# Single-qubit products on symbol codes: a times b is a ^ b times i^_PHASE_POWER[4 a + b].
 _PHASE_POWER = np.zeros(16, dtype=np.int8)
 for _a, _b in ((1, 2), (2, 3), (3, 1)):  # XY = iZ, YZ = iX, ZX = iY
     _PHASE_POWER[4 * _a + _b] = 1
@@ -111,41 +101,6 @@ def _check_width(n: int) -> None:
 _quiet = np.errstate(over="ignore", invalid="ignore")
 
 
-class PauliString(str):
-    """Tensor product of single-qubit Paulis written as a symbol string, e.g. "IXZ"."""
-
-    def __new__(cls, symbols) -> "PauliString":
-        s = super().__new__(cls, symbols)
-        if not s:
-            raise ValueError("Pauli string must contain at least one symbol")
-        bad = set(s) - set(SYMBOLS)
-        if bad:
-            raise ValueError(f"invalid Pauli symbols {sorted(bad)} in {str(s)!r}")
-        return s
-
-    @property
-    def support(self) -> tuple[int, ...]:
-        """Qubit indices whose symbol is not the identity."""
-        return tuple(i for i, ch in enumerate(self) if ch != "I")
-
-    @property
-    def y_count(self) -> int:
-        return self.count("Y")
-
-
-def multiply_strings(p: PauliString, q: PauliString) -> tuple[complex, PauliString]:
-    """Return (phase, r) with matrix(p) @ matrix(q) == phase * matrix(r)."""
-    if len(p) != len(q):
-        raise DimensionMismatchError(f"string lengths differ: {len(p)} vs {len(q)}")
-    phase = 1.0 + 0j
-    out = []
-    for a, b in zip(p, q):
-        ph, c = _MUL[(a, b)]
-        phase *= ph
-        out.append(c)
-    return phase, PauliString("".join(out))
-
-
 def gather_tables(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Gather form w = ph[r] * v[idx[r]] of the strings given as symbol codes.
 
@@ -190,7 +145,7 @@ class PauliSum:
     True when the dense realization has no imaginary entries.
     """
 
-    __slots__ = ("_keys", "_n", "coeffs", "_hash", "_codes", "_real", "_terms")
+    __slots__ = ("_keys", "_n", "coeffs", "_hash", "_codes", "_real")
 
     # numpy scalars on the left of * leave the product to __rmul__.
     __array_ufunc__ = None
@@ -199,8 +154,12 @@ class PauliSum:
     def __init__(self, terms=()):
         strings, coeffs = [], []
         for coeff, string in terms:
-            if not isinstance(string, PauliString):
-                string = PauliString(string)
+            string = str(string)
+            if not string:
+                raise ValueError("Pauli string must contain at least one symbol")
+            bad = set(string).difference(SYMBOLS)
+            if bad:
+                raise ValueError(f"invalid Pauli symbols {sorted(bad)} in {string!r}")
             if strings and len(string) != len(strings[0]):
                 raise DimensionMismatchError(
                     f"mixed string lengths in sum: {len(strings[0])} vs {len(string)}"
@@ -211,7 +170,7 @@ class PauliSum:
         _check_width(n)
         text = "".join(strings).encode("ascii")
         codes = _SYMBOL_CODES[np.frombuffer(text, dtype=np.uint8)].reshape(len(strings), n)
-        self._canonicalize(_keys(codes), np.array(coeffs, dtype=complex), n, False)
+        self._canonicalize(_keys(codes), np.array(coeffs, dtype=complex), n)
 
     @classmethod
     @_quiet
@@ -231,30 +190,22 @@ class PauliSum:
         return cls._from_keys(_keys(codes.astype(np.int64)), coeffs, codes.shape[1])
 
     @classmethod
-    def _from_keys(
-        cls, keys: np.ndarray, coeffs: np.ndarray, n: int, distinct: bool = False
-    ) -> "PauliSum":
+    def _from_keys(cls, keys: np.ndarray, coeffs: np.ndarray, n: int) -> "PauliSum":
         out = cls.__new__(cls)
-        out._canonicalize(keys, coeffs, n, distinct)
+        out._canonicalize(keys, coeffs, n)
         return out
 
-    def _canonicalize(self, keys: np.ndarray, coeffs: np.ndarray, n: int, distinct: bool) -> None:
+    def _canonicalize(self, keys: np.ndarray, coeffs: np.ndarray, n: int) -> None:
         """Set the rows of the sum of (keys[r], coeffs[r]) on n qubits.
 
         np.add.at adds in row order onto zeros, as a dict merge adds each
         string's coefficients onto 0j, so a lone -0.0 becomes 0.0 there too.
-        distinct keys (ascending, no repeats: tensor products, negation,
-        scalar multiples, single rows) need only that addition of 0.0; the
-        sort and merge they skip are about a sixth of a generator build.
         """
-        if distinct:
-            unique, merged = keys, coeffs + 0.0
-        else:
-            unique = np.sort(keys)
-            if len(unique) > 1:
-                unique = unique[np.concatenate(([True], unique[1:] != unique[:-1]))]
-            merged = np.zeros(len(unique), dtype=complex)
-            np.add.at(merged, unique.searchsorted(keys), coeffs)
+        unique = np.sort(keys)
+        if len(unique) > 1:
+            unique = unique[np.concatenate(([True], unique[1:] != unique[:-1]))]
+        merged = np.zeros(len(unique), dtype=complex)
+        np.add.at(merged, unique.searchsorted(keys), coeffs)
         magnitude = np.hypot(merged.real, merged.imag)
         # max propagates NaN, so one reduction finds any non-finite magnitude.
         if not math.isfinite(np.maximum.reduce(magnitude, initial=0.0)):
@@ -270,7 +221,6 @@ class PauliSum:
         object.__setattr__(self, "_hash", hash((n, unique.tobytes(), merged.tobytes())))
         object.__setattr__(self, "_codes", None)
         object.__setattr__(self, "_real", None)
-        object.__setattr__(self, "_terms", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("PauliSum is immutable")
@@ -279,13 +229,11 @@ class PauliSum:
         return PauliSum.from_codes, (self.codes, self.coeffs)
 
     @classmethod
-    @_quiet
-    def identity(cls, n: int, coeff: complex = 1.0) -> "PauliSum":
+    def identity(cls, n: int) -> "PauliSum":
         if n < 1:
             raise ValueError("Pauli string must contain at least one symbol")
         _check_width(n)
-        keys, coeffs = np.zeros(1, dtype=np.int64), np.array([complex(coeff)])
-        return cls._from_keys(keys, coeffs, n, distinct=True)
+        return cls._from_keys(np.zeros(1, dtype=np.int64), np.ones(1, dtype=complex), n)
 
     @property
     def codes(self) -> np.ndarray:
@@ -315,14 +263,12 @@ class PauliSum:
         return self._n or None
 
     @property
-    def terms(self) -> tuple[tuple[complex, PauliString], ...]:
+    def terms(self) -> tuple[tuple[complex, str], ...]:
         """(coefficient, string) pairs in canonical order, for printing and tests."""
-        if self._terms is None:
-            n = self._n
-            text = _LETTERS[self.codes].tobytes().decode("ascii")
-            strings = [PauliString(text[i : i + n]) for i in range(0, len(text), n or 1)]
-            object.__setattr__(self, "_terms", tuple(zip(self.coeffs.tolist(), strings)))
-        return self._terms
+        n = self._n
+        text = _LETTERS[self.codes].tobytes().decode("ascii")
+        strings = [text[i : i + n] for i in range(0, len(text), n or 1)]
+        return tuple(zip(self.coeffs.tolist(), strings))
 
     def __len__(self) -> int:
         return len(self.coeffs)
@@ -363,19 +309,19 @@ class PauliSum:
         return self + (-other)
 
     def __neg__(self) -> "PauliSum":
-        return PauliSum._from_keys(self._keys, -self.coeffs, self._n, distinct=True)
+        return PauliSum._from_keys(self._keys, -self.coeffs, self._n)
 
     @_quiet
     def __mul__(self, scalar) -> "PauliSum":
         product = _cmul(self.coeffs, complex(scalar))
-        return PauliSum._from_keys(self._keys, product, self._n, distinct=True)
+        return PauliSum._from_keys(self._keys, product, self._n)
 
     __rmul__ = __mul__
 
     @_quiet
     def __matmul__(self, other: "PauliSum") -> "PauliSum":
         if not (len(self) and len(other)):
-            return PauliSum._from_keys(self._keys[:0], self.coeffs[:0], 0, distinct=True)
+            return PauliSum._from_keys(self._keys[:0], self.coeffs[:0], 0)
         n = self._width_with(other)
         # Each qubit's product symbol is the XOR of the codes, so keys XOR too.
         keys = (self._keys[:, None] ^ other._keys).ravel()
@@ -386,13 +332,11 @@ class PauliSum:
     @_quiet
     def tensor(self, other: "PauliSum") -> "PauliSum":
         """Kronecker product; self supplies the leftmost factors."""
-        if not (len(self) and len(other)):
-            return PauliSum._from_keys(self._keys[:0], self.coeffs[:0], 0, distinct=True)
         n = self._n + other._n
         _check_width(n)
         keys = ((self._keys[:, None] << 2 * other._n) | other._keys).ravel()
         coeffs = _cmul(self.coeffs[:, None], other.coeffs).ravel()
-        return PauliSum._from_keys(keys, coeffs, n, distinct=True)
+        return PauliSum._from_keys(keys, coeffs, n)
 
 
 class LadderOp(Enum):
@@ -404,7 +348,7 @@ class LadderOp(Enum):
     SW = "SW"
 
 
-# Ascending keys (I, X, Y, Z = 0..3) and coefficients of each operator's two strings.
+# Keys (I, X, Y, Z = 0..3) and coefficients of each operator's two strings.
 _LADDER_ROWS = {
     LadderOp.NW: ((0, 3), (0.5, 0.5)),
     LadderOp.SE: ((0, 3), (0.5, -0.5)),
@@ -416,9 +360,7 @@ _LADDER_ROWS = {
 def ladder_as_pauli(op: LadderOp) -> PauliSum:
     """One-qubit ladder/projector operator as a two-term Pauli sum."""
     keys, coeffs = _LADDER_ROWS[op]
-    return PauliSum._from_keys(
-        np.array(keys, dtype=np.int64), np.array(coeffs, dtype=complex), 1, distinct=True
-    )
+    return PauliSum._from_keys(np.array(keys, dtype=np.int64), np.array(coeffs, dtype=complex), 1)
 
 
 def ladder_power(op: LadderOp, n: int) -> PauliSum:

@@ -134,6 +134,15 @@ def _validate(cfg: RunConfig) -> RunConfig:
         raise ConfigError(
             f"grid.x0/grid.xN: the square of the grid step {h:.3e} at n = {n} underflows"
         )
+    # (sigma m)^2 + r m bounds the generator's entries and the products that
+    # form them; 2^4 of headroom covers its Pauli coefficients and their sums.
+    m = max(1.0, cfg.xN) * max(1.0, 1.0 / h)
+    for key, value, size in (
+        ("params.sigma", cfg.sigma, cfg.sigma * m * cfg.sigma * m),
+        ("params.r", cfg.r, cfg.r * m),
+    ):
+        if not math.isfinite(size * 2.0**4):
+            raise ConfigError(f"{key}: {value:g} makes the generator at n = {n} overflow")
     if cfg.boundary not in (CENTRAL, LINEAR):
         raise ConfigError(
             f"hamiltonian.boundary: expected central or linear, got {cfg.boundary!r}"

@@ -205,6 +205,37 @@ class TestPrice:
         err = capsys.readouterr().err
         assert "config error: grid.x0/grid.xN: the square of the grid step 1.429e-171" in err
 
+    @pytest.mark.parametrize("command", ["price", "decompose"])
+    def test_overflowing_generator_exits_2_before_building(
+        self, tmp_path, monkeypatch, capsys, command
+    ):
+        for module in ("qnute.market", "qnute.cli"):
+            monkeypatch.setattr(
+                f"{module}.build_bs_pauli", lambda *_: pytest.fail("the generator was built")
+            )
+        cfg = write_config(tmp_path, PRICE_CONFIG + "params.sigma = 1e154\n")
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "config error: params.sigma: 1e+154 makes the generator at n = 3 overflow" in err
+
+    @pytest.mark.parametrize("source", ["QNUTE_OUT", "--out", "output.dir"])
+    def test_uncreatable_out_dir_exits_2(self, tmp_path, monkeypatch, capsys, source):
+        # The output directory would be an existing file, or lie below one.
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        text = PRICE_CONFIG.replace("N_T = 20", "N_T = 0")
+        argv = ["price", "--config", write_config(tmp_path, text)]
+        for target in (blocker, blocker / "out"):
+            if source == "QNUTE_OUT":
+                monkeypatch.setenv("QNUTE_OUT", str(target))
+            elif source == "--out":
+                argv = [*argv[:3], "--out", str(target)]
+            else:
+                argv[2] = write_config(tmp_path, text + f"output.dir = {target}\n")
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"config error: {source}: cannot create {target}: ")
+
     def test_env_var_overrides_out(self, tmp_path, monkeypatch):
         cfg = write_config(tmp_path, PRICE_CONFIG.replace("N_T = 20", "N_T = 0"))
         env_dir = tmp_path / "env_out"

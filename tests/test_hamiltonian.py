@@ -237,8 +237,8 @@ class TestSplitTerms:
         rng = np.random.default_rng(4)
         s = PauliSum(random_pauli_sum_terms(rng, 5, 12))
         for term in split_terms(s, 5, 3):
-            for _, string in term.pauli.terms:
-                sup = set(string.support)
+            for codes in term.pauli.codes:
+                sup = set(np.flatnonzero(codes).tolist())
                 if len(sup) and max(sup) - min(sup) + 1 <= 3:
                     assert sup <= set(term.support)
 

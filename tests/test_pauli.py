@@ -29,7 +29,6 @@ from qnute.pauli import (
     COEFF_CUTOFF,
     SYMBOLS,
     LadderOp,
-    PauliString,
     PauliSum,
     decompose_dense,
     dense_matrix,
@@ -37,7 +36,6 @@ from qnute.pauli import (
     gather_tables,
     ladder_as_pauli,
     ladder_power,
-    multiply_strings,
 )
 
 
@@ -49,63 +47,57 @@ def sums_close(a: PauliSum, b: PauliSum, tol: float = 1e-12) -> bool:
 
 
 class TestPauliString:
+    """Strings as the PauliSum constructor reads them."""
+
     def test_rejects_bad_symbols(self):
         with pytest.raises(ValueError, match="invalid Pauli symbols"):
-            PauliString("IXQ")
+            PauliSum([(1.0, "IXQ")])
+
+    def test_rejects_non_ascii_symbols(self):
+        # A ValueError naming the symbol, not the UnicodeEncodeError of an ASCII encoding.
+        with pytest.raises(ValueError, match="invalid Pauli symbols") as raised:
+            PauliSum([(1.0, "XÉ")])
+        assert type(raised.value) is ValueError and "['É']" in str(raised.value)
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
-            PauliString("")
+            PauliSum([(1.0, "")])
 
-    def test_support_and_y_count(self):
-        s = PauliString("IYXY")
-        assert s.support == (1, 2, 3)
-        assert s.y_count == 2
+    def test_terms_are_plain_strings(self):
+        s = PauliSum([(1.0, "XZ"), (2j, "YI")])
+        assert [type(string) for _, string in s.terms] == [str, str]
 
 
 class TestMultiplyStrings:
+    """tests/oracles.py's string product, which TestStringOracleBits trusts, against kron_of."""
+
     def test_xy_is_iz(self):
-        phase, r = multiply_strings(PauliString("X"), PauliString("Y"))
+        phase, r = string_product("X", "Y")
         assert phase == 1j and r == "Z"
 
     def test_involution(self):
-        phase, r = multiply_strings(PauliString("IX"), PauliString("IX"))
+        phase, r = string_product("IX", "IX")
         assert phase == 1 and r == "II"
 
     def test_xz_times_yy_matches_dense(self):
-        p, q = PauliString("XZ"), PauliString("YY")
-        phase, r = multiply_strings(p, q)
-        assert np.allclose(kron_of(p) @ kron_of(q), phase * kron_of(r))
-
-    def test_length_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
-            multiply_strings(PauliString("X"), PauliString("XX"))
-
-    @pytest.mark.parametrize("n", [1, 2, 3])
-    def test_phase_bits_match_string_oracle(self, n):
-        # The phase keeps the signed zeros of its one-qubit-at-a-time product.
-        for p in itertools.product("IXYZ", repeat=n):
-            for q in itertools.product("IXYZ", repeat=n):
-                phase, r = multiply_strings(PauliString("".join(p)), PauliString("".join(q)))
-                want_phase, want_r = string_product("".join(p), "".join(q))
-                bits = np.array([phase, want_phase]).view(np.uint64)
-                assert r == want_r and bits[:2].tolist() == bits[2:].tolist()
+        phase, r = string_product("XZ", "YY")
+        assert np.allclose(kron_of("XZ") @ kron_of("YY"), phase * kron_of(r))
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_phase_closure_exhaustive(self, n):
         for p in itertools.product("IXYZ", repeat=n):
             for q in itertools.product("IXYZ", repeat=n):
-                ps, qs = PauliString("".join(p)), PauliString("".join(q))
-                phase, r = multiply_strings(ps, qs)
+                ps, qs = "".join(p), "".join(q)
+                phase, r = string_product(ps, qs)
                 assert phase in (1, -1, 1j, -1j)
                 assert np.allclose(kron_of(ps) @ kron_of(qs), phase * kron_of(r))
 
     def test_phase_closure_sampled_n4(self):
         rng = np.random.default_rng(11)
         for _ in range(50):
-            p = PauliString("".join(rng.choice(list("IXYZ"), 4)))
-            q = PauliString("".join(rng.choice(list("IXYZ"), 4)))
-            phase, r = multiply_strings(p, q)
+            p = "".join(rng.choice(list("IXYZ"), 4))
+            q = "".join(rng.choice(list("IXYZ"), 4))
+            phase, r = string_product(p, q)
             assert np.allclose(kron_of(p) @ kron_of(q), phase * kron_of(r))
 
 

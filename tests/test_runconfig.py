@@ -3,9 +3,11 @@
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from qnute.errors import ConfigError
+from qnute.hamiltonian import build_bs_pauli
 from qnute.market import OptionContract
 from qnute.runconfig import RunConfig, parse_config, serialize_config
 
@@ -114,6 +116,32 @@ class TestParse:
         for text in ("grid.n = 12\n", "grid.n = 3\nsweep.options = call:75\nsweep.n = 3,12\n"):
             with pytest.raises(ConfigError, match="grid.x0/grid.xN: the square of the grid step"):
                 parse_config("grid.xN = 1e-152\n" + text)
+
+    @pytest.mark.parametrize(
+        "line", ["params.sigma = 1e154", "params.sigma = 1e160", "params.r = 1e308"]
+    )
+    def test_overflowing_generator(self, line):
+        # At n = 3 these ended in a ValueError (1e160: an OverflowError) from the build.
+        key = line.split(" =")[0]
+        with pytest.raises(ConfigError, match=f"{re.escape(key)}: .* at n = 3 overflow"):
+            parse_config(f"grid.n = 3\n{line}\n")
+
+    def test_generator_bound_is_tight_enough_to_build(self):
+        # At n = 3 the bound is sigma <= 2.23e151 and r <= 7.49e304 (xN = 150).
+        cfg = parse_config("grid.n = 3\nparams.sigma = 2.2e151\nparams.r = 7.4e304\n")
+        for boundary in ("central", "linear"):
+            gen = build_bs_pauli(cfg.grid(), cfg.params(), boundary)
+            assert len(gen) and np.isfinite(gen.coeffs).all()
+        for line in ("params.sigma = 2.3e151", "params.r = 7.5e304"):
+            with pytest.raises(ConfigError, match="overflow"):
+                parse_config(f"grid.n = 3\n{line}\n")
+
+    def test_overflowing_generator_uses_the_largest_n(self):
+        # sigma = 1e151 passes at n = 3 (h = 21.4) but not at n = 12 (h = 0.0366).
+        parse_config("grid.n = 3\nparams.sigma = 1e151\n")
+        for text in ("grid.n = 12\n", "grid.n = 3\nsweep.options = call:75\nsweep.n = 3,12\n"):
+            with pytest.raises(ConfigError, match="params.sigma: .* at n = 12 overflow"):
+                parse_config("params.sigma = 1e151\n" + text)
 
 
 class TestSerialize:
