@@ -428,7 +428,7 @@ def decompose_dense(m: np.ndarray) -> PauliSum:
 
 def format_pauli_sum(s: PauliSum) -> str:
     """Text form, one term per line: "(re+imi) SYMBOLS"; "0" for the empty sum."""
-    if not s.terms:
+    if not len(s):
         return "0"
     return "\n".join(
         f"({c.real:.12g}{c.imag:+.12g}i) {string}" for c, string in s.terms

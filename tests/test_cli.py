@@ -223,15 +223,16 @@ class TestPrice:
         # The output directory would be an existing file, or lie below one.
         blocker = tmp_path / "file"
         blocker.write_text("")
-        text = PRICE_CONFIG.replace("N_T = 20", "N_T = 0")
-        argv = ["price", "--config", write_config(tmp_path, text)]
+        monkeypatch.delenv("QNUTE_OUT", raising=False)
         for target in (blocker, blocker / "out"):
+            text = PRICE_CONFIG.replace("N_T = 20", "N_T = 0")
+            if source == "output.dir":
+                text += f"output.dir = {target}\n"
+            argv = ["price", "--config", write_config(tmp_path, text)]
+            if source == "--out":
+                argv += ["--out", str(target)]
             if source == "QNUTE_OUT":
                 monkeypatch.setenv("QNUTE_OUT", str(target))
-            elif source == "--out":
-                argv = [*argv[:3], "--out", str(target)]
-            else:
-                argv[2] = write_config(tmp_path, text + f"output.dir = {target}\n")
             assert main(argv) == 2
             err = capsys.readouterr().err
             assert err.startswith(f"config error: {source}: cannot create {target}: ")
