@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import CapacityError, InvalidDomainError, SingularSystemError, StepSizeError
 from .hamiltonian import HamiltonianTerm
-from .pauli import PauliSum, dense_matrix, gather_tables, lexicographic_codes
+from .pauli import apply_span, check_register, gather_tables, lexicographic_codes
 from .statevector import ScaledState, StateVector
 
 # The c radicand must clear this before taking the square root.
@@ -184,15 +184,6 @@ def prefix_groups(n: int) -> PrefixGroups:
     gathers = np.stack([np.broadcast_to(2 * np.arange(rows.shape[1]), rows.shape), rows], axis=2)
     patterns = patterns.reshape(len(patterns), -1)
     return PrefixGroups(m, gathers, patterns, strings, tuple(batches))
-
-
-@lru_cache(maxsize=None)
-def cached_dense(h_m: PauliSum, n: int) -> np.ndarray:
-    return dense_matrix(h_m, n)
-
-
-def _apply_generator(h_m: PauliSum, amp: np.ndarray, n: int) -> np.ndarray:
-    return cached_dense(h_m, n) @ amp
 
 
 def _c_from(psi: np.ndarray, hpsi: np.ndarray, delta_t: float) -> float:
@@ -369,6 +360,7 @@ def trotter_step(
     psi_in = state.state
     h_m = term.pauli
     n = psi_in.n
+    check_register(h_m, n)
     if len(term.support) > cfg.domain_size:
         raise InvalidDomainError(
             f"term on {len(term.support)} qubits exceeds domain_size {cfg.domain_size}"
@@ -381,7 +373,7 @@ def trotter_step(
         # idx is in range; "clip" gathers faster than "raise" or fancy indexing.
         rows = np.take(amp, idx, mode="clip")
         np.multiply(ph, rows, out=rows)
-    hpsi = _apply_generator(h_m, amp, n)
+    hpsi = apply_span(term.generator, amp)
     c = _c_from(amp, hpsi, cfg.delta_t)
     # _sin_cos and math give the angles libm's bits; numpy's vector sin and cos may not.
     if whole_register:

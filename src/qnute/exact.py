@@ -4,14 +4,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .errors import StepSizeError
-from .evolution import QnuteConfig, cached_dense, evolve
+from .errors import DimensionMismatchError, StepSizeError
+from .evolution import QnuteConfig, evolve
 from .hamiltonian import HamiltonianTerm
-from .pauli import PauliSum
+from .pauli import PauliSum, apply_span, check_register, span_matrix
 from .statevector import ScaledState, StateVector, fidelity
 
 
@@ -66,23 +65,29 @@ def _expm(a: np.ndarray) -> np.ndarray:
     return r
 
 
-@lru_cache(maxsize=None)
-def step_propagator(h_m: PauliSum, n: int, delta_t: float) -> np.ndarray:
-    """Dense exp(h_m * delta_t) via Pade-13; StepSizeError if it overflows."""
+def step_propagator(generator: tuple[int, np.ndarray], delta_t: float) -> tuple[int, np.ndarray]:
+    """exp(h_m * delta_t) on h_m's span (see span_matrix) by Pade-13; StepSizeError on overflow."""
     with np.errstate(over="ignore", invalid="ignore"):
-        prop = _expm(cached_dense(h_m, n) * delta_t)
+        prop = _expm(generator[1] * delta_t)
     if not np.isfinite(prop).all():
         raise StepSizeError(f"exp(h_m dt) overflows at dt = {delta_t:.3e}; reduce the time step")
-    return prop
+    return generator[0], prop
 
 
-def exact_step(
-    state: StateVector, h_m: PauliSum, delta_t: float
-) -> tuple[StateVector, float]:
-    """Apply exp(h_m * delta_t) exactly; return the normalized state and its norm."""
-    evolved = step_propagator(h_m, state.n, delta_t) @ state.amplitudes
+def apply_normalized(prop: tuple[int, np.ndarray], amp: np.ndarray) -> tuple[np.ndarray, float]:
+    """A propagator applied to amp, normalized, and its norm; StepSizeError if that is 0."""
+    evolved = apply_span(prop, amp)
     norm = float(np.linalg.norm(evolved))
-    return StateVector(evolved / norm), norm
+    if norm == 0.0:
+        raise StepSizeError("exp(h_m dt) underflows to zero; reduce the time step")
+    return evolved / norm, norm
+
+
+def exact_step(state: StateVector, h_m: PauliSum, delta_t: float) -> tuple[StateVector, float]:
+    """Apply exp(h_m * delta_t) exactly; return the normalized state and its norm."""
+    check_register(h_m, state.n)
+    evolved, norm = apply_normalized(step_propagator(span_matrix(h_m), delta_t), state.amplitudes)
+    return StateVector(evolved), norm
 
 
 def fidelity_stats(
@@ -91,39 +96,37 @@ def fidelity_stats(
     """Per-time-step fidelities of the fitted against the exact Trotter product.
 
     Both evolutions step in lockstep from initial and keep only their current
-    states; the initial state is excluded.  Each term's propagator is resolved
-    once, after the first fitted step, so that a failing fit is still reported
-    before an overflowing propagator; the exact state then takes exact_step's
-    arithmetic without its lookup, copy and wrap per factor.
+    states; the initial state is excluded, so num_steps must be positive.
+    Each term's propagator is built once, after the first fitted step, so a
+    failing fit is still reported before an overflowing propagator.
     """
-    n, exact = initial.state.n, initial.state.amplitudes
-    propagators = None
-    per_step = []
+    if cfg.num_steps == 0:
+        raise ValueError("fidelity statistics need num_steps >= 1, got 0")
+    exact = initial.state.amplitudes
+    propagators, per_step = None, []
     for fitted, _ in evolve(initial, terms, cfg):
         if propagators is None:
-            propagators = [step_propagator(t.pauli, n, cfg.delta_t) for t in terms]
+            propagators = [step_propagator(t.generator, cfg.delta_t) for t in terms]
         for prop in propagators:
-            evolved = prop @ exact
-            exact = evolved / float(np.linalg.norm(evolved))
+            exact, _ = apply_normalized(prop, exact)
         per_step.append(fidelity(fitted.state, StateVector(exact)))
     per_step = np.array(per_step)
     return FidelityStats(float(per_step.mean()), float(per_step.std()), per_step)
 
 
-def reference_pde_solution(
-    samples: np.ndarray, terms: list[HamiltonianTerm], cfg: QnuteConfig
-) -> np.ndarray:
+def reference_pde_solution(samples: np.ndarray, propagators: list, cfg: QnuteConfig) -> np.ndarray:
     """Discretization-matched prices: evolve the raw samples exactly.
 
-    Applies the terms' exact propagators in the fitted evolution's Trotter
-    order and time step, without any encoding or rescaling, so that against
-    the fitted run on the same terms the result isolates unitary-fitting
-    error from finite-difference error.
+    Applies the terms' exact propagators (see step_propagator) in the fitted
+    evolution's Trotter order and time step, without any encoding or
+    rescaling, so that against the fitted run on the same terms the result
+    isolates unitary-fitting error from finite-difference error.  A span
+    past the samples' register raises DimensionMismatchError.
     """
     u = np.asarray(samples, dtype=complex)
-    n = u.shape[0].bit_length() - 1
-    propagators = [step_propagator(t.pauli, n, cfg.delta_t) for t in terms]
+    if any(len(u) % (len(m) << lo) for lo, m in propagators):
+        raise DimensionMismatchError(f"a propagator spans more than the {len(u)} samples")
     for _ in range(cfg.num_steps):
         for prop in propagators:
-            u = prop @ u
+            u = apply_span(prop, u)
     return u.real

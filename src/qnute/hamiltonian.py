@@ -9,15 +9,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatchError,
-    InvalidDomainError,
-    UnsupportedSizeError,
-)
-from .pauli import LadderOp, PauliSum, ladder_as_pauli, ladder_power
+from .errors import InvalidDomainError, UnsupportedSizeError
+from .pauli import LadderOp, PauliSum, check_register, ladder_as_pauli, ladder_power, span_matrix
 
 CENTRAL = "central"
 LINEAR = "linear"
@@ -201,6 +198,11 @@ class HamiltonianTerm:
     pauli: PauliSum
     support: frozenset[int]
 
+    @cached_property
+    def generator(self) -> tuple[int, np.ndarray]:
+        """The term's operator on its span (see span_matrix), built on first use."""
+        return span_matrix(self.pauli)
+
 
 def split_terms(hsum: PauliSum, n: int, domain_size: int) -> list[HamiltonianTerm]:
     """Split a Pauli sum into terms on windows of `domain_size` adjacent qubits.
@@ -211,10 +213,7 @@ def split_terms(hsum: PauliSum, n: int, domain_size: int) -> list[HamiltonianTer
     non-empty windows become terms, and the terms always sum back to the input;
     at domain_size = n a non-empty sum stays one term on the whole register.
     """
-    if hsum.num_qubits not in (None, n):
-        raise DimensionMismatchError(
-            f"sum acts on {hsum.num_qubits} qubits, split asked for {n}"
-        )
+    check_register(hsum, n)
     if not 1 <= domain_size <= n:
         raise InvalidDomainError(
             f"window width {domain_size} is invalid for an {n}-qubit register"

@@ -9,7 +9,7 @@ import numpy as np
 
 from .errors import ProtocolFailureError, RescaleDegeneracyError
 from .evolution import QnuteConfig, trotter_step
-from .exact import exact_step, reference_pde_solution
+from .exact import apply_normalized, reference_pde_solution, step_propagator
 from .hamiltonian import LINEAR, BSParams, Grid, build_bs_pauli, split_terms
 from .statevector import StateVector, encode_samples, fidelity
 
@@ -227,7 +227,7 @@ class PriceRun:
     """End-to-end pricing output: the curve, its reference and the rows of trajectory.csv."""
 
     prices: np.ndarray
-    reference: np.ndarray  # reference_pde_solution on the run's own terms
+    reference: np.ndarray  # reference_pde_solution on the run's own propagators
     rows: list[tuple]  # (step, tau, c, cumulative_scale, residual, step_fidelity) per factor
     rescale: float
 
@@ -237,12 +237,12 @@ def price_run(
 ) -> PriceRun:
     """Payoff -> encode -> evolve under the linear-boundary generator -> rescale.
 
-    The generator is built and split once; the fitted run and its reference
-    (see reference_pde_solution) both use those terms.  Keeps, besides the
-    current state, one row per factor: cumulative_scale is the running
-    product of the step's c values, and at the step's end the state's scale,
-    which also folds the norm drift.  step_fidelity compares the fitted
-    factor with the exact one (see exact_step) on the same input state.
+    The generator is built and split once, and each term's exact propagator
+    right after its first fit; the reference (see reference_pde_solution)
+    reuses them.  Keeps, besides the current state, one row per factor:
+    cumulative_scale is the running product of the step's c values, and at
+    the step's end the state's scale, which also folds the norm drift.
+    step_fidelity compares the fitted factor with the exact one on its input.
     """
     samples = payoff_samples(contract, grid)
     coeffs = boundary_coefficients(samples, grid)
@@ -250,23 +250,25 @@ def price_run(
     state = encode_samples(samples)
     gen = build_bs_pauli(grid, p, LINEAR)
     terms = split_terms(gen, grid.n, cfg.domain_size)
-    rows = []
+    rows, propagators = [], []
     cumulative = state.scale
     for step in range(1, cfg.num_steps + 1):
-        for i, term in enumerate(terms, 1):
+        for i, term in enumerate(terms):
             before = state.state
             # Fitting first keeps the error order: a bad radicand is reported
             # before an overflowing exact propagator.
             state, r = trotter_step(state, term, cfg)
-            exact, _ = exact_step(before, term.pauli, cfg.delta_t)
-            cumulative = state.scale if i == len(terms) else cumulative * r.c
+            if i == len(propagators):
+                propagators.append(step_propagator(term.generator, cfg.delta_t))
+            exact, _ = apply_normalized(propagators[i], before.amplitudes)
+            cumulative = state.scale if i == len(terms) - 1 else cumulative * r.c
             rows.append((step, step * cfg.delta_t, r.c, cumulative, r.residual,
-                         fidelity(state.state, exact)))
+                         fidelity(state.state, StateVector(exact))))
     tau = cfg.delta_t * cfg.num_steps
     final = state.state
     cstar = rescale_factor(final, coeffs, side, tau, p)
     prices = abs(cstar) * np.abs(final.amplitudes)
-    return PriceRun(prices, reference_pde_solution(samples, terms, cfg), rows, cstar)
+    return PriceRun(prices, reference_pde_solution(samples, propagators, cfg), rows, cstar)
 
 
 def price_curve(

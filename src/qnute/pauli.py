@@ -381,13 +381,16 @@ def check_dense_size(n: int) -> None:
         )
 
 
+def check_register(s: PauliSum, n: int) -> None:
+    """Raise DimensionMismatchError unless s is empty or acts on n qubits."""
+    if s.num_qubits not in (None, n):
+        raise DimensionMismatchError(f"sum acts on {s.num_qubits} qubits, the register has {n}")
+
+
 def dense_matrix(s: PauliSum, n: int) -> np.ndarray:
     """Dense 2^n x 2^n realization of a Pauli sum."""
     check_dense_size(n)
-    if s.num_qubits not in (None, n):
-        raise DimensionMismatchError(
-            f"sum acts on {s.num_qubits} qubits, dense realization asked for {n}"
-        )
+    check_register(s, n)
     dim = 1 << n
     m = np.zeros((dim, dim), dtype=complex)
     codes, coeffs = s.codes, s.coeffs
@@ -398,6 +401,22 @@ def dense_matrix(s: PauliSum, n: int) -> np.ndarray:
         # add.at adds the strings in order, so each entry sums as one string at a time would.
         np.add.at(m, (rows, idx), coeffs[start : start + chunk, None] * ph)
     return m
+
+
+def span_matrix(s: PauliSum) -> tuple[int, np.ndarray]:
+    """s = I (x) M (x) I as (lo, M), M dense on the qubits lo..hi-1 s acts on (qubit 0 if none).
+
+    Narrowing keeps the keys distinct and in order: M has dense_matrix(s, n)'s bits.
+    """
+    acted = np.flatnonzero(s.codes.any(axis=0))
+    lo, hi = (int(acted[0]), int(acted[-1]) + 1) if acted.size else (0, 1)
+    return lo, dense_matrix(PauliSum.from_codes(s.codes[:, lo:hi], s.coeffs), hi - lo)
+
+
+def apply_span(op: tuple[int, np.ndarray], v: np.ndarray) -> np.ndarray:
+    """(I (x) M (x) I) v for op = (lo, M) (see span_matrix), as one matmul over the span."""
+    lo, m = op
+    return (m @ v.reshape(1 << lo, len(m), -1)).reshape(-1)
 
 
 @_quiet

@@ -17,6 +17,7 @@ from qnute.exact import (
     exact_step,
     fidelity_stats,
     reference_pde_solution,
+    step_propagator,
 )
 from qnute.hamiltonian import (
     BSParams,
@@ -214,7 +215,8 @@ def test_criterion_8_boundary_protocol():
     u0 = payoff_samples(contract, grid)
     coeffs = boundary_coefficients(u0, grid)
     terms = split_terms(build_bs_pauli(grid, PARAMS, "linear"), n, cfg.domain_size)
-    evolved = reference_pde_solution(u0, terms, cfg)
+    propagators = [step_propagator(t.generator, cfg.delta_t) for t in terms]
+    evolved = reference_pde_solution(u0, propagators, cfg)
     expected = coeffs.a0 * grid.points() + coeffs.b0 * np.exp(-PARAMS.r * MATURITY)
     boundary_err = max(abs(evolved[0] - expected[0]), abs(evolved[-1] - expected[-1]))
 

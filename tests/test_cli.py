@@ -22,6 +22,7 @@ from qnute.cli import _fmt, _sweep_one, build_parser, main
 from qnute.errors import NumericalError, QnuteError, StepSizeError, UsageError
 from qnute.hamiltonian import BSParams, Grid, bs_coefficients, build_bs_pauli, split_terms
 from qnute.market import OptionContract, format_contract_spec, payoff_samples
+from qnute.pauli import span_matrix
 from qnute.runconfig import parse_config
 
 PRICE_CONFIG = """
@@ -353,7 +354,10 @@ sweep.D = 3,2
         _sweep_one(cfg, cfg.sweep_options[0], 4, 2)
         terms = split_terms(build_bs_pauli(cfg.grid(4), cfg.params(), "linear"), 4, 2)
         assert len(terms) > 1 and not calls["exact_step"]
-        assert [args[0] for args in calls["step_propagator"]] == [t.pauli for t in terms]
+        assert len(calls["step_propagator"]) == len(terms)
+        for (got, _), term in zip(calls["step_propagator"], terms):
+            want = span_matrix(term.pauli)
+            assert got[0] == want[0] and np.array_equal(got[1], want[1])
 
     def test_failure_matches_serial_run(self, tmp_path, capsys):
         text = (GOLDEN / "sweep" / "run.cfg").read_text(encoding="utf-8")

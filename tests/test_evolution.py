@@ -37,7 +37,6 @@ from qnute.evolution import (
     LSTSQ_REL_TOL,
     TRIG_POLY_BOUND,
     QnuteConfig,
-    _apply_generator,
     _b_from,
     _c_from,
     _doubled,
@@ -56,7 +55,7 @@ from qnute.evolution import (
 from qnute.exact import exact_step
 from qnute.hamiltonian import BSParams, Grid, HamiltonianTerm, build_bs_pauli, split_terms
 from qnute.market import OptionContract, price_run
-from qnute.pauli import PauliSum, decompose_dense
+from qnute.pauli import PauliSum, apply_span, decompose_dense
 from qnute.statevector import (
     REAL_STATE_TOL,
     ScaledState,
@@ -476,7 +475,7 @@ def test_step_leaves_the_callers_blas_thread_count_alone(blas_threads, monkeypat
 
         return wrapped
 
-    monkeypatch.setattr(qnute.evolution, "_apply_generator", spy("generator", _apply_generator))
+    monkeypatch.setattr(qnute.evolution, "apply_span", spy("generator", apply_span))
     monkeypatch.setattr(qnute.exact, "exact_step", spy("exact", exact_step))
     initial, terms, cfg = bs_setup(4)
     trotter_step(initial, terms[0], cfg)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from oracles import decode_nonnegative, dense_of_terms, random_pauli_sum_terms, taylor_expm_apply
 from qnute.errors import CapacityError, DimensionMismatchError, StepSizeError
-from qnute.evolution import QnuteConfig, cached_dense, evolve
+from qnute.evolution import QnuteConfig, evolve
 from qnute.exact import (
     _expm,
     exact_step,
@@ -18,7 +18,7 @@ from qnute.exact import (
 )
 from qnute.hamiltonian import BSParams, Grid, HamiltonianTerm, build_bs_pauli, split_terms
 from qnute.market import OptionContract, analytic_price, payoff_samples
-from qnute.pauli import PauliSum
+from qnute.pauli import PauliSum, dense_matrix, span_matrix
 from qnute.statevector import ScaledState, StateVector, encode_samples, fidelity
 
 PAPER_PARAMS = BSParams(r=0.04, sigma=0.2)
@@ -42,7 +42,7 @@ class TestExpm:
         for domain in sorted({2, 3, n} & set(range(2, n + 1))):
             for term in split_terms(gen, n, domain):
                 for dt in (0.006, 0.06):
-                    a = cached_dense(term.pauli, n) * dt
+                    a = dense_matrix(term.pauli, n) * dt
                     assert relative_error(_expm(a), scipy.linalg.expm(a)) <= 1e-13
 
     # 1-norms from 0 to 50 take 0 to 4 squarings.  Each squaring doubles the
@@ -94,16 +94,31 @@ class TestExactStep:
             exact_step(StateVector.basis(2, 0), PauliSum([(1.0, symbols)]), 0.1)
 
     def test_capacity_guard(self):
+        # The guard is on the span: these strings act on all 15 qubits.
         with pytest.raises(CapacityError):
-            step_propagator(PauliSum([(1.0, "I" * 15)]), 15, 0.1)
+            exact_step(StateVector.basis(15, 0), PauliSum([(1.0, "X" + "I" * 13 + "X")]), 0.1)
 
     # exp(800) overflows in the squarings; 1e308 overflows the 1-norm itself.
     @pytest.mark.parametrize("dt", [800.0, 1e308])
     def test_overflowing_propagator_is_a_step_size_error(self, dt):
-        h = PauliSum([(1.0, "I"), (0.5, "X")])
+        h = span_matrix(PauliSum([(1.0, "I"), (0.5, "X")]))
         with pytest.raises(StepSizeError, match="overflows"):
-            step_propagator(h, 1, dt)
-        assert np.isfinite(step_propagator(h, 1, 0.1)).all()
+            step_propagator(h, dt)
+        lo, prop = step_propagator(h, 0.1)
+        assert lo == 0 and np.isfinite(prop).all()
+
+    def test_underflowing_factor_is_a_step_size_error(self):
+        # exp(-1000) is 0 in double precision: the state has no norm to divide by.
+        with pytest.raises(StepSizeError, match="underflows to zero"):
+            exact_step(StateVector.basis(1, 0), PauliSum([(-1e3, "I")]), 1.0)
+
+    def test_propagator_on_the_span_of_its_strings(self):
+        # exp(h dt) of a sum on qubit 1 of 3 is I (x) exp(M dt) (x) I.
+        h = PauliSum([(0.3, "IXI"), (-0.2, "IZI")])
+        lo, prop = step_propagator(span_matrix(h), 0.1)
+        want = scipy.linalg.expm(dense_matrix(h, 3) * 0.1)
+        assert lo == 1 and prop.shape == (2, 2)
+        assert np.allclose(np.kron(np.kron(np.eye(2), prop), np.eye(2)), want, atol=1e-14)
 
 
 def exact_states(initial, terms, cfg):
@@ -190,11 +205,19 @@ class TestFidelityStats:
         assert stats.std == pytest.approx(float(np.std(stats.per_step)))
         assert stats.mean == pytest.approx(float(np.mean(stats.per_step)))
 
+    def test_zero_steps_are_refused(self):
+        # With no step there is no fidelity to average.
+        terms = [HamiltonianTerm(PauliSum([(1.0, "XI")]), frozenset({0, 1}))]
+        cfg = QnuteConfig(delta_t=0.01, num_steps=0, domain_size=2)
+        with pytest.raises(ValueError, match="num_steps"):
+            fidelity_stats(ScaledState(StateVector.basis(2, 0), 1.0), terms, cfg)
+
 
 def bs_reference(contract, grid, p, cfg):
     """reference_pde_solution of the payoff under the split linear-boundary generator."""
     terms = split_terms(build_bs_pauli(grid, p, "linear"), grid.n, cfg.domain_size)
-    return reference_pde_solution(payoff_samples(contract, grid), terms, cfg)
+    propagators = [step_propagator(t.generator, cfg.delta_t) for t in terms]
+    return reference_pde_solution(payoff_samples(contract, grid), propagators, cfg)
 
 
 class TestReferencePdeSolution:
@@ -237,3 +260,10 @@ class TestReferencePdeSolution:
         cfg = QnuteConfig(delta_t=0.01, num_steps=0, domain_size=3)
         u0 = bs_reference(contract, grid, PAPER_PARAMS, cfg)
         assert np.allclose(decode_nonnegative(encode_samples(u0)), u0, atol=1e-10)
+
+    def test_propagator_past_the_register(self):
+        # A span on qubit 2 does not fit 4 samples (2 qubits).
+        prop = step_propagator(span_matrix(PauliSum([(1.0, "IIX")])), 0.01)
+        cfg = QnuteConfig(delta_t=0.01, num_steps=1, domain_size=1)
+        with pytest.raises(DimensionMismatchError):
+            reference_pde_solution(np.ones(4), [prop], cfg)

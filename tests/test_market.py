@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+import qnute.exact
+import qnute.pauli
 from qnute.errors import ProtocolFailureError, RescaleDegeneracyError
 from qnute.evolution import QnuteConfig
-from qnute.hamiltonian import BSParams, Grid
+from qnute.hamiltonian import BSParams, Grid, build_bs_pauli, split_terms
 from qnute.market import (
     LEFT,
     RIGHT,
@@ -336,6 +338,24 @@ class TestPriceCurve:
         cfg = QnuteConfig(delta_t=0.01, num_steps=10, domain_size=3)
         with pytest.raises(ProtocolFailureError):
             price_curve(contract, grid, PAPER_PARAMS, cfg)
+
+    def test_windowed_run_builds_each_term_on_its_span(self, monkeypatch):
+        # n = 6, D = 2: one dense matrix and one exponential per term, at the
+        # width of the qubits its strings act on, not the register's.
+        grid = Grid(0.0, 150.0, 6)
+        terms = split_terms(build_bs_pauli(grid, PAPER_PARAMS, "linear"), 6, 2)
+        widths = []
+        for term in terms:
+            acted = [q for _, w in term.pauli.terms for q, c in enumerate(w) if c != "I"]
+            widths.append(max(acted) - min(acted) + 1)
+        dense, expm, calls = qnute.pauli.dense_matrix, qnute.exact._expm, {"dense": [], "expm": []}
+        monkeypatch.setattr(qnute.pauli, "dense_matrix",
+                            lambda s, n: calls["dense"].append(n) or dense(s, n))
+        monkeypatch.setattr(qnute.exact, "_expm", lambda a: calls["expm"].append(len(a)) or expm(a))
+        cfg = QnuteConfig(delta_t=1e-4, num_steps=3, domain_size=2)
+        price_run(OptionContract("call", (75.0,)), grid, PAPER_PARAMS, cfg)
+        assert calls == {"dense": widths, "expm": [1 << w for w in widths]}
+        assert len(terms) > 1 and min(widths) < 6
 
 
 class TestBoundaryOdeConsistency:

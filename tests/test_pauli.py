@@ -30,12 +30,14 @@ from qnute.pauli import (
     SYMBOLS,
     LadderOp,
     PauliSum,
+    apply_span,
     decompose_dense,
     dense_matrix,
     format_pauli_sum,
     gather_tables,
     ladder_as_pauli,
     ladder_power,
+    span_matrix,
 )
 
 
@@ -220,6 +222,64 @@ class TestDenseMatrix:
                 tracemalloc.stop()
         assert peak < m.nbytes + 8 * chunk_bytes
         assert m.tobytes() == dense_per_string(gen.terms, 9).tobytes()
+
+
+def span_terms(rng, n: int, lo: int, hi: int, num_terms: int, real: bool):
+    """Random terms acting within qubits lo..hi-1, one of them on both ends.
+
+    With real set, the coefficients make the dense matrix real: real on
+    strings with an even Y count, imaginary on the others.
+    """
+    ends = ["I"] * (hi - lo)
+    ends[0], ends[-1] = rng.choice(list("XYZ")), rng.choice(list("XYZ"))
+    words = ["".join(ends)]
+    words += ["".join(rng.choice(list("IXYZ"), size=hi - lo)) for _ in range(num_terms)]
+    terms = []
+    for w in words:
+        c = rng.normal() + 1j * rng.normal()
+        if real:
+            c = 1j * c.imag if w.count("Y") % 2 else c.real
+        terms.append((c, "I" * lo + w + "I" * (n - hi)))
+    return terms
+
+
+class TestSpanOperators:
+    """span_matrix and apply_span against the register-wide dense matrix."""
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_every_span_matches_dense_matrix(self, n):
+        # Bit for bit, except where both M and v are complex: there the span's
+        # matmul and the register-wide matvec may round apart in the last bits.
+        rng = np.random.default_rng(n)
+        for lo in range(n):
+            for hi in range(lo + 1, n + 1):
+                for real in (True, False):
+                    s = PauliSum(span_terms(rng, n, lo, hi, 5, real))
+                    full = dense_matrix(s, n)
+                    got_lo, m = span_matrix(s)
+                    assert got_lo == lo and m.shape == (1 << (hi - lo),) * 2
+                    eyes = np.eye(1 << lo), np.eye(1 << (n - hi))
+                    assert np.array_equal(np.kron(np.kron(eyes[0], m), eyes[1]), full)
+                    v = rng.normal(size=1 << n)
+                    assert np.array_equal(apply_span((lo, m), v), full @ v)
+                    v = v + 1j * rng.normal(size=1 << n)
+                    if real:
+                        assert np.array_equal(apply_span((lo, m), v), full @ v)
+                    else:
+                        bound = 8 * np.finfo(float).eps * (np.abs(full) @ np.abs(v))
+                        assert np.all(np.abs(apply_span((lo, m), v) - full @ v) <= bound)
+
+    @pytest.mark.parametrize("s", [PauliSum(), PauliSum([(-0.5, "III")])])
+    def test_identity_only_and_empty_sums_span_qubit_0(self, s):
+        lo, m = span_matrix(s)
+        assert lo == 0 and m.shape == (2, 2)
+        v = np.random.default_rng(0).normal(size=8) + 0j
+        assert np.array_equal(apply_span((lo, m), v), dense_matrix(s, 3) @ v)
+
+    def test_capacity_guard_is_on_the_span(self):
+        assert span_matrix(PauliSum([(1.0, "I" * 15 + "X")]))[0] == 15
+        with pytest.raises(CapacityError):
+            span_matrix(PauliSum([(1.0, "X" + "I" * 13 + "X")]))
 
 
 class TestDecomposeDense:
