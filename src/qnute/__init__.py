@@ -25,7 +25,6 @@ from .exact import (
     FidelityStats,
     exact_step,
     fidelity_stats,
-    reference_pde_solution,
 )
 from .hamiltonian import (
     BSParams,

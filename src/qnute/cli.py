@@ -269,10 +269,12 @@ def main(argv=None) -> int:
             raise ConfigError(f"--config: no such file {config_path}")
         cfg = parse_config(config_path.read_text(encoding="utf-8"))
         source, out_dir = "output.dir", cfg.out_dir
-        if args.out:
+        if args.out is not None:
             source, out_dir = "--out", args.out
         if os.environ.get("QNUTE_OUT"):
             source, out_dir = "QNUTE_OUT", os.environ["QNUTE_OUT"]
+        if not out_dir:
+            raise ConfigError(f"{source}: the output directory is empty")
         out_dir = Path(out_dir)
         try:
             out_dir.mkdir(parents=True, exist_ok=True)

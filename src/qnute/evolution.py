@@ -395,17 +395,17 @@ def trotter_step(
 
 def evolve(
     initial: ScaledState, terms: list[HamiltonianTerm], cfg: QnuteConfig
-) -> Iterator[tuple[ScaledState, list[StepReport]]]:
-    """Run num_steps full time steps, applying every term per step in order.
+) -> Iterator[tuple[int, int, ScaledState, ScaledState, StepReport]]:
+    """Run num_steps full time steps, fitting every term per step in order.
 
-    Yields the state after each full step with that step's StepReports, one
-    per term, and keeps neither: a caller keeps what it reads.  As a
+    Yields (step, i, before, after, report) once per Trotter factor: step
+    counts from 1, term i took before to after, and report is its
+    StepReport.  Keeps nothing: a caller keeps what it reads.  As a
     generator it raises only once iterated.
     """
     current = initial
-    for _ in range(cfg.num_steps):
-        reports = []
-        for term in terms:
-            current, report = trotter_step(current, term, cfg)
-            reports.append(report)
-        yield current, reports
+    for step in range(1, cfg.num_steps + 1):
+        for i, term in enumerate(terms):
+            before = current
+            current, report = trotter_step(before, term, cfg)
+            yield step, i, before, current, report

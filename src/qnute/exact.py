@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, StepSizeError
+from .errors import StepSizeError
 from .evolution import QnuteConfig, evolve
 from .hamiltonian import HamiltonianTerm
 from .pauli import PauliSum, apply_span, check_register, span_matrix
@@ -95,38 +95,23 @@ def fidelity_stats(
 ) -> FidelityStats:
     """Per-time-step fidelities of the fitted against the exact Trotter product.
 
-    Both evolutions step in lockstep from initial and keep only their current
-    states; the initial state is excluded, so num_steps must be positive.
-    Each term's propagator is built once, after the first fitted step, so a
-    failing fit is still reported before an overflowing propagator.
+    Both evolutions step in lockstep from initial, a factor at a time (see
+    evolve), and keep only their current states; the initial state is
+    excluded, so num_steps must be positive and terms nonempty.  Each term's
+    propagator is built right after the term's first fit, so a failing fit
+    is still reported before an overflowing propagator.
     """
     if cfg.num_steps == 0:
         raise ValueError("fidelity statistics need num_steps >= 1, got 0")
+    if not terms:
+        raise ValueError("fidelity statistics need at least one term, got an empty terms list")
     exact = initial.state.amplitudes
-    propagators, per_step = None, []
-    for fitted, _ in evolve(initial, terms, cfg):
-        if propagators is None:
-            propagators = [step_propagator(t.generator, cfg.delta_t) for t in terms]
-        for prop in propagators:
-            exact, _ = apply_normalized(prop, exact)
-        per_step.append(fidelity(fitted.state, StateVector(exact)))
+    propagators, per_step = [], []
+    for _, i, _, fitted, _ in evolve(initial, terms, cfg):
+        if i == len(propagators):
+            propagators.append(step_propagator(terms[i].generator, cfg.delta_t))
+        exact, _ = apply_normalized(propagators[i], exact)
+        if i == len(terms) - 1:
+            per_step.append(fidelity(fitted.state, StateVector(exact)))
     per_step = np.array(per_step)
     return FidelityStats(float(per_step.mean()), float(per_step.std()), per_step)
-
-
-def reference_pde_solution(samples: np.ndarray, propagators: list, cfg: QnuteConfig) -> np.ndarray:
-    """Discretization-matched prices: evolve the raw samples exactly.
-
-    Applies the terms' exact propagators (see step_propagator) in the fitted
-    evolution's Trotter order and time step, without any encoding or
-    rescaling, so that against the fitted run on the same terms the result
-    isolates unitary-fitting error from finite-difference error.  A span
-    past the samples' register raises DimensionMismatchError.
-    """
-    u = np.asarray(samples, dtype=complex)
-    if any(len(u) % (len(m) << lo) for lo, m in propagators):
-        raise DimensionMismatchError(f"a propagator spans more than the {len(u)} samples")
-    for _ in range(cfg.num_steps):
-        for prop in propagators:
-            u = apply_span(prop, u)
-    return u.real

@@ -8,9 +8,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ProtocolFailureError, RescaleDegeneracyError
-from .evolution import QnuteConfig, trotter_step
-from .exact import apply_normalized, reference_pde_solution, step_propagator
+from .evolution import QnuteConfig, evolve
+from .exact import apply_normalized, step_propagator
 from .hamiltonian import LINEAR, BSParams, Grid, build_bs_pauli, split_terms
+from .pauli import apply_span
 from .statevector import StateVector, encode_samples, fidelity
 
 LEFT = "left"
@@ -227,7 +228,7 @@ class PriceRun:
     """End-to-end pricing output: the curve, its reference and the rows of trajectory.csv."""
 
     prices: np.ndarray
-    reference: np.ndarray  # reference_pde_solution on the run's own propagators
+    reference: np.ndarray  # the raw samples under the run's own exact propagators
     rows: list[tuple]  # (step, tau, c, cumulative_scale, residual, step_fidelity) per factor
     rescale: float
 
@@ -238,11 +239,13 @@ def price_run(
     """Payoff -> encode -> evolve under the linear-boundary generator -> rescale.
 
     The generator is built and split once, and each term's exact propagator
-    right after its first fit; the reference (see reference_pde_solution)
-    reuses them.  Keeps, besides the current state, one row per factor:
-    cumulative_scale is the running product of the step's c values, and at
-    the step's end the state's scale, which also folds the norm drift.
-    step_fidelity compares the fitted factor with the exact one on its input.
+    right after its first fit.  Keeps, besides the current state, one row
+    per factor: cumulative_scale is the running product of the step's c
+    values, and at the step's end the state's scale, which also folds the
+    norm drift.  step_fidelity compares the fitted factor with the exact one
+    on its input.  The reference applies the same exact factors to the raw
+    samples, unencoded, so it isolates the fitting error from the
+    finite-difference error.
     """
     samples = payoff_samples(contract, grid)
     coeffs = boundary_coefficients(samples, grid)
@@ -251,24 +254,22 @@ def price_run(
     gen = build_bs_pauli(grid, p, LINEAR)
     terms = split_terms(gen, grid.n, cfg.domain_size)
     rows, propagators = [], []
+    reference = np.asarray(samples, dtype=complex)
     cumulative = state.scale
-    for step in range(1, cfg.num_steps + 1):
-        for i, term in enumerate(terms):
-            before = state.state
-            # Fitting first keeps the error order: a bad radicand is reported
-            # before an overflowing exact propagator.
-            state, r = trotter_step(state, term, cfg)
-            if i == len(propagators):
-                propagators.append(step_propagator(term.generator, cfg.delta_t))
-            exact, _ = apply_normalized(propagators[i], before.amplitudes)
-            cumulative = state.scale if i == len(terms) - 1 else cumulative * r.c
-            rows.append((step, step * cfg.delta_t, r.c, cumulative, r.residual,
-                         fidelity(state.state, StateVector(exact))))
+    for step, i, before, state, r in evolve(state, terms, cfg):
+        # Built after the fit: a bad radicand is reported before an overflow.
+        if i == len(propagators):
+            propagators.append(step_propagator(terms[i].generator, cfg.delta_t))
+        exact, _ = apply_normalized(propagators[i], before.state.amplitudes)
+        reference = apply_span(propagators[i], reference)
+        cumulative = state.scale if i == len(terms) - 1 else cumulative * r.c
+        rows.append((step, step * cfg.delta_t, r.c, cumulative, r.residual,
+                     fidelity(state.state, StateVector(exact))))
     tau = cfg.delta_t * cfg.num_steps
     final = state.state
     cstar = rescale_factor(final, coeffs, side, tau, p)
     prices = abs(cstar) * np.abs(final.amplitudes)
-    return PriceRun(prices, reference_pde_solution(samples, propagators, cfg), rows, cstar)
+    return PriceRun(prices, reference.real, rows, cstar)
 
 
 def price_curve(

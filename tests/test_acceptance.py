@@ -13,12 +13,7 @@ from oracles import tridiagonal_dense
 from qnute.cli import main as cli_main
 from qnute.errors import ProtocolFailureError
 from qnute.evolution import QnuteConfig, evolve, trotter_step
-from qnute.exact import (
-    exact_step,
-    fidelity_stats,
-    reference_pde_solution,
-    step_propagator,
-)
+from qnute.exact import exact_step, fidelity_stats
 from qnute.hamiltonian import (
     BSParams,
     Grid,
@@ -195,7 +190,7 @@ def test_criterion_7_qite_regression():
     v = rng.normal(size=4) + 1j * rng.normal(size=4)
     initial = ScaledState(StateVector(v / np.linalg.norm(v)), 1.0)
     cfg = QnuteConfig(delta_t=0.01, num_steps=1000, domain_size=2)
-    for state, _ in evolve(initial, split_terms(h, 2, cfg.domain_size), cfg):
+    for *_, state, _ in evolve(initial, split_terms(h, 2, cfg.domain_size), cfg):
         pass
     final = state.state.amplitudes
     energy = float(np.real(np.vdot(final, L @ final)))
@@ -214,9 +209,7 @@ def test_criterion_8_boundary_protocol():
     cfg = QnuteConfig(delta_t=MATURITY / NUM_STEPS, num_steps=NUM_STEPS, domain_size=n)
     u0 = payoff_samples(contract, grid)
     coeffs = boundary_coefficients(u0, grid)
-    terms = split_terms(build_bs_pauli(grid, PARAMS, "linear"), n, cfg.domain_size)
-    propagators = [step_propagator(t.generator, cfg.delta_t) for t in terms]
-    evolved = reference_pde_solution(u0, propagators, cfg)
+    evolved = price_run(contract, grid, PARAMS, cfg).reference
     expected = coeffs.a0 * grid.points() + coeffs.b0 * np.exp(-PARAMS.r * MATURITY)
     boundary_err = max(abs(evolved[0] - expected[0]), abs(evolved[-1] - expected[-1]))
 

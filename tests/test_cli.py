@@ -221,11 +221,13 @@ class TestPrice:
 
     @pytest.mark.parametrize("source", ["QNUTE_OUT", "--out", "output.dir"])
     def test_uncreatable_out_dir_exits_2(self, tmp_path, monkeypatch, capsys, source):
-        # The output directory would be an existing file, or lie below one.
+        # The output directory would be an existing file, lie below one, or be
+        # empty (the working directory). An empty QNUTE_OUT counts as unset.
         blocker = tmp_path / "file"
         blocker.write_text("")
-        monkeypatch.delenv("QNUTE_OUT", raising=False)
-        for target in (blocker, blocker / "out"):
+        monkeypatch.chdir(tmp_path)
+        for target in [blocker, blocker / "out"] + ([] if source == "QNUTE_OUT" else [""]):
+            monkeypatch.setenv("QNUTE_OUT", "")
             text = PRICE_CONFIG.replace("N_T = 20", "N_T = 0")
             if source == "output.dir":
                 text += f"output.dir = {target}\n"
@@ -236,7 +238,11 @@ class TestPrice:
                 monkeypatch.setenv("QNUTE_OUT", str(target))
             assert main(argv) == 2
             err = capsys.readouterr().err
-            assert err.startswith(f"config error: {source}: cannot create {target}: ")
+            if target:
+                assert err.startswith(f"config error: {source}: cannot create {target}: ")
+            else:
+                assert err == f"config error: {source}: the output directory is empty\n"
+        assert not (tmp_path / "prices.csv").exists() and not (tmp_path / "out").exists()
 
     def test_env_var_overrides_out(self, tmp_path, monkeypatch):
         cfg = write_config(tmp_path, PRICE_CONFIG.replace("N_T = 20", "N_T = 0"))
@@ -602,11 +608,12 @@ class TestBlasThreads:
         def record(name):
             seen.add((name, get()))
 
-        self.spy(monkeypatch, qnute.market, "trotter_step", record)
-        self.spy(monkeypatch, qnute.market, "reference_pde_solution", record)
+        # The reference advances by apply_span, called in market only for it.
+        self.spy(monkeypatch, qnute.evolution, "trotter_step", record)
+        self.spy(monkeypatch, qnute.market, "apply_span", record)
         cfg = write_config(tmp_path, PRICE_CONFIG)
         assert main(["price", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
-        assert seen == {("trotter_step", 1), ("reference_pde_solution", 1)}
+        assert seen == {("trotter_step", 1), ("apply_span", 1)}
         assert get() == 2
 
     @needs_fork

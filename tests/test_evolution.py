@@ -656,8 +656,8 @@ class TestRotationBlocks:
     def test_whole_register_real_run_builds_no_gather_tables(self):
         sigma_basis.cache_clear()
         initial, terms, cfg = bs_setup(4, num_steps=3)
-        steps = list(evolve(initial, terms, cfg))
-        assert len(terms) == 1 and [len(reports) for _, reports in steps] == [1, 1, 1]
+        steps = [(step, i) for step, i, *_ in evolve(initial, terms, cfg)]
+        assert len(terms) == 1 and steps == [(1, 0), (2, 0), (3, 0)]
         assert sigma_basis.cache_info().misses == 0
 
     def test_block_tables_keep_only_their_bytes(self):
@@ -873,17 +873,18 @@ class TestEvolve:
         terms = [HamiltonianTerm(PauliSum(), frozenset({0, 1}))]
         cfg = QnuteConfig(delta_t=0.01, num_steps=5, domain_size=2)
         steps = list(evolve(ScaledState(psi, 1.0), terms, cfg))
-        assert [len(reports) for _, reports in steps] == [1] * 5
-        for state, _ in steps:
-            assert state.scale == pytest.approx(1.0)
-            assert np.allclose(state.state.amplitudes, psi.amplitudes)
+        assert [(step, i) for step, i, *_ in steps] == [(k, 0) for k in range(1, 6)]
+        for *_, before, after, _ in steps:
+            assert after.scale == pytest.approx(1.0)
+            assert np.allclose(after.state.amplitudes, psi.amplitudes)
+        assert all(steps[k][2] is steps[k - 1][3] for k in range(1, 5))
 
     def test_anti_hermitian_converges_to_dominant_eigenvector(self):
         # h = -(Z+I): exp(h tau) favors |1>; by tau = 5 the overlap is ~1.
         plus = StateVector(np.array([1.0, 1.0]) / np.sqrt(2.0))
         terms = [HamiltonianTerm(PauliSum([(-1.0, "I"), (-1.0, "Z")]), frozenset({0}))]
         cfg = QnuteConfig(delta_t=0.01, num_steps=500, domain_size=1)
-        for state, _ in evolve(ScaledState(plus, 1.0), terms, cfg):
+        for *_, state, _ in evolve(ScaledState(plus, 1.0), terms, cfg):
             pass
         h_dense = dense_of_terms([(-1.0, "I"), (-1.0, "Z")])
         eigvals, eigvecs = np.linalg.eigh(h_dense)
@@ -898,7 +899,7 @@ class TestEvolve:
         h = decompose_dense(-L)
         psi0 = random_state(rng, 2)
         cfg = QnuteConfig(delta_t=0.01, num_steps=1000, domain_size=2)
-        for state, _ in evolve(ScaledState(psi0, 1.0), split_terms(h, 2, cfg.domain_size), cfg):
+        for *_, state, _ in evolve(ScaledState(psi0, 1.0), split_terms(h, 2, cfg.domain_size), cfg):
             pass
         final = state.state.amplitudes
         energy = float(np.real(np.vdot(final, L @ final)))
@@ -906,7 +907,7 @@ class TestEvolve:
 
     def test_norm_preserved_along_trajectory(self):
         initial, terms, cfg = bs_setup(2, num_steps=50)
-        for state, _ in evolve(initial, terms, cfg):
+        for *_, state, _ in evolve(initial, terms, cfg):
             assert state.state.norm() == pytest.approx(1.0, abs=1e-10)
 
     def test_first_order_consistency(self):
@@ -968,7 +969,7 @@ class TestEvolve:
         runs = [bs_setup(6, num_steps=20, maturity=0.12), call, put]
 
         def states(run):
-            return [(s.state.amplitudes.tobytes(), s.scale) for s, _ in evolve(*run)]
+            return [(s.state.amplitudes.tobytes(), s.scale) for *_, s, _ in evolve(*run)]
 
         threaded = [None] * len(runs)
         barrier = threading.Barrier(len(runs), timeout=60)

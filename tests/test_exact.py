@@ -1,4 +1,4 @@
-"""Dense exact evolution, fidelity statistics, and the reference PDE solution."""
+"""Dense exact evolution, fidelity statistics, and the price run's reference PDE solution."""
 
 import numpy as np
 import pytest
@@ -9,15 +9,9 @@ from hypothesis import strategies as st
 from oracles import decode_nonnegative, dense_of_terms, random_pauli_sum_terms, taylor_expm_apply
 from qnute.errors import CapacityError, DimensionMismatchError, StepSizeError
 from qnute.evolution import QnuteConfig, evolve
-from qnute.exact import (
-    _expm,
-    exact_step,
-    fidelity_stats,
-    reference_pde_solution,
-    step_propagator,
-)
+from qnute.exact import _expm, exact_step, fidelity_stats, step_propagator
 from qnute.hamiltonian import BSParams, Grid, HamiltonianTerm, build_bs_pauli, split_terms
-from qnute.market import OptionContract, analytic_price, payoff_samples
+from qnute.market import OptionContract, analytic_price, payoff_samples, price_run
 from qnute.pauli import PauliSum, dense_matrix, span_matrix
 from qnute.statevector import ScaledState, StateVector, encode_samples, fidelity
 
@@ -189,7 +183,7 @@ class TestFidelityStats:
         cfg = QnuteConfig(delta_t=0.05, num_steps=6, domain_size=2)
         terms = split_terms(build_bs_pauli(grid, PAPER_PARAMS, "linear"), 4, cfg.domain_size)
         initial = encode_samples(payoff_samples(OptionContract("put", (75.0,)), grid))
-        fitted = [state.state for state, _ in evolve(initial, terms, cfg)]
+        fitted = [s.state for _, i, _, s, _ in evolve(initial, terms, cfg) if i == len(terms) - 1]
         exact = [s.state for s in exact_states(initial, terms, cfg)[1:]]
         want = [fidelity(a, b) for a, b in zip(fitted, exact)]
         stats = fidelity_stats(initial, terms, cfg)
@@ -212,12 +206,16 @@ class TestFidelityStats:
         with pytest.raises(ValueError, match="num_steps"):
             fidelity_stats(ScaledState(StateVector.basis(2, 0), 1.0), terms, cfg)
 
+    def test_no_terms_are_refused(self):
+        # With no factor there is no fidelity either: the mean would be NaN.
+        cfg = QnuteConfig(delta_t=0.01, num_steps=3, domain_size=2)
+        with pytest.raises(ValueError, match="terms"):
+            fidelity_stats(ScaledState(StateVector.basis(2, 0), 1.0), [], cfg)
+
 
 def bs_reference(contract, grid, p, cfg):
-    """reference_pde_solution of the payoff under the split linear-boundary generator."""
-    terms = split_terms(build_bs_pauli(grid, p, "linear"), grid.n, cfg.domain_size)
-    propagators = [step_propagator(t.generator, cfg.delta_t) for t in terms]
-    return reference_pde_solution(payoff_samples(contract, grid), propagators, cfg)
+    """The price run's reference: the payoff under the split linear-boundary generator."""
+    return price_run(contract, grid, p, cfg).reference
 
 
 class TestReferencePdeSolution:
@@ -260,10 +258,3 @@ class TestReferencePdeSolution:
         cfg = QnuteConfig(delta_t=0.01, num_steps=0, domain_size=3)
         u0 = bs_reference(contract, grid, PAPER_PARAMS, cfg)
         assert np.allclose(decode_nonnegative(encode_samples(u0)), u0, atol=1e-10)
-
-    def test_propagator_past_the_register(self):
-        # A span on qubit 2 does not fit 4 samples (2 qubits).
-        prop = step_propagator(span_matrix(PauliSum([(1.0, "IIX")])), 0.01)
-        cfg = QnuteConfig(delta_t=0.01, num_steps=1, domain_size=1)
-        with pytest.raises(DimensionMismatchError):
-            reference_pde_solution(np.ones(4), [prop], cfg)

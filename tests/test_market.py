@@ -7,10 +7,12 @@ import pytest
 from scipy.integrate import quad
 
 import qnute.exact
+import qnute.market
 import qnute.pauli
-from qnute.errors import ProtocolFailureError, RescaleDegeneracyError
+from qnute.errors import ProtocolFailureError, RescaleDegeneracyError, StepSizeError
 from qnute.evolution import QnuteConfig
-from qnute.hamiltonian import BSParams, Grid, build_bs_pauli, split_terms
+from qnute.exact import fidelity_stats, step_propagator
+from qnute.hamiltonian import BSParams, Grid, HamiltonianTerm, build_bs_pauli, split_terms
 from qnute.market import (
     LEFT,
     RIGHT,
@@ -27,7 +29,8 @@ from qnute.market import (
     price_run,
     rescale_factor,
 )
-from qnute.statevector import StateVector
+from qnute.pauli import PauliSum, apply_span
+from qnute.statevector import StateVector, encode_samples
 
 PAPER_PARAMS = BSParams(r=0.04, sigma=0.2)
 
@@ -356,6 +359,36 @@ class TestPriceCurve:
         price_run(OptionContract("call", (75.0,)), grid, PAPER_PARAMS, cfg)
         assert calls == {"dense": widths, "expm": [1 << w for w in widths]}
         assert len(terms) > 1 and min(widths) < 6
+
+    @pytest.mark.parametrize("n, domain", [(4, 4), (5, 2)])
+    def test_reference_is_the_product_of_the_run_propagators(self, n, domain):
+        # N_T x terms exact factors, in Trotter order, on the raw samples.
+        contract, grid = OptionContract("put", (75.0,)), Grid(0.0, 150.0, n)
+        cfg = QnuteConfig(delta_t=0.12 / 6, num_steps=6, domain_size=domain)
+        terms = split_terms(build_bs_pauli(grid, PAPER_PARAMS, "linear"), n, domain)
+        propagators = [step_propagator(t.generator, cfg.delta_t) for t in terms]
+        want = np.asarray(payoff_samples(contract, grid), dtype=complex)
+        for _ in range(cfg.num_steps):
+            for prop in propagators:
+                want = apply_span(prop, want)
+        run = price_run(contract, grid, PAPER_PARAMS, cfg)
+        assert np.array_equal(run.reference, want.real)
+        assert len(terms) == (1 if domain == n else 4)
+
+    @pytest.mark.parametrize("reader", ["price_run", "fidelity_stats"])
+    def test_propagator_follows_its_term_first_fit(self, monkeypatch, reader):
+        # Term 0 fits (c^2 = 2001), then its propagator exp(1000) overflows,
+        # before term 1's radicand 1 - 2000 is reached.
+        grid = Grid(0.0, 150.0, 2)
+        terms = [HamiltonianTerm(PauliSum([(c, "II")]), frozenset({0, 1})) for c in (1e3, -1e3)]
+        cfg = QnuteConfig(delta_t=1.0, num_steps=1, domain_size=2)
+        contract = OptionContract("call", (75.0,))
+        with pytest.raises(StepSizeError, match=r"exp\(h_m dt\) overflows"):
+            if reader == "price_run":
+                monkeypatch.setattr(qnute.market, "split_terms", lambda *_: terms)
+                price_run(contract, grid, PAPER_PARAMS, cfg)
+            else:
+                fidelity_stats(encode_samples(payoff_samples(contract, grid)), terms, cfg)
 
 
 class TestBoundaryOdeConsistency:
