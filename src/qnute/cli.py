@@ -88,15 +88,21 @@ def _qnute_config(cfg: RunConfig, domain_size: int) -> QnuteConfig:
     )
 
 
-def _check_capacity(key: str, n: int, domain: int) -> None:
-    """Refuse an (n, D) run up front that cannot run or is too large.
+def _check_capacity(key: str, n: int, domain: int | None) -> None:
+    """Refuse an (n, D) run up front that cannot run or is too large; key names n's config key.
 
-    The CLI evolves the linear-boundary generator, which needs two qubits,
-    and its real runs fit odd-Y bases; key names the qubit count's config key.
+    Every run holds arrays of 2^n points, so n must pass the dense guard.  A
+    run that evolves (domain given) evolves the linear-boundary generator,
+    which needs two qubits, and its real runs fit odd-Y bases.
     """
+    try:
+        check_dense_size(n)
+    except CapacityError as exc:
+        raise CapacityError(f"{key}: {exc}") from None
+    if domain is None:
+        return
     if n < 2:
         raise UnsupportedSizeError(f"{key}: linear boundary mode requires n >= 2 qubits, got {n}")
-    check_dense_size(n)
     check_basis_size(domain, True, n)
 
 
@@ -106,6 +112,7 @@ def cmd_price(cfg: RunConfig, out_dir: Path) -> int:
     domain = cfg.resolved_domain_size()
     if domain > cfg.n:
         raise ConfigError(f"qnute.domain_size: {domain} exceeds grid.n = {cfg.n}")
+    _check_capacity("grid.n", cfg.n, domain if cfg.num_steps else None)
     points = grid.points()
     samples = payoff_samples(cfg.contract, grid)
 
@@ -115,7 +122,6 @@ def cmd_price(cfg: RunConfig, out_dir: Path) -> int:
         rows = []
         delta_t = 0.0
     else:
-        _check_capacity("grid.n", cfg.n, domain)
         qcfg = _qnute_config(cfg, domain)
         run = price_run(cfg.contract, grid, params, qcfg)
         qnute_prices = run.prices

@@ -14,29 +14,21 @@ from .hamiltonian import LINEAR, BSParams, Grid, build_bs_pauli, split_terms
 from .pauli import apply_span
 from .statevector import StateVector, encode_samples, fidelity
 
-LEFT = "left"
-RIGHT = "right"
+LEFT, RIGHT = "left", "right"
+_CALL, _PUT = "call", "put"
 
-# Strike count per contract kind.
+# Each contract kind: its vanilla legs, (sign, _CALL or _PUT, strike index) with
+# the first leg positive, and the boundary used to rescale normalized states
+# back to currency units.  Kinds with a flat zero payoff at the left edge anchor
+# on the right, all others on the left (kinds rising at both edges work on
+# either side; left is fixed).
 KINDS = {
-    "call": 1,
-    "put": 1,
-    "bull-spread": 2,
-    "bear-spread": 2,
-    "straddle": 1,
-    "strangle": 2,
-}
-
-# Boundary used to rescale normalized states back to currency units.  Kinds
-# with a flat zero payoff at the left edge anchor on the right, all others on
-# the left (the straddle and strangle work on either side; left is fixed).
-RESCALE_SIDE = {
-    "call": RIGHT,
-    "bull-spread": RIGHT,
-    "put": LEFT,
-    "bear-spread": LEFT,
-    "straddle": LEFT,
-    "strangle": LEFT,
+    _CALL: (((1, _CALL, 0),), RIGHT),
+    _PUT: (((1, _PUT, 0),), LEFT),
+    "bull-spread": (((1, _CALL, 0), (-1, _CALL, 1)), RIGHT),
+    "bear-spread": (((1, _PUT, 1), (-1, _PUT, 0)), LEFT),
+    "straddle": (((1, _CALL, 0), (1, _PUT, 0)), LEFT),
+    "strangle": (((1, _PUT, 0), (1, _CALL, 1)), LEFT),
 }
 
 # Boundary amplitudes below this cannot be divided by.
@@ -52,21 +44,18 @@ class OptionContract:
 
     def __post_init__(self):
         if self.kind not in KINDS:
-            raise ValueError(f"unknown contract kind {self.kind!r}")
-        if len(self.strikes) != KINDS[self.kind]:
-            raise ValueError(
-                f"{self.kind} takes {KINDS[self.kind]} strike(s), got {len(self.strikes)}"
-            )
+            raise ValueError(f"unknown contract kind {self.kind!r}, not one of {', '.join(KINDS)}")
+        count = 1 + max(index for _, _, index in KINDS[self.kind][0])
+        if len(self.strikes) != count:
+            raise ValueError(f"{self.kind} takes {count} strike(s), got {len(self.strikes)}")
         if not all(0.0 < k < math.inf for k in self.strikes):
             raise ValueError(f"strikes must be positive and finite, got {self.strikes}")
         if len(self.strikes) == 2 and not self.strikes[0] < self.strikes[1]:
-            raise ValueError(
-                f"{self.kind} requires K1 < K2, got {self.strikes}"
-            )
+            raise ValueError(f"{self.kind} requires K1 < K2, got {self.strikes}")
 
 
 def parse_contract_spec(text: str) -> OptionContract:
-    """Parse "kind:K" or "kind:K1,K2", e.g. "call:75" or "strangle:50,100"."""
+    """Parse "kind:K" or "kind:K1,K2", with kind a key of KINDS."""
     kind, sep, strikes_text = text.strip().partition(":")
     if not sep or not strikes_text.strip():
         raise ValueError(f"contract spec {text!r} must be kind:strike[,strike]")
@@ -81,21 +70,22 @@ def format_contract_spec(contract: OptionContract) -> str:
     return contract.kind + ":" + ",".join(f"{k:.12g}" for k in contract.strikes)
 
 
+def _fold_legs(contract: OptionContract, vanilla: dict):
+    """The first leg's vanilla[_CALL or _PUT](strike), then + or - each later leg's."""
+    (_, option, index), *rest = KINDS[contract.kind][0]
+    total = vanilla[option](contract.strikes[index])
+    for sign, option, index in rest:
+        value = vanilla[option](contract.strikes[index])
+        total = total + value if sign > 0 else total - value
+    return total
+
+
 def payoff(contract: OptionContract, x) -> np.ndarray:
     """Payoff at maturity, vectorized over asset prices."""
     x = np.asarray(x, dtype=float)
-    k = contract.strikes
-    if contract.kind == "call":
-        return np.maximum(x - k[0], 0.0)
-    if contract.kind == "put":
-        return np.maximum(k[0] - x, 0.0)
-    if contract.kind == "bull-spread":
-        return np.maximum(x - k[0], 0.0) - np.maximum(x - k[1], 0.0)
-    if contract.kind == "bear-spread":
-        return np.maximum(k[1] - x, 0.0) - np.maximum(k[0] - x, 0.0)
-    if contract.kind == "straddle":
-        return np.maximum(x - k[0], 0.0) + np.maximum(k[0] - x, 0.0)
-    return np.maximum(k[0] - x, 0.0) + np.maximum(x - k[1], 0.0)  # strangle
+    return _fold_legs(
+        contract, {_CALL: lambda k: np.maximum(x - k, 0.0), _PUT: lambda k: np.maximum(k - x, 0.0)}
+    )
 
 
 def payoff_samples(contract: OptionContract, grid: Grid) -> np.ndarray:
@@ -130,18 +120,10 @@ def _put_price(x: float, strike: float, tau: float, p: BSParams) -> float:
 
 def analytic_price(contract: OptionContract, x: float, tau: float, p: BSParams) -> float:
     """Closed-form price at time-to-maturity tau; combinations price by linearity."""
-    k = contract.strikes
-    if contract.kind == "call":
-        return _call_price(x, k[0], tau, p)
-    if contract.kind == "put":
-        return _put_price(x, k[0], tau, p)
-    if contract.kind == "bull-spread":
-        return _call_price(x, k[0], tau, p) - _call_price(x, k[1], tau, p)
-    if contract.kind == "bear-spread":
-        return _put_price(x, k[1], tau, p) - _put_price(x, k[0], tau, p)
-    if contract.kind == "straddle":
-        return _call_price(x, k[0], tau, p) + _put_price(x, k[0], tau, p)
-    return _put_price(x, k[0], tau, p) + _call_price(x, k[1], tau, p)  # strangle
+    return _fold_legs(
+        contract,
+        {_CALL: lambda k: _call_price(x, k, tau, p), _PUT: lambda k: _put_price(x, k, tau, p)},
+    )
 
 
 @dataclass(frozen=True)
@@ -190,31 +172,28 @@ def boundary_value(coeffs: BoundaryCoeffs, side: str, tau: float, p: BSParams) -
     return a * x + b * math.exp(-p.r * tau)
 
 
-def choose_rescale_side(contract: OptionContract, coeffs: BoundaryCoeffs) -> str:
-    """The kind's preferred boundary, falling back to the other if degenerate."""
-    preferred = RESCALE_SIDE[contract.kind]
-    other = RIGHT if preferred == LEFT else LEFT
-    if _side_coeffs(coeffs, preferred)[:2] != (0.0, 0.0):
-        return preferred
-    if _side_coeffs(coeffs, other)[:2] != (0.0, 0.0):
-        return other
+def _usable_side(coeffs: BoundaryCoeffs, side: str) -> str:
+    """side if its fit is not a = b = 0, else the other side; ProtocolFailureError if neither."""
+    for candidate in (side, RIGHT if side == LEFT else LEFT):
+        if _side_coeffs(coeffs, candidate)[:2] != (0.0, 0.0):
+            return candidate
     raise ProtocolFailureError(
         "payoff is degenerate (a = b = 0) on both boundaries; rescaling is impossible"
     )
+
+
+def choose_rescale_side(contract: OptionContract, coeffs: BoundaryCoeffs) -> str:
+    """The kind's preferred boundary, falling back to the other if degenerate."""
+    return _usable_side(coeffs, KINDS[contract.kind][1])
 
 
 def rescale_factor(
     state: StateVector, coeffs: BoundaryCoeffs, side: str, tau: float, p: BSParams
 ) -> float:
     """Factor C* matching the state's boundary amplitude to the boundary price."""
-    a, b, _ = _side_coeffs(coeffs, side)
-    if (a, b) == (0.0, 0.0):
-        other = RIGHT if side == LEFT else LEFT
-        if _side_coeffs(coeffs, other)[:2] == (0.0, 0.0):
-            raise ProtocolFailureError(
-                "payoff is degenerate (a = b = 0) on both boundaries; rescaling is impossible"
-            )
-        raise ValueError(f"{side} boundary is degenerate; rescale on the {other} side")
+    usable = _usable_side(coeffs, side)
+    if usable != side:
+        raise ValueError(f"{side} boundary is degenerate; rescale on the {usable} side")
     amplitude = state.amplitudes[0 if side == LEFT else -1]
     if abs(amplitude) < AMPLITUDE_FLOOR:
         raise RescaleDegeneracyError(

@@ -155,6 +155,17 @@ class TestPrice:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "o" / "prices.csv").exists()
 
+    @pytest.mark.parametrize("steps", [0, 5])
+    def test_register_over_the_dense_guard_exits_2_before_any_array(self, tmp_path, capsys, steps):
+        # 2^45 grid points would need 281 TB; even N_T = 0 writes a row per point.
+        text = PRICE_CONFIG.replace("grid.n = 3", "grid.n = 45").replace("N_T = 20", f"N_T = {steps}")
+        cfg = write_config(tmp_path, text)
+        assert main(["price", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "config error: grid.n: dense realization of 45 qubits exceeds the 14-qubit guard"
+        ]
+        assert not (tmp_path / "o" / "prices.csv").exists()
+
     def test_one_qubit_register_exits_2_before_building(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(
             "qnute.market.build_bs_pauli", lambda *_: pytest.fail("the generator was built")
@@ -303,7 +314,7 @@ class TestFidelitySweep:
         out = tmp_path / "out"
         assert main(["fidelity-sweep", "--config", cfg, "--out", str(out)]) == 2
         assert capsys.readouterr().err.splitlines() == [
-            "config error: dense realization of 15 qubits exceeds the 14-qubit guard"
+            "config error: sweep.n: dense realization of 15 qubits exceeds the 14-qubit guard"
         ]
         assert not (out / "fidelity.csv").exists()
 
@@ -448,6 +459,11 @@ class TestGoldenBytes:
         # n = D = 6: one 2016-string odd-Y basis, fitted through a 2016 x 128 factor.
         self.check_price(GOLDEN / "price-n6", tmp_path)
 
+    @pytest.mark.parametrize("kind", ["put", "bull-spread", "bear-spread", "straddle", "strangle"])
+    def test_price_kind(self, tmp_path, kind):
+        # test_price's settings for every other contract kind: its legs and rescale side.
+        self.check_price(GOLDEN / f"price-{kind}", tmp_path)
+
     def test_decompose(self, tmp_path):
         # n = 6, linear boundary: the generator's 272 strings and its dense entries.
         golden = GOLDEN / "decompose"
@@ -500,13 +516,14 @@ class NoScipy:
             raise ImportError(f"{name} is not installed")
 
 sys.meta_path.insert(0, NoScipy())
+from pathlib import Path
 from qnute.cli import main
 
 golden, out = sys.argv[1:]
-for name, command in (
-    ("price", "price"), ("price-n6", "price"), ("sweep", "fidelity-sweep"), ("decompose", "decompose")
-):
-    assert main([command, "--config", f"{golden}/{name}/run.cfg", "--out", f"{out}/{name}"]) == 0
+commands = {"sweep": "fidelity-sweep", "decompose": "decompose"}
+for cfg in sorted(Path(golden).glob("*/run.cfg")):
+    name = cfg.parent.name
+    assert main([commands.get(name, "price"), "--config", str(cfg), "--out", f"{out}/{name}"]) == 0
 assert "scipy" not in sys.modules
 """
 

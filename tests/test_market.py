@@ -77,7 +77,8 @@ class TestContract:
             OptionContract("put", (0.0,))
 
     def test_unknown_kind(self):
-        with pytest.raises(ValueError):
+        valid = "call, put, bull-spread, bear-spread, straddle, strangle"
+        with pytest.raises(ValueError, match=f"not one of {valid}$"):
             OptionContract("butterfly", (50.0,))
 
     def test_spec_round_trip(self):

@@ -82,6 +82,9 @@ class TestParse:
             parse_config("grid.n = three\n")
         with pytest.raises(ConfigError, match="contract"):
             parse_config("contract = call:\n")
+        valid = "call, put, bull-spread, bear-spread, straddle, strangle"
+        with pytest.raises(ConfigError, match=f"^contract: unknown .* 'butterfly', not one of {valid}$"):
+            parse_config("contract = butterfly:75\n")
         with pytest.raises(ConfigError, match="params.sigma"):
             parse_config("params.sigma = -1\n")
         with pytest.raises(ConfigError, match="grid.x0"):
