@@ -88,12 +88,13 @@ def _qnute_config(cfg: RunConfig, domain_size: int) -> QnuteConfig:
     )
 
 
-def _check_capacity(key: str, n: int, domain: int | None) -> None:
-    """Refuse an (n, D) run up front that cannot run or is too large; key names n's config key.
+def _check_capacity(key: str, domain_key: str, n: int, domain: int | None) -> None:
+    """Refuse an (n, D) run up front that cannot run or is too large.
 
-    Every run holds arrays of 2^n points, so n must pass the dense guard.  A
-    run that evolves (domain given) evolves the linear-boundary generator,
-    which needs two qubits, and its real runs fit odd-Y bases.
+    key and domain_key name the config keys of n and D.  Every run holds
+    arrays of 2^n points, so n must pass the dense guard.  A run that evolves
+    (domain given) evolves the linear-boundary generator, which needs two
+    qubits, and its real runs fit odd-Y bases.
     """
     try:
         check_dense_size(n)
@@ -103,7 +104,10 @@ def _check_capacity(key: str, n: int, domain: int | None) -> None:
         return
     if n < 2:
         raise UnsupportedSizeError(f"{key}: linear boundary mode requires n >= 2 qubits, got {n}")
-    check_basis_size(domain, True, n)
+    try:
+        check_basis_size(domain, True, n)
+    except CapacityError as exc:
+        raise CapacityError(f"{key}/{domain_key}: {exc}") from None
 
 
 def cmd_price(cfg: RunConfig, out_dir: Path) -> int:
@@ -112,7 +116,7 @@ def cmd_price(cfg: RunConfig, out_dir: Path) -> int:
     domain = cfg.resolved_domain_size()
     if domain > cfg.n:
         raise ConfigError(f"qnute.domain_size: {domain} exceeds grid.n = {cfg.n}")
-    _check_capacity("grid.n", cfg.n, domain if cfg.num_steps else None)
+    _check_capacity("grid.n", "qnute.domain_size", cfg.n, domain if cfg.num_steps else None)
     points = grid.points()
     samples = payoff_samples(cfg.contract, grid)
 
@@ -196,7 +200,7 @@ def cmd_fidelity_sweep(cfg: RunConfig, out_dir: Path) -> int:
     if not cells:
         raise ConfigError("sweep.D: every domain size exceeds every qubit count in sweep.n")
     for _, _, n, domain in cells:
-        _check_capacity("sweep.n", n, domain)
+        _check_capacity("sweep.n", "sweep.D", n, domain)
 
     # Cells are independent runs. Fork workers inherit the imported numpy;
     # the largest registers go first so they do not finish last. Only this

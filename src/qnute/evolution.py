@@ -102,7 +102,6 @@ def check_basis_size(width: int, odd_y: bool, n: int, gathered: bool = False) ->
     return size
 
 
-@lru_cache(maxsize=None)
 def sigma_basis(
     domain: tuple[int, ...], odd_y: bool, n: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -116,6 +115,7 @@ def sigma_basis(
     factor of the sin term of a rotation; on an odd-Y basis every phase is
     +-i, so the gain is the real ph.imag.  A basis whose tables would exceed
     BASIS_BYTES_LIMIT raises CapacityError before any table is built.
+    Nothing is kept between calls; a term keeps its own (see _term_tables).
     """
     domain = tuple(sorted(domain))
     if not domain:
@@ -132,6 +132,22 @@ def sigma_basis(
     codes[:, domain[0] : domain[-1] + 1] = digits
     idx, ph = gather_tables(codes)
     return idx, ph, (ph.imag.copy() if odd_y else -1j * ph)
+
+
+def _term_tables(
+    term: HamiltonianTerm, odd_y: bool, n: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """sigma_basis over the term's window, built once per term and kind.
+
+    The tables are kept by (odd_y, n) in the term's own __dict__, as
+    functools.cached_property keeps HamiltonianTerm.generator, so they live
+    exactly as long as the term.  A process-wide weak mapping would keep a
+    hash table of its own, which any run might resize and leave allocated.
+    """
+    tables = vars(term).setdefault("_fit_tables", {})
+    if (odd_y, n) not in tables:
+        tables[odd_y, n] = sigma_basis(tuple(term.support), odd_y, n)
+    return tables[odd_y, n]
 
 
 class PrefixGroups(NamedTuple):
@@ -341,7 +357,8 @@ def trotter_step(
     the state (see StateVector.is_real) and h_m are both real, and over all
     strings otherwise.  Odd-Y rotations act on the state's real part.  They
     are applied in ascending basis order, the state is renormalized, and the
-    scale is multiplied by c.
+    scale is multiplied by c.  The basis's gather tables are the term's own,
+    built on its first fit of each kind (see _term_tables).
 
     A whole-register odd-Y fit steps on the real part alone and builds no
     gather tables.  Its strings are i 2^(n/2) times an orthonormal basis of
@@ -369,7 +386,7 @@ def trotter_step(
     whole_register = odd_y and term.support == frozenset(range(n))
     amp = psi_in.amplitudes.real if whole_register else psi_in.amplitudes
     if not whole_register:
-        idx, ph, gain = sigma_basis(tuple(sorted(term.support)), odd_y, n)
+        idx, ph, gain = _term_tables(term, odd_y, n)
         # idx is in range; "clip" gathers faster than "raise" or fancy indexing.
         rows = np.take(amp, idx, mode="clip")
         np.multiply(ph, rows, out=rows)

@@ -125,7 +125,9 @@ class TestPrice:
         text = PRICE_CONFIG.replace("grid.n = 3", "grid.n = 10") + "qnute.domain_size = 9\n"
         cfg = write_config(tmp_path, text)
         assert main(["price", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
-        assert f"gather tables need {130816 * 1024 * 32} bytes" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("config error: grid.n/qnute.domain_size: a 9-qubit odd-y basis")
+        assert f"gather tables need {130816 * 1024 * 32} bytes" in err
 
     def test_whole_register_nine_qubits_runs(self, tmp_path, monkeypatch):
         # n = D = 9 keeps 30 MB of prefix tables and work arrays, where its
@@ -316,6 +318,24 @@ class TestFidelitySweep:
         assert capsys.readouterr().err.splitlines() == [
             "config error: sweep.n: dense realization of 15 qubits exceeds the 14-qubit guard"
         ]
+        assert not (out / "fidelity.csv").exists()
+
+    def test_basis_capacity_guard_exits_2_before_any_worker(self, tmp_path, monkeypatch, capsys):
+        # The sweep twin of TestPrice's guard: sweep.n = 10, D = 9 would need 4.3 GB of tables.
+        monkeypatch.setattr(
+            "qnute.evolution.gather_tables",
+            lambda _: pytest.fail("basis tables were built"),
+        )
+        monkeypatch.setattr(qnute.cli, "_sweep_one", lambda *_: pytest.fail("a cell ran"))
+        monkeypatch.setattr(
+            concurrent.futures, "ProcessPoolExecutor", lambda *_, **__: pytest.fail("a worker started")
+        )
+        text = SWEEP_CONFIG.replace("sweep.n = 2", "sweep.n = 10").replace("D = 2", "D = 9")
+        out = tmp_path / "out"
+        assert main(["fidelity-sweep", "--config", write_config(tmp_path, text), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: sweep.n/sweep.D: a 9-qubit odd-y basis")
+        assert f"gather tables need {130816 * 1024 * 32} bytes" in err
         assert not (out / "fidelity.csv").exists()
 
     def test_one_qubit_cell_exits_2_before_any_worker(self, tmp_path, monkeypatch, capsys):

@@ -1,9 +1,12 @@
 """The fitted Trotter stepper: bases, measurements, solver, steps, trajectories."""
 
+import ast
 import gc
 import math
 import threading
 import tracemalloc
+import weakref
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -25,7 +28,7 @@ from oracles import (
     rotate_complex,
     solve_coefficients,
 )
-from qnute.cli import _set_blas_threads
+from qnute.cli import _set_blas_threads, _sweep_one
 from qnute.errors import (
     CapacityError,
     DimensionMismatchError,
@@ -56,6 +59,7 @@ from qnute.exact import exact_step
 from qnute.hamiltonian import BSParams, Grid, HamiltonianTerm, build_bs_pauli, split_terms
 from qnute.market import OptionContract, price_run
 from qnute.pauli import PauliSum, apply_span, decompose_dense
+from qnute.runconfig import parse_config
 from qnute.statevector import (
     REAL_STATE_TOL,
     ScaledState,
@@ -163,15 +167,11 @@ class TestSigmaBasis:
             assert_tables_match_oracle(*case)
 
     def test_eight_qubit_odd_y_tables_match_oracle_bitwise(self):
-        try:
-            assert_tables_match_oracle(tuple(range(8)), True, 8)
-        finally:
-            sigma_basis.cache_clear()
+        assert_tables_match_oracle(tuple(range(8)), True, 8)
 
     def test_tables_keep_only_their_bytes(self):
         # The n = D = 6 odd-Y basis of the price-n6 run keeps its tables and
         # nothing per string beside them.
-        sigma_basis.cache_clear()
         tracemalloc.start()
         try:
             tables = sigma_basis(tuple(range(6)), True, 6)
@@ -207,10 +207,7 @@ class TestSigmaBasis:
 
     def test_capacity_limit_admits_eight_qubits(self):
         # The full basis at n = D = 8 keeps 0.67 GB of tables.
-        try:
-            assert sigma_basis(tuple(range(8)), False, 8)[0].shape == (65535, 256)
-        finally:
-            sigma_basis.cache_clear()
+        assert sigma_basis(tuple(range(8)), False, 8)[0].shape == (65535, 256)
 
     def test_apply_all_matches_dense(self):
         rng = np.random.default_rng(0)
@@ -653,12 +650,13 @@ class TestRotationBlocks:
         assert got.shape == want.shape
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
-    def test_whole_register_real_run_builds_no_gather_tables(self):
-        sigma_basis.cache_clear()
+    def test_whole_register_real_run_builds_no_gather_tables(self, monkeypatch):
+        monkeypatch.setattr(
+            qnute.evolution, "sigma_basis", lambda *_: pytest.fail("basis tables were built")
+        )
         initial, terms, cfg = bs_setup(4, num_steps=3)
         steps = [(step, i) for step, i, *_ in evolve(initial, terms, cfg)]
         assert len(terms) == 1 and steps == [(1, 0), (2, 0), (3, 0)]
-        assert sigma_basis.cache_info().misses == 0
 
     def test_block_tables_keep_only_their_bytes(self):
         # The n = 8 prefix group tables, 1.1 MB, built with a peak under twice
@@ -948,7 +946,7 @@ class TestEvolve:
         kept = []
         for num_steps in (20, 40):
             cfg = QnuteConfig(delta_t=0.12 / num_steps, num_steps=num_steps, domain_size=domain)
-            price_run(contract, grid, PAPER_PARAMS, cfg)  # fills the run's caches
+            price_run(contract, grid, PAPER_PARAMS, cfg)  # fills prefix_groups' cache at D = n
             tracemalloc.start()
             try:
                 run = price_run(contract, grid, PAPER_PARAMS, cfg)
@@ -1011,6 +1009,82 @@ class TestEvolve:
         run = price_run(OptionContract("call", (75.0,)), Grid(0.0, 150.0, 3), PAPER_PARAMS, cfg)
         assert run.rows == want
         assert want[0][0] == 1 and want[-1][0] == 4 and want[-1][3] == state.scale
+
+
+class TestRunScopedTables:
+    """A term's fit tables are built once per kind and live as long as the term."""
+
+    @staticmethod
+    def spy_tables(monkeypatch):
+        built = []
+
+        def spy(*args):
+            tables = sigma_basis(*args)
+            built.append([weakref.ref(a) for a in tables])
+            return tables
+
+        monkeypatch.setattr(qnute.evolution, "sigma_basis", spy)
+        return built
+
+    def test_built_once_per_term_and_kind(self, monkeypatch):
+        built = self.spy_tables(monkeypatch)
+        initial, terms, cfg = bs_setup(5, num_steps=4, domain_size=3, maturity=4e-3)
+        assert len(terms) > 1
+        for _ in evolve(initial, terms, cfg):
+            pass
+        assert len(built) == len(terms)
+        # A complex state takes the full basis: one more build, then none.
+        state = ScaledState(random_state(np.random.default_rng(16), 5), 1.0)
+        for _ in range(3):
+            trotter_step(state, terms[0], cfg)
+        assert len(built) == len(terms) + 1
+
+    def test_price_run_drops_its_tables(self, monkeypatch):
+        built = self.spy_tables(monkeypatch)
+        cfg = QnuteConfig(delta_t=1e-3, num_steps=2, domain_size=3)
+        price_run(OptionContract("call", (75.0,)), Grid(0.0, 150.0, 5), PAPER_PARAMS, cfg)
+        assert built and all(ref() is None for refs in built for ref in refs)
+
+    def test_sweep_cell_drops_its_tables(self, monkeypatch):
+        built = self.spy_tables(monkeypatch)
+        text = "schedule.T = 2e-3\nschedule.N_T = 2\nsweep.options = call:75\nsweep.n = 5\nsweep.D = 3\n"
+        cfg = parse_config(text)
+        _sweep_one(cfg, cfg.sweep_options[0], 5, 3)
+        assert built and all(ref() is None for refs in built for ref in refs)
+
+    def test_only_two_process_wide_caches(self):
+        # prefix_groups keeps 0.10 / 1.05 / 6.1 MB at n = 6 / 8 / 9, until the
+        # one-rotation whole-register step deletes it; _openblas_threads is one
+        # lookup of the process's BLAS. Anything else a run builds dies with it.
+        allowed = [("cli.py", "_openblas_threads"), ("evolution.py", "prefix_groups")]
+        found = []
+        for path in sorted(Path(qnute.__file__).parent.glob("*.py")):
+            found += [(path.name, owner) for owner in cache_owners(path.read_text("utf-8"))]
+        assert found == allowed
+
+
+def cache_owners(source):
+    """The function each functools.lru_cache or functools.cache use decorates (None if none)."""
+    caches = {"lru_cache", "cache"}
+    names, modules = set(), set()
+    tree = ast.parse(source)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "functools":
+            names |= {a.asname or a.name for a in node.names if a.name in caches}
+        elif isinstance(node, ast.Import):
+            modules |= {a.asname or a.name for a in node.names if a.name == "functools"}
+
+    def is_cache(node):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            return node.attr in caches and node.value.id in modules
+        return isinstance(node, ast.Name) and node.id in names
+
+    owners = {}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            for decorator in node.decorator_list:
+                owners |= {id(sub): node.name for sub in ast.walk(decorator) if is_cache(sub)}
+    return [owners.get(id(node)) for node in ast.walk(tree) if is_cache(node)]
 
 
 class TestQnuteConfig:
